@@ -13,7 +13,7 @@ Usage:
 import argparse
 import sys
 
-from maghom import generate, magnitude_homology_graph
+from maghom import build_table, generate
 
 DEFAULT_SPECS = [
     "path:3", "path:5",
@@ -27,7 +27,7 @@ DEFAULT_SPECS = [
 
 def survey(spec, l, kmax=None):
     g = generate(spec)
-    table = magnitude_homology_graph(g, l, kmax if kmax is not None else l)
+    table = build_table(g, l, kmax, "direct")
     totals = table.totals()
     off = {k: h for k, h in enumerate(totals) if k != l and h.betti + len(h.torsion) > 0}
     return totals, off

@@ -19,8 +19,6 @@ from maghom import (
     build_table,
     dump_json,
     generate,
-    magnitude_homology_direct,
-    magnitude_homology_geometric,
     render_table,
     report_document,
     sq2_pair_types,
@@ -37,12 +35,9 @@ def main(argv=None):
     labeling = {tuple(k.split(",")): v for k, v in sq2_pair_types().items()}
 
     tables = {}
-    for method, fn in (
-        ("direct", lambda key, kmax: magnitude_homology_direct(g, key, kmax)),
-        ("geometric", lambda key, kmax: magnitude_homology_geometric(g, key, kmax)),
-    ):
+    for method in ("direct", "geometric"):
         start = time.monotonic()
-        table = build_table(g, 4, 4, method, fn, graph_spec="sq2")
+        table = build_table(g, 4, 4, method, graph_spec="sq2")
         table.apply_types(labeling)
         elapsed = time.monotonic() - start
         tables[method] = table

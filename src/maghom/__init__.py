@@ -5,52 +5,28 @@ direct chain-complex route that works for every degree, a geometric route
 through relative simplicial pairs (degrees k >= 2, lengths l >= 3), and a
 closed form for trees.  The routes are kept independent so they can
 cross-validate each other; all linear algebra is exact over the integers.
+``build_table`` runs one route on every component of a graph.
 """
 
 from .geometric import (
-    ChainMapT,
     CrossValidationReport,
     InternalCheckError,
     KPair,
     build_k_pair,
-    chain_map_t,
     cross_validate,
-    interior_length,
     magnitude_homology_geometric,
-    verify_chain_map,
 )
 from .graphs import (
     Graph,
     GraphError,
     enumerate_walks,
     generate,
-    is_generator_spec,
     parse_graph,
     random_connected_graph,
-    sequence_length,
     sq2_pair_types,
 )
-from .homology import (
-    HomologyGroup,
-    IntegerMatrix,
-    SmithForm,
-    ZERO_GROUP,
-    direct_sum,
-    homology,
-    homology_all,
-    integer_determinant,
-    rational_rank,
-    reduced_homology_0,
-    smith_normal_form,
-)
-from .magnitude import (
-    ComponentKey,
-    boundary_matrix,
-    enumerate_basis,
-    magnitude_chain_complex,
-    magnitude_homology_direct,
-    magnitude_homology_graph,
-)
+from .homology import HomologyGroup
+from .magnitude import ComponentKey, magnitude_homology_direct
 from .report import (
     MagnitudeTable,
     build_table,
@@ -58,91 +34,34 @@ from .report import (
     parse_pair_labeling,
     render_table,
     report_document,
-    table_to_dict,
 )
-from .simplicial import (
-    IntegerChainComplex,
-    SimplicialComplex,
-    SimplicialPair,
-    chain_complex,
-    complex_to_dict,
-    complex_to_off,
-    relative_chain_complex,
-    shift,
-)
-from .trees import (
-    TreePathComponent,
-    build_delta_pair,
-    classify_delta,
-    decompose_tree_component,
-    path_of_sequence,
-    tree_geodesic,
-    tree_homology_by_pair,
-    tree_magnitude_closed_form,
-    turning_points,
-)
+from .trees import tree_homology_by_pair, tree_magnitude_closed_form
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "boundary_matrix",
-    "build_delta_pair",
     "build_k_pair",
     "build_table",
-    "chain_complex",
-    "chain_map_t",
-    "ChainMapT",
-    "classify_delta",
-    "complex_to_dict",
-    "complex_to_off",
     "ComponentKey",
     "cross_validate",
     "CrossValidationReport",
-    "decompose_tree_component",
-    "direct_sum",
     "dump_json",
-    "enumerate_basis",
     "enumerate_walks",
     "generate",
     "Graph",
     "GraphError",
-    "homology",
-    "homology_all",
     "HomologyGroup",
-    "integer_determinant",
-    "IntegerChainComplex",
-    "IntegerMatrix",
-    "interior_length",
     "InternalCheckError",
-    "is_generator_spec",
     "KPair",
-    "magnitude_chain_complex",
     "magnitude_homology_direct",
     "magnitude_homology_geometric",
-    "magnitude_homology_graph",
     "MagnitudeTable",
     "parse_graph",
     "parse_pair_labeling",
-    "path_of_sequence",
     "random_connected_graph",
-    "rational_rank",
-    "reduced_homology_0",
-    "relative_chain_complex",
     "render_table",
     "report_document",
-    "sequence_length",
-    "shift",
-    "SimplicialComplex",
-    "SimplicialPair",
-    "smith_normal_form",
-    "SmithForm",
     "sq2_pair_types",
-    "table_to_dict",
-    "tree_geodesic",
     "tree_homology_by_pair",
     "tree_magnitude_closed_form",
-    "TreePathComponent",
-    "turning_points",
-    "verify_chain_map",
-    "ZERO_GROUP",
 ]

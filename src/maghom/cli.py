@@ -6,7 +6,6 @@ between computation routes, 4 internal consistency failure.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from dataclasses import dataclass
@@ -14,13 +13,7 @@ from pathlib import Path
 
 import click
 
-from .geometric import (
-    InternalCheckError,
-    build_k_pair,
-    cross_validate,
-    interior_length,
-    magnitude_homology_geometric,
-)
+from .geometric import InternalCheckError, build_k_pair, cross_validate, interior_length
 from .graphs import (
     GraphError,
     generate,
@@ -28,7 +21,7 @@ from .graphs import (
     parse_graph,
     random_connected_graph,
 )
-from .magnitude import ComponentKey, magnitude_homology_direct
+from .magnitude import ComponentKey
 from .report import (
     build_table,
     dump_json,
@@ -37,12 +30,7 @@ from .report import (
     report_document,
 )
 from .simplicial import complex_to_dict, complex_to_off
-from .trees import (
-    build_delta_pair,
-    decompose_tree_component,
-    tree_homology_by_pair,
-    tree_magnitude_closed_form,
-)
+from .trees import build_delta_pair, decompose_tree_component, tree_magnitude_closed_form
 
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
@@ -53,9 +41,10 @@ EXIT_INTERNAL = 4
 class RunConfig:
     """Validated run options shared by the commands.
 
-    Construction enforces the numeric invariants; graph-dependent checks
-    (pair membership, tree input for the tree method) happen after the
-    graph is loaded.
+    Construction enforces the numeric invariants and that the --out
+    directory exists, so nothing is written before a usage error;
+    graph-dependent checks (pair membership, tree input for the tree
+    method) happen after the graph is loaded.
     """
 
     graph_spec: str | None
@@ -67,6 +56,7 @@ class RunConfig:
     fmt: str = "table"
     seed: int | None = None
     trials: int | None = None
+    n_max: int | None = None
 
     def __post_init__(self):
         for l in self.l_values:
@@ -78,6 +68,12 @@ class RunConfig:
             raise GraphError("--kmax must be nonnegative")
         if self.trials is not None and self.trials < 0:
             raise GraphError("--trials must be nonnegative")
+        if self.n_max is not None and self.n_max < 2:
+            raise GraphError(f"--n-max must be at least 2, got {self.n_max}")
+        if self.out is not None:
+            parent = Path(self.out).parent
+            if not parent.is_dir():
+                raise GraphError(f"--out directory does not exist: {str(parent)!r}")
 
 
 def _fail(code, message):
@@ -114,26 +110,6 @@ def _parse_pair(text, g):
         raise GraphError(f'--pair expects "u,v", got {text!r}')
     g.index(parts[0]), g.index(parts[1])
     return (parts[0], parts[1])
-
-
-def _select_method(method, g, l):
-    if method == "auto":
-        if l >= 3 and g.is_tree():
-            return "tree"
-        if l >= 3:
-            return "geometric"
-        return "direct"
-    return method
-
-
-def _per_pair_fn(method, g):
-    if method == "direct":
-        return lambda key, kmax: magnitude_homology_direct(g, key, kmax)
-    if method == "geometric":
-        return lambda key, kmax: magnitude_homology_geometric(g, key, kmax)
-    if method == "tree":
-        return lambda key, kmax: tree_homology_by_pair(g, key, kmax)
-    raise GraphError(f"unknown method: {method!r}")
 
 
 def _write_output(text, out):
@@ -191,14 +167,12 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
     tables = []
     try:
         for l in cfg.l_values:
-            resolved = _select_method(cfg.method, g, l)
             table = build_table(
-                g, l, cfg.kmax, resolved, _per_pair_fn(resolved, g),
-                pair=cfg.pair, graph_spec=graph_spec,
+                g, l, cfg.kmax, cfg.method, pair=cfg.pair, graph_spec=graph_spec
             )
             if labeling is not None:
                 table.apply_types(labeling)
-            if resolved == "tree" and cfg.pair is None:
+            if table.method == "tree" and cfg.pair is None:
                 _check_tree_totals(g, table)
             tables.append(table)
     except InternalCheckError as exc:
@@ -245,6 +219,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
             method="geometric" if graph_spec else "auto",
             seed=seed,
             trials=trials,
+            n_max=n_max,
         )
         if graph_spec is not None:
             g = _load_graph(graph_spec)
@@ -297,6 +272,7 @@ def export(graph_spec, l_value, pair, out):
         a, b = _parse_pair(pair, g)
         if l_value < 3:
             raise GraphError(f"export needs l >= 3, got l={l_value}")
+        cfg = RunConfig(graph_spec=graph_spec, l_values=(l_value,), out=out)
     except (GraphError, ValueError) as exc:
         _fail(EXIT_USAGE, exc)
 
@@ -310,7 +286,7 @@ def export(graph_spec, l_value, pair, out):
     def annotate(simplex):
         return {"interior_length": interior_length(g, key, simplex)}
 
-    stem = Path(out)
+    stem = Path(cfg.out)
     doc = {
         "format_version": 1,
         "graph": graph_spec,

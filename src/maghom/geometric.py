@@ -96,9 +96,6 @@ class ChainMapT:
     magnitude_complex: object
     pairs_by_degree: list = field(default_factory=list)
 
-    def sequence_of(self, simplex):
-        return interior_tuple(self.key, simplex)
-
 
 def chain_map_t(g, kpair):
     """Build and validate the basis identification for a K pair.

@@ -1,9 +1,9 @@
 """Finite connected graphs with the shortest-path metric.
 
-Vertices are opaque string labels with a fixed total order given by
-declaration order.  All downstream constructions (walk enumeration, chain
-bases, simplex orientations) reference this order, which makes every
-computation in the package deterministic for a given input.
+Vertices are opaque string labels, free of commas, with a fixed total
+order given by declaration order.  All downstream constructions (walk
+enumeration, chain bases, simplex orientations) reference this order, which
+makes every computation in the package deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ class Graph:
         for v in self.vertices:
             if v in self._index:
                 raise GraphError(f"duplicate vertex declaration: {v!r}")
+            if "," in v:
+                # "u,v" is how --pair and labeling files name a pair
+                raise GraphError(f"vertex label contains ',': {v!r}")
             self._index[v] = len(self._index)
 
         seen = set()

@@ -1,9 +1,8 @@
 """Exact integer linear algebra and homology groups.
 
 Everything here works over arbitrary-precision Python integers.  The Smith
-normal form drives betti numbers and torsion; an independent fraction-free
-rank routine (`rational_rank`) exists purely so tests can cross-check the
-two, and neither shares elimination code with the other.
+normal form drives betti numbers and torsion; the test suite cross-checks
+it against fraction-free elimination that shares no code with it.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        self.data = tuple(tuple(int(x) for x in row) for row in data)
+        self.data = tuple(map(tuple, data))
         self.rows = len(self.data)
         if self.rows:
             widths = {len(r) for r in self.data}
@@ -51,12 +50,6 @@ class IntegerMatrix:
     def to_lists(self):
         return [list(row) for row in self.data]
 
-    def transpose(self):
-        return IntegerMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, IntegerMatrix)
@@ -64,12 +57,6 @@ class IntegerMatrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __neg__(self):
-        return IntegerMatrix([[-x for x in row] for row in self.data], cols=self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -85,12 +72,6 @@ class IntegerMatrix:
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
-
-    def dump_text(self):
-        """Plain-text debug format: a dimensions header then row-major entries."""
-        lines = [f"{self.rows} {self.cols}"]
-        lines.extend(" ".join(str(x) for x in row) for row in self.data)
-        return "\n".join(lines) + "\n"
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
@@ -277,68 +258,6 @@ def smith_normal_form(a, transforms=False):
     )
 
 
-def rational_rank(a):
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
-
-    Independent of `smith_normal_form`; used as a cross-check oracle.
-    """
-    m, n = a.rows, a.cols
-    w = a.to_lists()
-    rank = 0
-    prev = 1
-    for _ in range(min(m, n)):
-        pr = pc = -1
-        for i in range(rank, m):
-            for j in range(rank, n):
-                if w[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        w[rank], w[pr] = w[pr], w[rank]
-        if pc != rank:
-            for row in w:
-                row[rank], row[pc] = row[pc], row[rank]
-        piv = w[rank][rank]
-        for i in range(rank + 1, m):
-            ri = w[i]
-            f = ri[rank]
-            for j in range(rank + 1, n):
-                ri[j] = (piv * ri[j] - f * w[rank][j]) // prev
-            ri[rank] = 0
-        prev = piv
-        rank += 1
-    return rank
-
-
-def integer_determinant(a):
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    if a.rows != a.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    w = a.to_lists()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if w[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if w[i][t]), None)
-            if swap is None:
-                return 0
-            w[t], w[swap] = w[swap], w[t]
-            sign = -sign
-        piv = w[t][t]
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                w[i][j] = (piv * w[i][j] - w[i][t] * w[t][j]) // prev
-            w[i][t] = 0
-        prev = piv
-    return sign * w[n - 1][n - 1]
-
-
 # -- finitely generated abelian groups --------------------------------------
 
 
@@ -432,27 +351,14 @@ def direct_sum(groups):
 # -- homology of chain complexes ---------------------------------------------
 
 
-def homology(complex_, n):
-    """Integral homology of a chain complex at degree n.
-
-    betti_n = dim C_n - rank d_n - rank d_{n+1}; the torsion subgroup is read
-    off the invariant factors of d_{n+1} that exceed 1.  The complex only
-    needs ``dim(n)`` and ``boundary(n)`` accessors.
-    """
-    if n < 0:
-        return ZERO_GROUP
-    dim_n = complex_.dim(n)
-    if dim_n == 0:
-        return ZERO_GROUP
-    rank_n = smith_normal_form(complex_.boundary(n)).rank if n > 0 else 0
-    snf_next = smith_normal_form(complex_.boundary(n + 1))
-    betti = dim_n - rank_n - snf_next.rank
-    torsion = tuple(d for d in snf_next.diagonal if d > 1)
-    return HomologyGroup(betti, torsion)
-
-
 def homology_all(complex_, up_to=None):
-    """Homology in all degrees 0..up_to, computing each boundary SNF once."""
+    """Integral homology in degrees 0..up_to (default: the top degree).
+
+    betti_k = dim C_k - rank d_k - rank d_{k+1}; the torsion of H_k is read
+    off the invariant factors of d_{k+1} that exceed 1.  Each boundary's
+    Smith normal form is computed once.  The complex only needs
+    ``top_degree``, ``dim(n)`` and ``boundary(n)``.
+    """
     top = complex_.top_degree
     if up_to is None:
         up_to = top

@@ -97,20 +97,6 @@ def _boundary_from_bases(g, basis_prev, basis_cur):
     return IntegerMatrix(data, cols=cols)
 
 
-def boundary_matrix(g, key, k):
-    """The matrix of the magnitude boundary MC_{k,l}(a,b) -> MC_{k-1,l}(a,b).
-
-    An interior vertex x_i may be dropped only when it lies on a geodesic
-    between its neighbors, i.e. the drop preserves the total length; the
-    sign is (-1)^i.
-    """
-    if k < 1:
-        bases = enumerate_basis(g, key, 0)
-        return IntegerMatrix.zeros(0, len(bases[0]) if bases else 0)
-    bases = enumerate_basis(g, key, k)
-    return _boundary_from_bases(g, bases[k - 1], bases[k])
-
-
 def magnitude_chain_complex(g, key, kmax):
     """The complex MC_{*,l}(a, b) through degree kmax, basis labels = tuples."""
     bases = enumerate_basis(g, key, kmax)
@@ -131,20 +117,3 @@ def magnitude_homology_direct(g, key, kmax=None):
     # boundary
     complex_ = magnitude_chain_complex(g, key, kmax + 1)
     return homology_all(complex_, up_to=kmax)
-
-
-def magnitude_homology_graph(g, l, kmax=None):
-    """Whole-graph magnitude homology by the direct route.
-
-    Returns a MagnitudeTable with one entry per ordered vertex pair plus
-    componentwise totals.
-    """
-    from .report import build_table
-
-    return build_table(
-        g,
-        l,
-        kmax,
-        method="direct",
-        per_pair_fn=lambda key, km: magnitude_homology_direct(g, key, km),
-    )

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .homology import HomologyGroup, direct_sum
-from .magnitude import ComponentKey
+from .geometric import magnitude_homology_geometric
+from .homology import direct_sum
+from .magnitude import ComponentKey, magnitude_homology_direct
+from .trees import tree_homology_by_pair
 
 FORMAT_VERSION = 1
 
@@ -72,14 +74,29 @@ class MagnitudeTable:
         }
 
 
-def build_table(g, l, kmax, method, per_pair_fn, pair=None, graph_spec=None):
-    """Assemble a MagnitudeTable by calling per_pair_fn on each component.
+def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
+    """Magnitude homology of a graph at length l, one route for every component.
 
-    ``per_pair_fn(key, kmax)`` returns the list of groups for degrees
-    0..kmax.  ``pair`` restricts the table to a single ordered pair.
+    ``method`` is "direct", "geometric", "tree" or "auto"; auto picks the
+    tree route on trees and the geometric route otherwise when l >= 3, and
+    the direct route below that.  ``table.method`` records the route that
+    ran.  ``kmax`` defaults to l; ``pair`` restricts the table to a single
+    ordered pair.
     """
     if kmax is None:
         kmax = l
+    if method == "auto":
+        method = "direct" if l < 3 else "tree" if g.is_tree() else "geometric"
+    # the route functions are looked up here, at call time, so that
+    # wrappers installed on the module attributes see every call
+    if method == "direct":
+        route = magnitude_homology_direct
+    elif method == "geometric":
+        route = magnitude_homology_geometric
+    elif method == "tree":
+        route = tree_homology_by_pair
+    else:
+        raise ValueError(f"unknown method: {method!r}")
     table = MagnitudeTable(
         graph_spec=graph_spec or repr(g), l=l, kmax=kmax, method=method
     )
@@ -88,9 +105,8 @@ def build_table(g, l, kmax, method, per_pair_fn, pair=None, graph_spec=None):
     else:
         pairs = [(a, b) for a in g.vertices for b in g.vertices]
     for a, b in pairs:
-        key = ComponentKey(a, b, l)
         table.pair_keys.append((a, b))
-        table.pair_groups[(a, b)] = list(per_pair_fn(key, kmax))
+        table.pair_groups[(a, b)] = route(g, ComponentKey(a, b, l), kmax)
     return table
 
 

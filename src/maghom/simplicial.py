@@ -265,26 +265,6 @@ def relative_chain_complex(pair):
     return IntegerChainComplex(bases, boundaries)
 
 
-def shift(complex_, n_shift):
-    """Shift a chain complex down by ``n_shift`` degrees.
-
-    Degree i of the result is degree i + n_shift of the input; degrees that
-    would become negative are truncated, and the new degree-0 boundary is
-    the zero map.
-    """
-    if n_shift < 0:
-        raise ValueError("shift amount must be nonnegative")
-    if n_shift == 0:
-        return IntegerChainComplex(complex_.bases, complex_.boundaries)
-    top = complex_.top_degree
-    if n_shift > top:
-        return IntegerChainComplex([[]], [IntegerMatrix.zeros(0, 0)])
-    bases = [complex_.basis(i + n_shift) for i in range(top - n_shift + 1)]
-    boundaries = [IntegerMatrix.zeros(0, len(bases[0]))]
-    boundaries.extend(complex_.boundary(i + n_shift) for i in range(1, len(bases)))
-    return IntegerChainComplex(bases, boundaries)
-
-
 # -- export formats ----------------------------------------------------------
 
 

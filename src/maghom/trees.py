@@ -153,26 +153,3 @@ def tree_homology_by_pair(g, key, kmax=None):
         else:
             out.append(ZERO_GROUP)
     return out
-
-
-# -- helpers used by the validation suite -------------------------------------
-
-
-def tree_geodesic(g, u, v):
-    """The unique shortest walk between two vertices of a tree."""
-    _require_tree(g)
-    walk = [u]
-    while walk[-1] != v:
-        current = walk[-1]
-        target = g.distance(current, v)
-        step = next(y for y in g.neighbors(current) if g.distance(y, v) == target - 1)
-        walk.append(step)
-    return tuple(walk)
-
-
-def path_of_sequence(g, seq):
-    """The unique shortest walk through the sequence's vertices in order."""
-    walk = [seq[0]]
-    for i in range(len(seq) - 1):
-        walk.extend(tree_geodesic(g, seq[i], seq[i + 1])[1:])
-    return tuple(walk)

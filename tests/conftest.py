@@ -1,6 +1,7 @@
 import pytest
 
-from maghom import SimplicialComplex, chain_complex, generate
+from maghom import generate
+from maghom.simplicial import SimplicialComplex, chain_complex
 
 # Six-vertex closed-surface triangulation with Euler characteristic 1
 # (6 vertices, 15 edges, 10 faces; every edge lies in exactly two faces).

@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from maghom import Graph, IntegerMatrix, random_connected_graph
+from maghom import Graph, random_connected_graph
+from maghom.homology import IntegerMatrix
 
 
 def adjacency_matrix(g: Graph) -> list[list[int]]:
@@ -122,3 +123,86 @@ def unimodular_matrix(rng: random.Random, n: int, shears: int = 8) -> list[list[
         for c in range(n):
             mat[i][c] += q * mat[j][c]
     return mat
+
+
+def rational_rank(a):
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    Independent of `smith_normal_form`; used as a cross-check oracle.
+    """
+    m, n = a.rows, a.cols
+    w = a.to_lists()
+    rank = 0
+    prev = 1
+    for _ in range(min(m, n)):
+        pr = pc = -1
+        for i in range(rank, m):
+            for j in range(rank, n):
+                if w[i][j]:
+                    pr, pc = i, j
+                    break
+            if pr >= 0:
+                break
+        if pr < 0:
+            break
+        w[rank], w[pr] = w[pr], w[rank]
+        if pc != rank:
+            for row in w:
+                row[rank], row[pc] = row[pc], row[rank]
+        piv = w[rank][rank]
+        for i in range(rank + 1, m):
+            ri = w[i]
+            f = ri[rank]
+            for j in range(rank + 1, n):
+                ri[j] = (piv * ri[j] - f * w[rank][j]) // prev
+            ri[rank] = 0
+        prev = piv
+        rank += 1
+    return rank
+
+
+def integer_determinant(a):
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    if a.rows != a.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    w = a.to_lists()
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if w[t][t] == 0:
+            swap = next((i for i in range(t + 1, n) if w[i][t]), None)
+            if swap is None:
+                return 0
+            w[t], w[swap] = w[swap], w[t]
+            sign = -sign
+        piv = w[t][t]
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                w[i][j] = (piv * w[i][j] - w[i][t] * w[t][j]) // prev
+            w[i][t] = 0
+        prev = piv
+    return sign * w[n - 1][n - 1]
+
+
+def tree_geodesic(g, u, v):
+    """The unique shortest walk between two vertices of a tree."""
+    if not g.is_tree():
+        raise ValueError("tree_geodesic needs a tree")
+    walk = [u]
+    while walk[-1] != v:
+        current = walk[-1]
+        target = g.distance(current, v)
+        step = next(y for y in g.neighbors(current) if g.distance(y, v) == target - 1)
+        walk.append(step)
+    return tuple(walk)
+
+
+def path_of_sequence(g, seq):
+    """The unique shortest walk through the sequence's vertices in order."""
+    walk = [seq[0]]
+    for i in range(len(seq) - 1):
+        walk.extend(tree_geodesic(g, seq[i], seq[i + 1])[1:])
+    return tuple(walk)

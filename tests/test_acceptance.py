@@ -14,33 +14,33 @@ from contextlib import contextmanager
 from maghom import (
     ComponentKey,
     HomologyGroup,
-    IntegerChainComplex,
-    IntegerMatrix,
-    ZERO_GROUP,
     build_k_pair,
     build_table,
-    chain_complex,
     cross_validate,
-    direct_sum,
     enumerate_walks,
     generate,
-    homology,
-    homology_all,
-    integer_determinant,
-    magnitude_chain_complex,
     magnitude_homology_direct,
     magnitude_homology_geometric,
     random_connected_graph,
-    rational_rank,
-    relative_chain_complex,
-    smith_normal_form,
     sq2_pair_types,
-    tree_homology_by_pair,
     tree_magnitude_closed_form,
 )
+from maghom.homology import IntegerMatrix, ZERO_GROUP, homology_all, smith_normal_form
+from maghom.magnitude import magnitude_chain_complex
+from maghom.simplicial import (
+    IntegerChainComplex,
+    SimplicialComplex,
+    chain_complex,
+    relative_chain_complex,
+)
+from oracles import (
+    integer_determinant,
+    random_int_matrix,
+    rank_over_q,
+    rational_rank,
+    unimodular_matrix,
+)
 from conftest import PROJECTIVE_PLANE_FACES
-from maghom import SimplicialComplex
-from oracles import rank_over_q, random_int_matrix, unimodular_matrix
 
 # Seed for every randomized battery below; change it and the exact instances
 # change, but all assertions are seed-independent claims.
@@ -60,26 +60,14 @@ def criterion(n, claim):
         print(f"\nACCEPTANCE {n}: {status} - {claim}{suffix}")
 
 
-def _direct_fn(g):
-    return lambda key, kmax: magnitude_homology_direct(g, key, kmax)
-
-
-def _geometric_fn(g):
-    return lambda key, kmax: magnitude_homology_geometric(g, key, kmax)
-
-
-def _tree_fn(g):
-    return lambda key, kmax: tree_homology_by_pair(g, key, kmax)
-
-
 def test_criterion_1_sq2_totals_by_both_methods():
     with criterion(1, "sq2 l=4 totals: k=2 zero, k=3 rank 12, k=4 rank 112, "
                       "no torsion, direct and geometric, under 60 s") as out:
         start = time.monotonic()
         g = generate("sq2")
         totals = {}
-        for method, fn in (("direct", _direct_fn(g)), ("geometric", _geometric_fn(g))):
-            table = build_table(g, 4, 4, method, fn, graph_spec="sq2")
+        for method in ("direct", "geometric"):
+            table = build_table(g, 4, 4, method, graph_spec="sq2")
             totals[method] = table.totals()
         elapsed = time.monotonic() - start
         for method, groups in totals.items():
@@ -94,7 +82,7 @@ def test_criterion_2_sq2_per_type_table():
     with criterion(2, "sq2 l=4 per-type ranks: k=3 (0,0,8,4,0,0,0,0), "
                       "k=4 (12,40,0,0,32,0,20,8), k=2 all zero") as out:
         g = generate("sq2")
-        table = build_table(g, 4, 4, "direct", _direct_fn(g), graph_spec="sq2")
+        table = build_table(g, 4, 4, "direct", graph_spec="sq2")
         labeling = {tuple(k.split(",")): v for k, v in sq2_pair_types().items()}
         table.apply_types(labeling)
         order = ["(a,a)", "(a,b)", "(a,c)", "(a,d)", "(b,b)", "(b,c)", "(b,f)", "(b,e)"]
@@ -115,11 +103,11 @@ def test_criterion_3_component_spot_checks():
                       "8 maximal 2-simplices in the (a,a) complex, "
                       "4 walks in the (a,d) component") as out:
         g = generate("sq2")
-        for fn in (_direct_fn(g), _geometric_fn(g)):
-            aa = fn(ComponentKey("a", "a", 4), 4)
+        for route in (magnitude_homology_direct, magnitude_homology_geometric):
+            aa = route(g, ComponentKey("a", "a", 4), 4)
             assert aa[4] == HomologyGroup(6)
             assert aa[:4] == [ZERO_GROUP] * 4
-            ad = fn(ComponentKey("a", "d", 4), 4)
+            ad = route(g, ComponentKey("a", "d", 4), 4)
             assert ad[3] == HomologyGroup(2)
             assert ad[0] == ad[1] == ad[2] == ad[4] == ZERO_GROUP
         kp = build_k_pair(g, ComponentKey("a", "a", 4))
@@ -141,9 +129,8 @@ def test_criterion_4_tree_diagonality():
             g = generate(f"random-tree:{n}:{100 + i}")
             for l in (3, 4, 5):
                 tables = {
-                    "direct": build_table(g, l, l, "direct", _direct_fn(g)),
-                    "geometric": build_table(g, l, l, "geometric", _geometric_fn(g)),
-                    "tree": build_table(g, l, l, "tree", _tree_fn(g)),
+                    method: build_table(g, l, l, method)
+                    for method in ("direct", "geometric", "tree")
                 }
                 totals = {m: t.totals() for m, t in tables.items()}
                 for k in range(3, l + 1):
@@ -310,16 +297,16 @@ def test_criterion_8_torsion_engine():
                 bases=[[f"e{i}" for i in range(n)], [f"f{i}" for i in range(n)]],
                 boundaries=[IntegerMatrix.zeros(0, n), u @ d @ v],
             )
-            h0 = homology(cx, 0)
+            h0 = homology_all(cx, up_to=0)[0]
             assert h0.torsion == tuple(f for f in factors if f > 1)
             assert h0.betti == n - len(factors)
 
         # Free examples must come out torsion-free.
         g = generate("sq2")
-        table = build_table(g, 4, 4, "direct", _direct_fn(g))
+        table = build_table(g, 4, 4, "direct")
         assert all(h.torsion == () for gs in table.pair_groups.values() for h in gs)
         circle = chain_complex(
             SimplicialComplex.from_maximal("abc", ["ab", "bc", "ac"])
         )
-        assert homology(circle, 1) == HomologyGroup(1)
+        assert homology_all(circle, up_to=1)[1] == HomologyGroup(1)
         out["detail"] = f"{len(prescriptions)} prescribed factor sets"

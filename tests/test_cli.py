@@ -4,12 +4,9 @@ import pytest
 from click.testing import CliRunner
 
 import maghom.cli
-from maghom import (
-    CrossValidationReport,
-    HomologyGroup,
-    generate,
-    sq2_pair_types,
-)
+from maghom import ComponentKey, CrossValidationReport, HomologyGroup, sq2_pair_types
+from maghom.geometric import Mismatch
+from maghom.homology import ZERO_GROUP
 from maghom.cli import main
 
 
@@ -107,6 +104,8 @@ def test_compute_graph_file_input(runner, tmp_path):
 
 
 def test_compute_usage_errors(runner, tmp_path):
+    comma_graph = tmp_path / "comma.txt"
+    comma_graph.write_text("a,b c\n")
     cases = [
         ["compute", "--graph", "nosuch:3", "--l", "2"],
         ["compute", "--graph", "sq2", "--l", "banana"],
@@ -117,6 +116,8 @@ def test_compute_usage_errors(runner, tmp_path):
         ["compute", "--graph", "sq2", "--l", "4", "--method", "tree"],
         ["compute", "--graph", "sq2", "--l", "2", "--method", "geometric"],
         ["compute", "--graph", str(tmp_path / "missing.txt"), "--l", "2"],
+        ["compute", "--graph", str(comma_graph), "--l", "2"],
+        ["compute", "--graph", "sq2", "--l", "2", "--out", str(tmp_path / "no" / "x")],
         ["compute", "--graph", "sq2", "--l", "4", "--types", str(tmp_path / "no.json")],
         ["compute", "--graph", "sq2"],  # missing --l entirely
     ]
@@ -177,12 +178,13 @@ def test_check_single_graph_length_range(runner):
 def test_check_usage_errors(runner):
     assert invoke(runner, "check", "--graph", "sq2", "--l", "2").exit_code == 2
     assert invoke(runner, "check", "--trials", "-1").exit_code == 2
+    for n_max in ("0", "1"):
+        r = invoke(runner, "check", "--n-max", n_max)
+        assert r.exit_code == 2
+        assert "--n-max" in r.stderr
 
 
 def test_check_mismatch_exits_3(runner, monkeypatch):
-    from maghom.geometric import Mismatch
-    from maghom import ComponentKey, ZERO_GROUP
-
     def fake_cross_validate(g, l, kmax=None, chain_level=True):
         mism = Mismatch(
             key=ComponentKey("x", "y", l), k=2,
@@ -250,6 +252,12 @@ def test_export_usage_errors(runner, tmp_path):
                   "--pair", "a", "--out", stem).exit_code == 2
     assert invoke(runner, "export", "--graph", "sq2", "--l", "4",
                   "--pair", "a,zz", "--out", stem).exit_code == 2
+    missing = tmp_path / "missing" / "dir"
+    r = invoke(runner, "export", "--graph", "sq2", "--l", "4",
+               "--pair", "a,b", "--out", str(missing / "x"))
+    assert r.exit_code == 2
+    assert str(missing) in r.stderr
+    assert not (tmp_path / "missing").exists()
 
 
 # --- entry point ----------------------------------------------------------------

@@ -9,17 +9,15 @@ from maghom import (
     ComponentKey,
     HomologyGroup,
     InternalCheckError,
-    ZERO_GROUP,
     build_k_pair,
-    chain_map_t,
     cross_validate,
     generate,
-    interior_length,
-    magnitude_chain_complex,
     magnitude_homology_direct,
     magnitude_homology_geometric,
-    verify_chain_map,
 )
+from maghom.geometric import chain_map_t, interior_length, verify_chain_map
+from maghom.homology import ZERO_GROUP
+from maghom.magnitude import magnitude_chain_complex
 from oracles import random_graph_from_seed
 
 

@@ -10,12 +10,11 @@ from maghom import (
     GraphError,
     enumerate_walks,
     generate,
-    is_generator_spec,
     parse_graph,
     random_connected_graph,
-    sequence_length,
     sq2_pair_types,
 )
+from maghom.graphs import is_generator_spec, sequence_length
 from oracles import random_graph_from_seed, walk_counts_by_steps
 
 
@@ -57,6 +56,8 @@ def test_parse_edge_list_malformed():
         parse_graph("a b\na b c\n")
     with pytest.raises(GraphError, match="no edges"):
         parse_graph("# nothing here\n")
+    with pytest.raises(GraphError, match="'a,b'"):
+        parse_graph("a,b c\n")
 
 
 def test_parse_structured():
@@ -70,6 +71,8 @@ def test_parse_structured():
         parse_graph('{"edges": []}')
     with pytest.raises(GraphError):
         parse_graph("{not json")
+    with pytest.raises(GraphError, match="'x,y'"):
+        parse_graph('{"vertices": ["x,y", "z"], "edges": [["x,y", "z"]]}')
 
 
 def test_generate_families():

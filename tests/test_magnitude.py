@@ -8,14 +8,12 @@ from maghom import (
     ComponentKey,
     Graph,
     HomologyGroup,
-    ZERO_GROUP,
-    boundary_matrix,
-    enumerate_basis,
-    magnitude_chain_complex,
-    magnitude_homology_direct,
-    magnitude_homology_graph,
+    build_table,
     generate,
+    magnitude_homology_direct,
 )
+from maghom.homology import ZERO_GROUP
+from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from oracles import brute_force_magnitude_basis, random_graph_from_seed
 
 
@@ -80,7 +78,7 @@ def test_boundary_hand_example():
     g = generate("path:3")
     key = ComponentKey("v0", "v2", 2)
     assert enumerate_basis(g, key, 2)[2] == [("v0", "v1", "v2")]
-    d2 = boundary_matrix(g, key, 2)
+    d2 = magnitude_chain_complex(g, key, 2).boundary(2)
     assert d2.to_lists() == [[-1]]
 
 
@@ -91,7 +89,7 @@ def test_boundary_drops_only_geodesic_middles():
     key = ComponentKey("v0", "v2", 2)
     basis2 = enumerate_basis(g, key, 2)[2]
     assert basis2 == [("v0", "v1", "v2"), ("v0", "v3", "v2")]
-    d2 = boundary_matrix(g, key, 2)
+    d2 = magnitude_chain_complex(g, key, 2).boundary(2)
     assert d2.to_lists() == [[-1, -1]]
 
 
@@ -100,7 +98,7 @@ def test_boundary_skips_non_geodesic_drop(sq2):
     # cannot be dropped and the boundary is zero.
     key = ComponentKey("a", "a", 2)
     assert enumerate_basis(sq2, key, 2)[2] == [("a", "b", "a"), ("a", "f", "a")]
-    assert boundary_matrix(sq2, key, 2).is_zero()
+    assert magnitude_chain_complex(sq2, key, 2).boundary(2).is_zero()
 
 
 def test_chain_complex_boundary_identity(sq2):
@@ -143,7 +141,7 @@ def test_sq2_component_values(sq2):
 
 
 def test_sq2_graph_totals(sq2):
-    table = magnitude_homology_graph(sq2, 4, 4)
+    table = build_table(sq2, 4, 4, "direct")
     totals = table.totals()
     assert [h.betti for h in totals] == [0, 0, 0, 12, 112]
     assert all(h.torsion == () for h in totals)
@@ -153,13 +151,13 @@ def test_sq2_graph_totals(sq2):
 def test_diagonal_length_zero():
     # MH_{0,0} picks up one Z per vertex; nothing else lives at l = 0.
     g = generate("path:4")
-    table = magnitude_homology_graph(g, 0, 2)
+    table = build_table(g, 0, 2, "direct")
     assert [h.betti for h in table.totals()] == [4, 0, 0]
 
 
 def test_length_one_counts_oriented_edges():
     g = generate("cycle:5")
-    table = magnitude_homology_graph(g, 1, 2)
+    table = build_table(g, 1, 2, "direct")
     assert [h.betti for h in table.totals()] == [0, 10, 0]
 
 

@@ -3,30 +3,22 @@ import json
 import pytest
 
 from maghom import (
-    ComponentKey,
     HomologyGroup,
-    ZERO_GROUP,
     build_table,
     dump_json,
     generate,
-    magnitude_homology_direct,
-    magnitude_homology_graph,
     parse_pair_labeling,
     render_table,
     report_document,
     sq2_pair_types,
-    table_to_dict,
 )
-
-
-def direct_fn(g):
-    return lambda key, kmax: magnitude_homology_direct(g, key, kmax=kmax)
+from maghom.report import table_to_dict
 
 
 @pytest.fixture(scope="module")
 def sq2_table():
     g = generate("sq2")
-    return build_table(g, 4, 4, "direct", direct_fn(g), graph_spec="sq2")
+    return build_table(g, 4, 4, "direct", graph_spec="sq2")
 
 
 def test_totals_and_group_lookup(sq2_table):
@@ -39,7 +31,7 @@ def test_totals_and_group_lookup(sq2_table):
 
 def test_single_pair_table():
     g = generate("sq2")
-    t = build_table(g, 4, 4, "direct", direct_fn(g), pair=("a", "d"), graph_spec="sq2")
+    t = build_table(g, 4, 4, "direct", pair=("a", "d"), graph_spec="sq2")
     assert t.pair_keys == [("a", "d")]
     assert [h.betti for h in t.totals()] == [0, 0, 0, 2, 0]
 
@@ -60,14 +52,14 @@ def test_apply_types_groups_pairs(sq2_table):
 
 def test_apply_types_requires_full_coverage():
     g = generate("path:3")
-    t = build_table(g, 2, 2, "direct", direct_fn(g))
+    t = build_table(g, 2, 2, "direct")
     with pytest.raises(ValueError, match="cover"):
         t.apply_types({("v0", "v0"): "diag"})
 
 
 def test_render_table_totals_only():
     g = generate("path:3")
-    t = build_table(g, 2, 2, "direct", direct_fn(g), graph_spec="path:3")
+    t = build_table(g, 2, 2, "direct", graph_spec="path:3")
     text = render_table(t)
     assert "graph=path:3" in text and "total" in text
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -96,7 +88,7 @@ def test_table_to_dict_structure(sq2_table):
 
 def test_report_document_and_json_stability():
     g = generate("path:4")
-    tables = [build_table(g, l, l, "direct", direct_fn(g), graph_spec="path:4") for l in (2, 3)]
+    tables = [build_table(g, l, l, "direct", graph_spec="path:4") for l in (2, 3)]
     doc = report_document(tables, "path:4", g, "direct", seed=None)
     assert doc["format_version"] == 1
     assert doc["graph"]["spec"] == "path:4"
@@ -106,7 +98,7 @@ def test_report_document_and_json_stability():
     assert text.endswith("\n")
     assert json.loads(text) == doc
     # Rebuilding from scratch gives byte-identical output.
-    tables2 = [build_table(g, l, l, "direct", direct_fn(g), graph_spec="path:4") for l in (2, 3)]
+    tables2 = [build_table(g, l, l, "direct", graph_spec="path:4") for l in (2, 3)]
     assert dump_json(report_document(tables2, "path:4", g, "direct", seed=None)) == text
 
 
@@ -130,7 +122,12 @@ def test_parse_pair_labeling_errors():
         parse_pair_labeling(json.dumps({"v0": "x"}), g)
 
 
-def test_magnitude_homology_graph_wraps_build_table(sq2):
-    table = magnitude_homology_graph(sq2, 3, 3)
-    assert table.l == 3 and table.method == "direct"
+def test_build_table_auto_resolves_the_route(sq2):
+    table = build_table(sq2, 3)
+    assert table.l == 3 and table.kmax == 3 and table.method == "geometric"
     assert len(table.pair_keys) == 36
+    assert build_table(sq2, 2).method == "direct"
+    assert build_table(generate("path:4"), 3).method == "tree"
+    assert build_table(sq2, 3, method="direct").totals() == table.totals()
+    with pytest.raises(ValueError, match="unknown method"):
+        build_table(sq2, 3, method="nosuch")

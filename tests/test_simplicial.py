@@ -4,20 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maghom import (
-    HomologyGroup,
-    IntegerChainComplex,
-    IntegerMatrix,
+from maghom import HomologyGroup
+from maghom.homology import IntegerMatrix, ZERO_GROUP, homology_all
+from maghom.simplicial import (
     SimplicialComplex,
     SimplicialPair,
-    ZERO_GROUP,
     chain_complex,
     complex_to_dict,
     complex_to_off,
-    homology,
-    homology_all,
     relative_chain_complex,
-    shift,
 )
 
 
@@ -140,46 +135,13 @@ def test_relative_with_empty_sub_matches_absolute():
     rel = relative_chain_complex(SimplicialPair(s, empty))
     absolute = chain_complex(s)
     assert [rel.dim(n) for n in range(3)] == [absolute.dim(n) for n in range(3)]
-    assert homology(rel, 1) == homology(absolute, 1)
+    assert homology_all(rel, up_to=1)[1] == homology_all(absolute, up_to=1)[1]
 
 
 def test_relative_everything_collapsed():
     s = full_triangle()
     rel = relative_chain_complex(SimplicialPair(s, s))
     assert rel.dim(0) == 0 and rel.top_degree == 0
-
-
-# --- degree shift ---------------------------------------------------------------
-
-
-def test_shift_moves_degrees_down():
-    # Degree i of the output is degree i + N of the input.
-    concentrated = IntegerChainComplex(
-        bases=[[], [], ["x"]],
-        boundaries=[IntegerMatrix.zeros(0, 0), IntegerMatrix.zeros(0, 0), IntegerMatrix.zeros(0, 1)],
-    )
-    s = shift(concentrated, 2)
-    assert s.dim(0) == 1 and s.top_degree == 0
-    assert homology(s, 0) == HomologyGroup(1)
-
-    c = chain_complex(full_triangle())
-    s1 = shift(c, 1)
-    assert [s1.dim(n) for n in range(2)] == [c.dim(1), c.dim(2)]
-    s1.verify_boundary_identity()
-
-
-def test_shift_by_zero_is_identity():
-    c = chain_complex(full_triangle())
-    s = shift(c, 0)
-    assert [s.dim(n) for n in range(3)] == [c.dim(n) for n in range(3)]
-
-
-def test_shift_truncates_below_zero():
-    c = chain_complex(full_triangle())  # content in degrees 0..2
-    s = shift(c, 3)
-    assert s.dim(0) == 0 and s.top_degree == 0
-    with pytest.raises(ValueError):
-        shift(c, -1)
 
 
 # --- serialization ---------------------------------------------------------------

@@ -8,23 +8,23 @@ from hypothesis import strategies as st
 from maghom import (
     ComponentKey,
     HomologyGroup,
-    ZERO_GROUP,
+    generate,
+    magnitude_homology_direct,
+    magnitude_homology_geometric,
+    tree_homology_by_pair,
+    tree_magnitude_closed_form,
+)
+from maghom.graphs import sequence_length
+from maghom.homology import ZERO_GROUP, direct_sum, homology_all
+from maghom.magnitude import enumerate_basis
+from maghom.simplicial import relative_chain_complex
+from maghom.trees import (
     build_delta_pair,
     classify_delta,
     decompose_tree_component,
-    enumerate_basis,
-    generate,
-    homology_all,
-    magnitude_homology_direct,
-    magnitude_homology_geometric,
-    path_of_sequence,
-    relative_chain_complex,
-    sequence_length,
-    tree_geodesic,
-    tree_homology_by_pair,
-    tree_magnitude_closed_form,
     turning_points,
 )
+from oracles import path_of_sequence, tree_geodesic
 
 
 def random_tree(seed, n=None):
@@ -229,8 +229,6 @@ def test_tree_totals_equal_closed_form():
     g = generate("random-tree:8:1")
     l = 5
     per_degree = [ZERO_GROUP] * (l + 1)
-    from maghom import direct_sum
-
     sums = [[] for _ in range(l + 1)]
     for a, b in itertools.product(g.vertices, repeat=2):
         groups = tree_homology_by_pair(g, ComponentKey(a, b, l))
