@@ -6,6 +6,7 @@ between computation routes, 4 internal consistency failure.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -41,8 +42,10 @@ EXIT_INTERNAL = 4
 class RunConfig:
     """Validated run options shared by the commands.
 
-    Construction enforces the numeric invariants and that the --out
-    directory exists, so nothing is written before a usage error;
+    Construction enforces the numeric invariants and that --out names a
+    path in an existing directory, not a directory itself (an existing one
+    or one with a trailing separator), so nothing is written before a usage
+    error;
     graph-dependent checks (pair membership, tree input for the tree
     method) happen after the graph is loaded.
     """
@@ -71,6 +74,8 @@ class RunConfig:
         if self.n_max is not None and self.n_max < 2:
             raise GraphError(f"--n-max must be at least 2, got {self.n_max}")
         if self.out is not None:
+            if self.out.endswith((os.sep, "/")) or Path(self.out).is_dir():
+                raise GraphError(f"--out names a directory: {self.out!r}")
             parent = Path(self.out).parent
             if not parent.is_dir():
                 raise GraphError(f"--out directory does not exist: {str(parent)!r}")
@@ -236,7 +241,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
     try:
         if graph_spec is not None:
             for l in l_values:
-                report = cross_validate(g, l, chain_level=True)
+                report = cross_validate(g, l)
                 click.echo(f"{graph_spec}: {report.describe()}")
                 if not report.ok:
                     sys.exit(EXIT_MISMATCH)
@@ -246,7 +251,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
         for trial in range(1, trials + 1):
             g = random_connected_graph(rng, n_min=2, n_max=n_max)
             l = rng.randint(3, max(3, l_max))
-            report = cross_validate(g, l, chain_level=True)
+            report = cross_validate(g, l)
             click.echo(
                 f"trial {trial}/{trials}: n={g.num_vertices} e={g.num_edges} "
                 f"{report.describe()}"
@@ -286,7 +291,6 @@ def export(graph_spec, l_value, pair, out):
     def annotate(simplex):
         return {"interior_length": interior_length(g, key, simplex)}
 
-    stem = Path(cfg.out)
     doc = {
         "format_version": 1,
         "graph": graph_spec,
@@ -296,11 +300,11 @@ def export(graph_spec, l_value, pair, out):
         "total": complex_to_dict(kpair.total, annotate=annotate),
         "sub": complex_to_dict(kpair.sub, annotate=annotate),
     }
-    paths = [stem.with_suffix(".pair.json")]
+    paths = [Path(f"{cfg.out}.pair.json")]
     paths[0].write_text(dump_json(doc), encoding="utf-8")
 
     for name, complex_ in (("total", kpair.total), ("sub", kpair.sub)):
-        path = stem.with_suffix(f".{name}.off")
+        path = Path(f"{cfg.out}.{name}.off")
         if complex_.dim > 3:
             click.echo(
                 f"notice: {name} complex has dimension {complex_.dim} > 3, "
@@ -313,16 +317,16 @@ def export(graph_spec, l_value, pair, out):
     if g.is_tree() and l_value >= 3:
         records = []
         for component in decompose_tree_component(g, key):
-            delta = build_delta_pair(component, l_value)
+            total, sub = build_delta_pair(component, l_value)
             records.append(
                 {
                     "walk": list(component.walk),
                     "turning_points": list(component.phi),
-                    "total": complex_to_dict(delta.total, include_all=False),
-                    "sub": complex_to_dict(delta.sub, include_all=False),
+                    "total": complex_to_dict(total, include_all=False),
+                    "sub": complex_to_dict(sub, include_all=False),
                 }
             )
-        path = stem.with_suffix(".deltas.json")
+        path = Path(f"{cfg.out}.deltas.json")
         path.write_text(
             dump_json({"format_version": 1, "components": records}), encoding="utf-8"
         )

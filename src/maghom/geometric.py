@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graphs import enumerate_walks, sequence_length
-from .homology import ZERO_GROUP, homology_all, reduced_homology_0
+from .homology import ZERO_GROUP, HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
-from .simplicial import SimplicialComplex, SimplicialPair, relative_chain_complex
+from .simplicial import SimplicialComplex, relative_chain_complex
 
 
 class InternalCheckError(RuntimeError):
@@ -37,9 +37,6 @@ class KPair:
     key: ComponentKey
     total: SimplicialComplex
     sub: SimplicialComplex
-
-    def pair(self):
-        return SimplicialPair(self.total, self.sub)
 
 
 def interior_tuple(key, simplex):
@@ -106,7 +103,7 @@ def chain_map_t(g, kpair):
     Raises InternalCheckError on any failure.
     """
     key = kpair.key
-    rel = relative_chain_complex(kpair.pair())
+    rel = relative_chain_complex(kpair.total, kpair.sub)
     # relative simplices use distinct positions from 1..l-1, so the relative
     # complex tops out at degree l-2 and the magnitude complex at degree l
     mag = magnitude_chain_complex(g, key, key.l + 1)
@@ -189,13 +186,17 @@ def magnitude_homology_geometric(g, key, kmax=None):
         return out
 
     kpair = build_k_pair(g, key)
-    rel = relative_chain_complex(kpair.pair())
+    rel = relative_chain_complex(kpair.total, kpair.sub)
     rel_homology = homology_all(rel, up_to=max(kmax - 2, 0))
 
     if g.distance(a, b) < l:
         out.append(rel_homology[0])
     else:
-        out.append(reduced_homology_0(kpair.total))
+        # every interior tuple is at least d(a, b) = l long, so K' is empty,
+        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z
+        if len(kpair.sub):
+            raise InternalCheckError(f"K' of {key} is not empty although d(a, b) = l")
+        out.append(HomologyGroup(max(rel_homology[0].betti - 1, 0)))
     for k in range(3, kmax + 1):
         out.append(rel_homology[k - 2] if k - 2 < len(rel_homology) else ZERO_GROUP)
     return out
@@ -240,12 +241,12 @@ class CrossValidationReport:
         return f"l={self.l}: MISMATCH at {self.mismatch.describe()}"
 
 
-def cross_validate(g, l, kmax=None, chain_level=True):
+def cross_validate(g, l, kmax=None):
     """Compare the direct and geometric routes on every component of a graph.
 
     Checks betti and torsion for all ordered pairs (a, b) and all degrees
-    2 <= k <= kmax, and (optionally) the chain-level basis bijection and
-    boundary sign identity.  Stops at the first mismatch and reports it.
+    2 <= k <= kmax, and the chain-level basis bijection and boundary sign
+    identity.  Stops at the first mismatch and reports it.
     Internal invariant failures raise InternalCheckError instead of being
     reported as mismatches.
     """
@@ -262,7 +263,7 @@ def cross_validate(g, l, kmax=None, chain_level=True):
                 if direct[k] != geometric[k]:
                     report.mismatch = Mismatch(key, k, direct[k], geometric[k])
                     return report
-            if chain_level and g.distance(a, b) <= l:
+            if g.distance(a, b) <= l:
                 kpair = build_k_pair(g, key)
                 mapping = chain_map_t(g, kpair)
                 verify_chain_map(g, mapping)

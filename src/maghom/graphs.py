@@ -1,9 +1,10 @@
 """Finite connected graphs with the shortest-path metric.
 
-Vertices are opaque string labels, free of commas, with a fixed total
-order given by declaration order.  All downstream constructions (walk
-enumeration, chain bases, simplex orientations) reference this order, which
-makes every computation in the package deterministic for a given input.
+Vertices are opaque string labels, free of commas and of leading or
+trailing whitespace, with a fixed total order given by declaration order.
+All downstream constructions (walk enumeration, chain bases, simplex
+orientations) reference this order, which makes every computation in the
+package deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class Graph:
             if "," in v:
                 # "u,v" is how --pair and labeling files name a pair
                 raise GraphError(f"vertex label contains ',': {v!r}")
+            if v != v.strip():
+                raise GraphError(f"vertex label has leading or trailing whitespace: {v!r}")
             self._index[v] = len(self._index)
 
         seen = set()

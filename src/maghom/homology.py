@@ -261,40 +261,6 @@ def smith_normal_form(a, transforms=False):
 # -- finitely generated abelian groups --------------------------------------
 
 
-def _prime_power_factors(n):
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _normalize_torsion(values):
-    """Rewrite a multiset of cyclic orders as an invariant-factor chain."""
-    by_prime = {}
-    for value in values:
-        for p, e in _prime_power_factors(value).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    depth = max(len(es) for es in by_prime.values())
-    chain = []
-    for slot in range(depth):
-        factor = 1
-        for p, es in by_prime.items():
-            es_sorted = sorted(es, reverse=True)
-            if slot < len(es_sorted):
-                factor *= p ** es_sorted[slot]
-        chain.append(factor)
-    chain.reverse()
-    return tuple(chain)
-
-
 @dataclass(frozen=True)
 class HomologyGroup:
     """A finitely generated abelian group Z^betti + sum of Z/d_i.
@@ -339,13 +305,22 @@ ZERO_GROUP = HomologyGroup(0, ())
 
 
 def direct_sum(groups):
-    """Direct sum of groups, renormalizing torsion into a divisibility chain."""
+    """Direct sum of groups, renormalizing torsion into a divisibility chain.
+
+    The invariant factors of the sum are those of the diagonal matrix of all
+    the summands' torsion orders.
+    """
     betti = 0
     torsion = []
     for g in groups:
         betti += g.betti
         torsion.extend(g.torsion)
-    return HomologyGroup(betti, _normalize_torsion(torsion))
+    if len(torsion) > 1:
+        diagonal = IntegerMatrix(
+            [[d if i == j else 0 for j in range(len(torsion))] for i, d in enumerate(torsion)]
+        )
+        torsion = [d for d in smith_normal_form(diagonal).diagonal if d > 1]
+    return HomologyGroup(betti, tuple(torsion))
 
 
 # -- homology of chain complexes ---------------------------------------------
@@ -378,13 +353,3 @@ def homology_all(complex_, up_to=None):
         torsion = tuple(d for d in diagonals.get(k + 1, ()) if d > 1)
         out.append(HomologyGroup(betti, torsion))
     return out
-
-
-def reduced_homology_0(complex_):
-    """Reduced zeroth homology of a simplicial complex.
-
-    Free of rank (number of connected components - 1); the empty complex
-    gives the zero group by convention.
-    """
-    count = complex_.component_count()
-    return HomologyGroup(max(count - 1, 0), ())

@@ -111,46 +111,11 @@ class SimplicialComplex:
                     out.append(simplex)
         return sorted(out, key=lambda s: (len(s), self._sort_key(s)))
 
-    def component_count(self):
-        """Number of connected components (union-find over edges)."""
-        parent = {v: v for v in self.vertex_labels()}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.simplices_of_dim(1):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(v) for v in parent})
-
     def is_subcomplex_of(self, other):
         return all(s in other for s in self._simplices)
 
     def __repr__(self):
         return f"SimplicialComplex(dim {self.dim}, {len(self)} simplices)"
-
-
-class SimplicialPair:
-    """A complex together with a subcomplex, for relative chain complexes."""
-
-    __slots__ = ("total", "sub")
-
-    def __init__(self, total, sub):
-        for s in sub:
-            if s not in total:
-                raise ValueError(f"subcomplex simplex missing from total complex: {s!r}")
-        self.total = total
-        self.sub = sub
-
-    def relative_simplices(self, n):
-        return [s for s in self.total.simplices_of_dim(n) if s not in self.sub]
-
-    def __repr__(self):
-        return f"SimplicialPair(total {len(self.total)}, sub {len(self.sub)})"
 
 
 class IntegerChainComplex:
@@ -212,17 +177,16 @@ class IntegerChainComplex:
         return f"IntegerChainComplex(dims {dims})"
 
 
-def _boundary_matrix(bases_prev, basis_cur, index, dropped=None):
-    """Alternating-sign face matrix; faces in ``dropped`` are omitted."""
-    rows = len(bases_prev)
+def _boundary_matrix(basis_prev, basis_cur):
+    """Alternating-sign face matrix; faces outside ``basis_prev`` are dropped."""
+    index = {s: i for i, s in enumerate(basis_prev)}
     cols = len(basis_cur)
-    data = [[0] * cols for _ in range(rows)]
+    data = [[0] * cols for _ in basis_prev]
     for j, simplex in enumerate(basis_cur):
         for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1:]
-            if dropped is not None and face in dropped:
-                continue
-            data[index[face]][j] += (-1) ** i
+            row = index.get(simplex[:i] + simplex[i + 1:])
+            if row is not None:
+                data[row][j] += (-1) ** i
     return IntegerMatrix(data, cols=cols)
 
 
@@ -233,35 +197,33 @@ def chain_complex(complex_):
     simplex is the alternating sum of its facets, with sign (-1)^i for
     dropping the i-th smallest label.
     """
-    top = complex_.dim
-    if top < 0:
-        return IntegerChainComplex([[]], [IntegerMatrix.zeros(0, 0)])
-    bases = [complex_.simplices_of_dim(n) for n in range(top + 1)]
-    boundaries = [IntegerMatrix.zeros(0, len(bases[0]))]
-    for n in range(1, top + 1):
-        index = {s: i for i, s in enumerate(bases[n - 1])}
-        boundaries.append(_boundary_matrix(bases[n - 1], bases[n], index))
-    return IntegerChainComplex(bases, boundaries)
+    return relative_chain_complex(complex_, SimplicialComplex(complex_.labels, []))
 
 
-def relative_chain_complex(pair):
-    """The chain complex of a pair: quotient by the subcomplex.
+def relative_chain_complex(total, sub):
+    """The chain complex of the pair (total, sub): the quotient by ``sub``.
 
-    Degree-n basis: simplices of the total complex not in the subcomplex.
-    Boundary faces that land in the subcomplex are dropped.
+    ``sub`` must be a subcomplex of ``total`` on the same label universe.
+    Degree-n basis: the n-simplices of ``total`` not in ``sub``, in canonical
+    order.  Boundary faces that land in ``sub`` are dropped.
     """
-    top = pair.total.dim
-    bases = [pair.relative_simplices(n) for n in range(top + 1)]
+    if sub.labels != total.labels:
+        raise ValueError("subcomplex is on a different label universe than the total complex")
+    missing = next((s for s in sub if s not in total._simplices), None)
+    if missing is not None:
+        raise ValueError(f"subcomplex simplex missing from total complex: {missing!r}")
+    dropped = sub._simplices
+    bases = [
+        [s for s in total.simplices_of_dim(n) if s not in dropped]
+        for n in range(total.dim + 1)
+    ]
     while bases and not bases[-1]:
         bases.pop()
     if not bases:
         return IntegerChainComplex([[]], [IntegerMatrix.zeros(0, 0)])
-    sub = pair.sub
-    dropped = frozenset(s for s in sub)
     boundaries = [IntegerMatrix.zeros(0, len(bases[0]))]
     for n in range(1, len(bases)):
-        index = {s: i for i, s in enumerate(bases[n - 1])}
-        boundaries.append(_boundary_matrix(bases[n - 1], bases[n], index, dropped))
+        boundaries.append(_boundary_matrix(bases[n - 1], bases[n]))
     return IntegerChainComplex(bases, boundaries)
 
 

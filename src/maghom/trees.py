@@ -19,12 +19,11 @@ the walks with m = l-1 are exactly the alternating walks along one edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import enumerate_walks
 from .homology import ZERO_GROUP, HomologyGroup
 from .magnitude import magnitude_homology_direct
-from .simplicial import SimplicialComplex, SimplicialPair
+from .simplicial import SimplicialComplex
 
 
 def _require_tree(g):
@@ -78,23 +77,18 @@ def decompose_tree_component(g, key):
 
 
 def build_delta_pair(component, l):
-    """The pair (full simplex on positions 1..l-1, faces missing a turning point).
+    """The full simplex on positions 1..l-1 and its faces missing a turning point.
 
-    The relative basis in degree n is the set of (n+1)-subsets of positions
-    containing every turning point; reading those positions from the walk
-    and closing with the endpoints is exactly the per-walk magnitude basis
-    two degrees up.
+    Returned as the pair (total, sub).  The relative basis in degree n is the
+    set of (n+1)-subsets of positions containing every turning point; reading
+    those positions from the walk and closing with the endpoints is exactly
+    the per-walk magnitude basis two degrees up.
     """
     positions = list(range(1, l))
     required = set(component.phi)
-    everything = [
-        s for size in range(1, l) for s in combinations(positions, size)
-    ]
-    total = SimplicialComplex(positions, everything)
-    sub = SimplicialComplex(
-        positions, [s for s in everything if not required <= set(s)]
-    )
-    return SimplicialPair(total, sub)
+    total = SimplicialComplex.from_maximal(positions, [positions])
+    sub = SimplicialComplex(positions, [s for s in total if not required <= set(s)])
+    return total, sub
 
 
 def classify_delta(component, l):

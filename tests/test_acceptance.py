@@ -155,7 +155,7 @@ def test_criterion_5_random_graph_cross_validation():
         for trial in range(50):
             g = random_connected_graph(rng, n_min=2, n_max=6)
             l = rng.randint(3, 5)
-            report = cross_validate(g, l, chain_level=True)
+            report = cross_validate(g, l)
             assert report.ok, f"trial {trial}: {report.describe()}"
             pairs += report.pairs_checked
             chains += report.chain_checks
@@ -210,12 +210,11 @@ def _assert_downward_closed(complex_):
                 assert facet in complex_
 
 
-def _assert_position_rigidity(g, key, pair):
+def _assert_position_rigidity(g, key, rel):
     # Positions of a relative simplex are forced: they equal the cumulative
     # distances along the endpoint-closed vertex tuple.
-    top = pair.total.dim if pair.total.dim >= 0 else -1
-    for n in range(top + 1):
-        for simplex in pair.relative_simplices(n):
+    for n in range(rel.top_degree + 1):
+        for simplex in rel.basis(n):
             seq = (key.a,) + tuple(v for _, v in simplex) + (key.b,)
             positions = [pos for pos, _ in simplex]
             cumulative, expected = 0, []
@@ -250,8 +249,8 @@ def test_criterion_7_structural_invariants():
                 kp = build_k_pair(g, key)
                 _assert_downward_closed(kp.total)
                 _assert_downward_closed(kp.sub)
-                _assert_position_rigidity(g, key, kp.pair())
-                rel = relative_chain_complex(kp.pair())
+                rel = relative_chain_complex(kp.total, kp.sub)
+                _assert_position_rigidity(g, key, rel)
                 rel.verify_boundary_identity()
                 complexes += 3
         # Exact linear algebra battery on seeded random matrices.

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -106,6 +108,8 @@ def test_compute_graph_file_input(runner, tmp_path):
 def test_compute_usage_errors(runner, tmp_path):
     comma_graph = tmp_path / "comma.txt"
     comma_graph.write_text("a,b c\n")
+    space_graph = tmp_path / "space.json"
+    space_graph.write_text('{"vertices": [" a", "b"], "edges": [[" a", "b"]]}')
     cases = [
         ["compute", "--graph", "nosuch:3", "--l", "2"],
         ["compute", "--graph", "sq2", "--l", "banana"],
@@ -117,7 +121,10 @@ def test_compute_usage_errors(runner, tmp_path):
         ["compute", "--graph", "sq2", "--l", "2", "--method", "geometric"],
         ["compute", "--graph", str(tmp_path / "missing.txt"), "--l", "2"],
         ["compute", "--graph", str(comma_graph), "--l", "2"],
+        ["compute", "--graph", str(space_graph), "--l", "2"],
         ["compute", "--graph", "sq2", "--l", "2", "--out", str(tmp_path / "no" / "x")],
+        ["compute", "--graph", "sq2", "--l", "2", "--out", str(tmp_path)],
+        ["compute", "--graph", "sq2", "--l", "2", "--out", f"{tmp_path / 'new'}/"],
         ["compute", "--graph", "sq2", "--l", "4", "--types", str(tmp_path / "no.json")],
         ["compute", "--graph", "sq2"],  # missing --l entirely
     ]
@@ -185,7 +192,7 @@ def test_check_usage_errors(runner):
 
 
 def test_check_mismatch_exits_3(runner, monkeypatch):
-    def fake_cross_validate(g, l, kmax=None, chain_level=True):
+    def fake_cross_validate(g, l, kmax=None):
         mism = Mismatch(
             key=ComponentKey("x", "y", l), k=2,
             direct=HomologyGroup(1), geometric=ZERO_GROUP,
@@ -222,6 +229,13 @@ def test_export_writes_pair_and_off(runner, tmp_path):
     deltas = json.loads((tmp_path / "p5.deltas.json").read_text())
     assert deltas["components"][0]["walk"] == ["v0", "v1", "v2", "v3", "v4"]
     assert deltas["components"][0]["turning_points"] == []
+    # A dotted stem is extended, never cut at its last dot.
+    r = invoke(runner, "export", "--graph", "path:5", "--l", "4",
+               "--pair", "v0,v4", "--out", str(tmp_path / "p5.v2"))
+    assert r.exit_code == 0
+    assert sorted(p.name for p in tmp_path.glob("p5.v2.*")) == [
+        "p5.v2.deltas.json", "p5.v2.pair.json", "p5.v2.sub.off", "p5.v2.total.off",
+    ]
 
 
 def test_export_skips_high_dimensional_off(runner, tmp_path):
@@ -258,6 +272,18 @@ def test_export_usage_errors(runner, tmp_path):
     assert r.exit_code == 2
     assert str(missing) in r.stderr
     assert not (tmp_path / "missing").exists()
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    r = invoke(runner, "export", "--graph", "sq2", "--l", "4",
+               "--pair", "a,b", "--out", str(outdir))
+    assert r.exit_code == 2
+    assert str(outdir) in r.stderr
+    assert list(outdir.iterdir()) == []
+    assert not list(tmp_path.glob("outdir.*"))
+    r = invoke(runner, "export", "--graph", "sq2", "--l", "4",
+               "--pair", "a,b", "--out", f"{tmp_path / 'new'}/")
+    assert r.exit_code == 2
+    assert not (tmp_path / "new").exists() and not list(tmp_path.glob("new.*"))
 
 
 # --- entry point ----------------------------------------------------------------
@@ -268,3 +294,23 @@ def test_help_lists_commands(runner):
     assert r.exit_code == 0
     for cmd in ("compute", "check", "export"):
         assert cmd in r.output
+
+
+# --- benchmark tracer ---------------------------------------------------------
+
+
+def test_benchmark_tracer_finds_every_traced_function():
+    # The traced benchmark wraps maghom functions by name, so renaming or
+    # deleting one must fail here and not only in a traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    undo = []
+    try:
+        undo = spans.install(spans.Tracer())
+    except spans.CoverageError as exc:
+        pytest.fail(f"the benchmark tracer lost a function: {exc}")
+    finally:
+        spans.uninstall(undo)
+    assert undo

@@ -9,6 +9,7 @@ from maghom import (
     ComponentKey,
     HomologyGroup,
     InternalCheckError,
+    KPair,
     build_k_pair,
     cross_validate,
     generate,
@@ -16,8 +17,9 @@ from maghom import (
     magnitude_homology_geometric,
 )
 from maghom.geometric import chain_map_t, interior_length, verify_chain_map
-from maghom.homology import ZERO_GROUP
+from maghom.homology import ZERO_GROUP, homology_all
 from maghom.magnitude import magnitude_chain_complex
+from maghom.simplicial import SimplicialComplex, chain_complex
 from oracles import random_graph_from_seed
 
 
@@ -152,10 +154,22 @@ def test_degree_two_branch_distance_equals_length():
     key = ComponentKey("v0", "v3", 3)
     kp = build_k_pair(g, key)
     assert len(kp.sub) == 0
-    assert kp.total.component_count() == 2
+    assert homology_all(chain_complex(kp.total), up_to=0)[0] == HomologyGroup(2)
     groups = magnitude_homology_geometric(g, key)
     assert groups[2] == HomologyGroup(1)
     assert groups == magnitude_homology_direct(g, key)
+
+
+def test_degree_two_branch_rejects_nonempty_sub(monkeypatch):
+    # At d(a, b) = l the reduced-H_0 reading is only valid for an empty K'.
+    g = generate("cycle:6")
+    key = ComponentKey("v0", "v3", 3)
+    kp = build_k_pair(g, key)
+    vertex = kp.total.simplices_of_dim(0)[0]
+    bad = KPair(key=key, total=kp.total, sub=SimplicialComplex(kp.total.labels, [vertex]))
+    monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
+    with pytest.raises(InternalCheckError, match="not empty"):
+        magnitude_homology_geometric(g, key)
 
 
 def test_degree_two_branch_single_geodesic_is_zero():
@@ -204,7 +218,7 @@ def test_cross_validate_reports_mismatch(sq2, monkeypatch):
         return groups
 
     monkeypatch.setattr(maghom.geometric, "magnitude_homology_direct", lying)
-    report = cross_validate(sq2, 4, chain_level=False)
+    report = cross_validate(sq2, 4)
     assert not report.ok
     mism = report.mismatch
     assert (mism.key.a, mism.key.b) == ("a", "a")
@@ -217,5 +231,5 @@ def test_cross_validate_reports_mismatch(sq2, monkeypatch):
 def test_cross_validate_random_graphs(seed):
     g = random_graph_from_seed(seed, n_max=5)
     l = random.Random(seed).randint(3, 4)
-    report = cross_validate(g, l, chain_level=True)
+    report = cross_validate(g, l)
     assert report.ok, report.describe()

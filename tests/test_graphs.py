@@ -73,6 +73,11 @@ def test_parse_structured():
         parse_graph("{not json")
     with pytest.raises(GraphError, match="'x,y'"):
         parse_graph('{"vertices": ["x,y", "z"], "edges": [["x,y", "z"]]}')
+    # --pair and labeling keys strip names, so such a label could not be named.
+    with pytest.raises(GraphError, match="whitespace: ' x'"):
+        parse_graph('{"vertices": [" x", "z"], "edges": [[" x", "z"]]}')
+    with pytest.raises(GraphError, match="whitespace: 'z '"):
+        parse_graph('{"vertices": ["x", "z "], "edges": [["x", "z "]]}')
 
 
 def test_generate_families():

@@ -10,7 +10,6 @@ from maghom.homology import (
     ZERO_GROUP,
     direct_sum,
     homology_all,
-    reduced_homology_0,
     smith_normal_form,
 )
 from maghom.simplicial import IntegerChainComplex, SimplicialComplex, chain_complex
@@ -173,6 +172,12 @@ def test_direct_sum_renormalizes_torsion():
     assert s == HomologyGroup(1, (2, 2, 4))
     s = direct_sum([HomologyGroup(2), HomologyGroup(3)])
     assert s == HomologyGroup(5)
+    # Mixed primes: Z/12 + Z/18 = (Z/4 + Z/3) + (Z/2 + Z/9) = Z/6 + Z/36.
+    s = direct_sum([HomologyGroup(0, (12,)), HomologyGroup(0, (18,))])
+    assert s == HomologyGroup(0, (6, 36))
+    # Z/4 + Z/2 + Z/6 = Z/2 + Z/2 + (Z/4 + Z/3) = Z/2 + Z/2 + Z/12.
+    s = direct_sum([HomologyGroup(1, (4,)), HomologyGroup(0, (2, 6))])
+    assert s == HomologyGroup(1, (2, 2, 12))
     assert direct_sum([]) == ZERO_GROUP
 
 
@@ -229,15 +234,6 @@ def test_prescribed_torsion_recovered(factors):
     assert h0.betti == n - len(factors)
     # H_1 is the kernel of an injective map: free of rank n - len(factors).
     assert homology_all(complex_, up_to=1)[1] == HomologyGroup(n - len(factors))
-
-
-def test_reduced_homology_0():
-    two_parts = SimplicialComplex(["a", "b", "c"], [("a",), ("b",), ("c",)])
-    assert reduced_homology_0(two_parts) == HomologyGroup(2)
-    point = SimplicialComplex(["a"], [("a",)])
-    assert reduced_homology_0(point) == ZERO_GROUP
-    empty = SimplicialComplex(["a"], [])
-    assert reduced_homology_0(empty) == ZERO_GROUP
 
 
 @settings(max_examples=25, deadline=None)

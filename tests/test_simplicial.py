@@ -8,7 +8,6 @@ from maghom import HomologyGroup
 from maghom.homology import IntegerMatrix, ZERO_GROUP, homology_all
 from maghom.simplicial import (
     SimplicialComplex,
-    SimplicialPair,
     chain_complex,
     complex_to_dict,
     complex_to_off,
@@ -63,13 +62,6 @@ def test_simplices_canonical_order():
     assert ("a", "b") in t
 
 
-def test_component_count():
-    assert triangle_boundary().component_count() == 1
-    two = SimplicialComplex.from_maximal("abcd", ["ab", "cd"])
-    assert two.component_count() == 2
-    assert SimplicialComplex("ab", []).component_count() == 0
-
-
 def test_is_subcomplex_of():
     assert triangle_boundary().is_subcomplex_of(full_triangle())
     assert not full_triangle().is_subcomplex_of(triangle_boundary())
@@ -116,14 +108,20 @@ def test_relative_pair_validation():
     # Sub lives on a different label universe, so it is not a subcomplex.
     other = SimplicialComplex.from_maximal("abcd", ["cd"])
     with pytest.raises(ValueError, match="subcomplex"):
-        SimplicialPair(full_triangle(), other)
+        relative_chain_complex(full_triangle(), other)
+    # The same labels in another order are another universe too.
+    reordered = SimplicialComplex.from_maximal("cba", ["bc"])
+    with pytest.raises(ValueError, match="subcomplex"):
+        relative_chain_complex(full_triangle(), reordered)
+    # A simplex of sub that the total complex lacks is named.
+    with pytest.raises(ValueError, match=r"subcomplex.*\('a', 'b', 'c'\)"):
+        relative_chain_complex(triangle_boundary(), full_triangle())
 
 
 def test_relative_disk_mod_boundary_is_sphere():
-    pair = SimplicialPair(full_triangle(), triangle_boundary())
-    assert pair.relative_simplices(2) == [("a", "b", "c")]
-    assert pair.relative_simplices(1) == []
-    c = relative_chain_complex(pair)
+    c = relative_chain_complex(full_triangle(), triangle_boundary())
+    assert c.basis(2) == [("a", "b", "c")]
+    assert c.basis(1) == []
     c.verify_boundary_identity()
     groups = homology_all(c, 2)
     assert groups == [ZERO_GROUP, ZERO_GROUP, HomologyGroup(1)]
@@ -132,7 +130,7 @@ def test_relative_disk_mod_boundary_is_sphere():
 def test_relative_with_empty_sub_matches_absolute():
     s = triangle_boundary()
     empty = SimplicialComplex("abc", [])
-    rel = relative_chain_complex(SimplicialPair(s, empty))
+    rel = relative_chain_complex(s, empty)
     absolute = chain_complex(s)
     assert [rel.dim(n) for n in range(3)] == [absolute.dim(n) for n in range(3)]
     assert homology_all(rel, up_to=1)[1] == homology_all(absolute, up_to=1)[1]
@@ -140,7 +138,7 @@ def test_relative_with_empty_sub_matches_absolute():
 
 def test_relative_everything_collapsed():
     s = full_triangle()
-    rel = relative_chain_complex(SimplicialPair(s, s))
+    rel = relative_chain_complex(s, s)
     assert rel.dim(0) == 0 and rel.top_degree == 0
 
 

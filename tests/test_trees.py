@@ -97,11 +97,12 @@ def test_decompose_walks_have_exact_length():
 def test_delta_pair_shapes():
     g = generate("path:4")
     comp = decompose_tree_component(g, ComponentKey("v0", "v1", 3))[0]
-    pair = build_delta_pair(comp, 3)
+    total, sub = build_delta_pair(comp, 3)
     # Positions 1..2; sub keeps faces missing at least one turning point.
-    assert pair.total.labels == (1, 2)
-    assert pair.relative_simplices(1) == [(1, 2)]
-    assert pair.relative_simplices(0) == []
+    assert total.labels == (1, 2)
+    rel = relative_chain_complex(total, sub)
+    assert rel.basis(1) == [(1, 2)]
+    assert rel.basis(0) == []
 
 
 @pytest.mark.parametrize("l", [3, 4, 5])
@@ -113,8 +114,7 @@ def test_classification_matches_relative_homology(l):
         for phi in itertools.combinations(positions, m):
             comp = _FakeComponent(phi)
             kind = classify_delta(comp, l)
-            pair = build_delta_pair(comp, l)
-            c = relative_chain_complex(pair)
+            c = relative_chain_complex(*build_delta_pair(comp, l))
             groups = homology_all(c, l - 2) if c.dim(0) or c.top_degree else []
             if kind == "empty":
                 assert m == 0
