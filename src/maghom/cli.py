@@ -60,6 +60,7 @@ class RunConfig:
     seed: int | None = None
     trials: int | None = None
     n_max: int | None = None
+    l_max: int | None = None
 
     def __post_init__(self):
         for l in self.l_values:
@@ -73,6 +74,8 @@ class RunConfig:
             raise GraphError("--trials must be nonnegative")
         if self.n_max is not None and self.n_max < 2:
             raise GraphError(f"--n-max must be at least 2, got {self.n_max}")
+        if self.l_max is not None and self.l_max < 3:
+            raise GraphError(f"--l-max must be at least 3, got {self.l_max}")
         if self.out is not None:
             if self.out.endswith((os.sep, "/")) or Path(self.out).is_dir():
                 raise GraphError(f"--out names a directory: {self.out!r}")
@@ -184,7 +187,7 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
         _fail(EXIT_INTERNAL, exc)
 
     if cfg.fmt == "structured":
-        doc = report_document(tables, graph_spec, g, cfg.method, seed=None)
+        doc = report_document(tables, graph_spec, g, cfg.method)
         _write_output(dump_json(doc), cfg.out)
     else:
         text = "\n".join(render_table(t, graph_label=graph_spec) for t in tables)
@@ -225,6 +228,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
             seed=seed,
             trials=trials,
             n_max=n_max,
+            l_max=l_max,
         )
         if graph_spec is not None:
             g = _load_graph(graph_spec)
@@ -250,7 +254,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
         rng = random.Random(seed)
         for trial in range(1, trials + 1):
             g = random_connected_graph(rng, n_min=2, n_max=n_max)
-            l = rng.randint(3, max(3, l_max))
+            l = rng.randint(3, l_max)
             report = cross_validate(g, l)
             click.echo(
                 f"trial {trial}/{trials}: n={g.num_vertices} e={g.num_edges} "

@@ -84,7 +84,7 @@ class ChainMapT:
     ``pairs_by_degree[n]`` aligns the degree-n relative basis with the
     degree-(n+2) magnitude basis: a list of (simplex, sequence) pairs in
     relative basis order.  Construction verifies the map is a bijection on
-    bases; ``verify_boundaries`` checks the sign-flip identity of the
+    bases; ``verify_chain_map`` checks the sign-flip identity of the
     boundary matrices.
     """
 
@@ -141,25 +141,25 @@ def chain_map_t(g, kpair):
 def verify_chain_map(g, mapping):
     """Check the boundary identity: relative d = -(magnitude d) under t.
 
-    Compares matrices entrywise through the basis bijection for every
-    relative degree n >= 1.  Raises InternalCheckError on failure.
+    For every relative degree n >= 1, each relative boundary column has its
+    rows carried through the basis bijection and its signs negated, and must
+    then equal the magnitude column of the matching sequence.  Raises
+    InternalCheckError on failure.
     """
     rel = mapping.relative_complex
     mag = mapping.magnitude_complex
     for n in range(1, len(mapping.pairs_by_degree)):
-        rel_mat = rel.boundary(n)
-        mag_mat = mag.boundary(n + 2)
+        mag_columns = mag.boundary(n + 2).columns
         mag_index = {seq: i for i, seq in enumerate(mag.basis(n + 2))}
         mag_index_prev = {seq: i for i, seq in enumerate(mag.basis(n + 1))}
-        col_perm = [mag_index[seq] for _, seq in mapping.pairs_by_degree[n]]
-        row_perm = [mag_index_prev[seq] for _, seq in mapping.pairs_by_degree[n - 1]]
-        for r in range(rel_mat.rows):
-            for c in range(rel_mat.cols):
-                if rel_mat.entry(r, c) != -mag_mat.entry(row_perm[r], col_perm[c]):
-                    raise InternalCheckError(
-                        f"boundary sign identity fails at degree {n}, "
-                        f"entry ({r}, {c}) of component {mapping.key}"
-                    )
+        row_map = [mag_index_prev[seq] for _, seq in mapping.pairs_by_degree[n - 1]]
+        for (simplex, seq), column in zip(mapping.pairs_by_degree[n], rel.boundary(n).columns):
+            image = {row_map[r]: -x for r, x in column.items()}
+            if image != mag_columns[mag_index[seq]]:
+                raise InternalCheckError(
+                    f"boundary sign identity fails at degree {n}, "
+                    f"column of simplex {simplex!r} in component {mapping.key}"
+                )
     return True
 
 

@@ -120,9 +120,6 @@ class Graph:
     def is_tree(self):
         return self.num_edges == self.num_vertices - 1
 
-    def diameter(self):
-        return max(self._dist.values())
-
     def __repr__(self):
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
 

@@ -1,8 +1,10 @@
 """Exact integer linear algebra and homology groups.
 
-Everything here works over arbitrary-precision Python integers.  The Smith
-normal form drives betti numbers and torsion; the test suite cross-checks
-it against fraction-free elimination that shares no code with it.
+Everything here works over arbitrary-precision Python integers.  Matrices
+are sparse columns; only Smith normal form works on a dense copy.  Its
+invariant factors drive betti numbers and torsion; the test suite
+cross-checks them against gcds of minors and fraction-free elimination,
+which share no code with it.
 """
 
 from __future__ import annotations
@@ -11,151 +13,80 @@ from dataclasses import dataclass
 
 
 class IntegerMatrix:
-    """An immutable integer matrix that keeps its shape even when empty.
+    """A read-only sparse integer matrix, stored by columns.
 
-    >>> IntegerMatrix([[1, 2], [3, 4]]).entry(1, 0)
-    3
-    >>> IntegerMatrix.zeros(0, 5).cols
+    ``columns[j]`` maps a row index to the nonzero entry in column j; no
+    zero is stored, so two matrices of one shape are equal exactly when
+    their columns are.  The shape is kept even when the matrix is empty.
+
+    >>> IntegerMatrix(2, 2, [{0: 2}, {0: 4, 1: 6}]).to_lists()
+    [[2, 4], [0, 6]]
+    >>> IntegerMatrix(0, 5).cols
     5
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, data, cols=None):
-        self.data = tuple(map(tuple, data))
-        self.rows = len(self.data)
-        if self.rows:
-            widths = {len(r) for r in self.data}
-            if len(widths) != 1:
-                raise ValueError("ragged matrix rows")
-            self.cols = widths.pop()
-            if cols is not None and cols != self.cols:
-                raise ValueError("explicit column count disagrees with data")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.cols = cols
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    def entry(self, i, j):
-        return self.data[i][j]
+    def __init__(self, rows, cols, columns=None):
+        self.rows = rows
+        self.cols = cols
+        self.columns = tuple({} for _ in range(cols)) if columns is None else tuple(columns)
+        if len(self.columns) != cols:
+            raise ValueError(f"{len(self.columns)} columns given for a {rows}x{cols} matrix")
+        for j, column in enumerate(self.columns):
+            for i, x in column.items():
+                if not 0 <= i < rows:
+                    raise ValueError(f"row index {i} out of range in column {j}")
+                if not x:
+                    raise ValueError(f"zero entry stored at ({i}, {j})")
 
     def to_lists(self):
-        return [list(row) for row in self.data]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntegerMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            out.append(
-                [sum(ri[k] * other.data[k][j] for k in range(self.cols))
-                 for j in range(other.cols)]
-            )
-        return IntegerMatrix(out, cols=other.cols)
-
-    def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        """The dense rows, as fresh lists."""
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for j, column in enumerate(self.columns):
+            for i, x in column.items():
+                dense[i][j] = x
+        return dense
 
     def __repr__(self):
         return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Result of a Smith normal form computation.
+def smith_normal_form(a):
+    """The invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
-    ``diagonal`` holds the positive invariant factors d_1 | d_2 | ... | d_r;
-    zero diagonal entries are not recorded.  When transforms were requested,
-    ``u`` and ``v`` satisfy A = u @ d_matrix() @ v with |det| = 1 each.
-    """
+    Only the positive diagonal entries of the Smith normal form are
+    returned, so their count is the rank.  Pivots are chosen as the nonzero
+    entry of minimal absolute value in the working submatrix, ties broken by
+    smallest row then column; this keeps intermediate entries small and the
+    computation deterministic.
 
-    rows: int
-    cols: int
-    diagonal: tuple
-    u: IntegerMatrix | None = None
-    v: IntegerMatrix | None = None
-
-    @property
-    def rank(self):
-        return len(self.diagonal)
-
-    def d_matrix(self):
-        m = [[0] * self.cols for _ in range(self.rows)]
-        for i, d in enumerate(self.diagonal):
-            m[i][i] = d
-        return IntegerMatrix(m, cols=self.cols)
-
-
-def smith_normal_form(a, transforms=False):
-    """Smith normal form over the integers.
-
-    Pivots are chosen as the nonzero entry of minimal absolute value in the
-    working submatrix, ties broken by smallest row then column; this keeps
-    intermediate entries small and the computation deterministic.
-
-    >>> smith_normal_form(IntegerMatrix([[2, 4], [0, 6]])).diagonal
+    >>> smith_normal_form(IntegerMatrix(2, 2, [{0: 2}, {0: 4, 1: 6}]))
     (2, 6)
     """
     m, n = a.rows, a.cols
     d = a.to_lists()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transforms else None
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if transforms else None
-
-    # Each elementary operation on d is paired with the inverse operation
-    # applied to u (columns) or v (rows), preserving a = u . d . v.
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        if u is not None:
-            for row in u:
-                row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            v[i], v[j] = v[j], v[i]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
-        if u is not None:
-            for row in u:
-                row[i] = -row[i]
 
     def row_add(i, j, q, start):
         # row i of d gains q * row j; entries left of start are known zeros
         ri, rj = d[i], d[j]
         for c in range(start, n):
             ri[c] += q * rj[c]
-        if u is not None:
-            for row in u:
-                row[j] -= q * row[i]
 
     def col_add(j, i, q, start):
         # column j of d gains q * column i
         for r in range(start, m):
             d[r][j] += q * d[r][i]
-        if v is not None:
-            vi, vj = v[i], v[j]
-            for c in range(n):
-                vi[c] -= q * vj[c]
 
     diagonal = []
     for t in range(min(m, n)):
@@ -249,13 +180,7 @@ def smith_normal_form(a, transforms=False):
             break
         diagonal.append(d[t][t])
 
-    return SmithForm(
-        rows=m,
-        cols=n,
-        diagonal=tuple(diagonal),
-        u=IntegerMatrix(u, cols=m) if transforms else None,
-        v=IntegerMatrix(v, cols=n) if transforms else None,
-    )
+    return tuple(diagonal)
 
 
 # -- finitely generated abelian groups --------------------------------------
@@ -283,9 +208,6 @@ class HomologyGroup:
                 raise ValueError("torsion entries must exceed 1")
             if i and d % self.torsion[i - 1]:
                 raise ValueError("torsion entries must form a divisibility chain")
-
-    def is_zero(self):
-        return self.betti == 0 and not self.torsion
 
     def describe(self):
         parts = []
@@ -316,10 +238,9 @@ def direct_sum(groups):
         betti += g.betti
         torsion.extend(g.torsion)
     if len(torsion) > 1:
-        diagonal = IntegerMatrix(
-            [[d if i == j else 0 for j in range(len(torsion))] for i, d in enumerate(torsion)]
-        )
-        torsion = [d for d in smith_normal_form(diagonal).diagonal if d > 1]
+        n = len(torsion)
+        diagonal = IntegerMatrix(n, n, [{j: d} for j, d in enumerate(torsion)])
+        torsion = [d for d in smith_normal_form(diagonal) if d > 1]
     return HomologyGroup(betti, tuple(torsion))
 
 
@@ -337,19 +258,16 @@ def homology_all(complex_, up_to=None):
     top = complex_.top_degree
     if up_to is None:
         up_to = top
-    ranks = {}
     diagonals = {}
     for k in range(1, min(up_to + 1, top) + 1):
-        snf = smith_normal_form(complex_.boundary(k))
-        ranks[k] = snf.rank
-        diagonals[k] = snf.diagonal
+        diagonals[k] = smith_normal_form(complex_.boundary(k))
     out = []
     for k in range(up_to + 1):
         dim_k = complex_.dim(k)
         if dim_k == 0:
             out.append(ZERO_GROUP)
             continue
-        betti = dim_k - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        betti = dim_k - len(diagonals.get(k, ())) - len(diagonals.get(k + 1, ()))
         torsion = tuple(d for d in diagonals.get(k + 1, ()) if d > 1)
         out.append(HomologyGroup(betti, torsion))
     return out

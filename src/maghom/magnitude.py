@@ -84,23 +84,24 @@ def enumerate_basis(g, key, kmax):
 
 
 def _boundary_from_bases(g, basis_prev, basis_cur):
+    # consecutive entries of a tuple differ, so dropping two different
+    # interior vertices never gives the same face
     index = {seq: i for i, seq in enumerate(basis_prev)}
-    rows, cols = len(basis_prev), len(basis_cur)
-    data = [[0] * cols for _ in range(rows)]
-    for j, seq in enumerate(basis_cur):
-        k = len(seq) - 1
-        for i in range(1, k):
+    columns = []
+    for seq in basis_cur:
+        column = {}
+        for i in range(1, len(seq) - 1):
             left, mid, right = seq[i - 1], seq[i], seq[i + 1]
             if g.distance(left, right) == g.distance(left, mid) + g.distance(mid, right):
-                face = seq[:i] + seq[i + 1:]
-                data[index[face]][j] += (-1) ** i
-    return IntegerMatrix(data, cols=cols)
+                column[index[seq[:i] + seq[i + 1:]]] = (-1) ** i
+        columns.append(column)
+    return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
 
 
 def magnitude_chain_complex(g, key, kmax):
     """The complex MC_{*,l}(a, b) through degree kmax, basis labels = tuples."""
     bases = enumerate_basis(g, key, kmax)
-    boundaries = [IntegerMatrix.zeros(0, len(bases[0]))]
+    boundaries = [IntegerMatrix(0, len(bases[0]))]
     for k in range(1, kmax + 1):
         boundaries.append(_boundary_from_bases(g, bases[k - 1], bases[k]))
     return IntegerChainComplex(bases, boundaries)

@@ -192,7 +192,7 @@ def table_to_dict(table):
     return doc
 
 
-def report_document(tables, graph_spec, g, method, seed=None):
+def report_document(tables, graph_spec, g, method):
     """The versioned structured report for one or more lengths."""
     from . import __version__
 
@@ -205,7 +205,7 @@ def report_document(tables, graph_spec, g, method, seed=None):
             "edge_count": g.num_edges,
         },
         "method": method,
-        "seed": seed,
+        "seed": None,  # reports come from deterministic runs
         "results": [table_to_dict(table) for table in tables],
     }
 

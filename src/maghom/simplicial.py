@@ -111,9 +111,6 @@ class SimplicialComplex:
                     out.append(simplex)
         return sorted(out, key=lambda s: (len(s), self._sort_key(s)))
 
-    def is_subcomplex_of(self, other):
-        return all(s in other for s in self._simplices)
-
     def __repr__(self):
         return f"SimplicialComplex(dim {self.dim}, {len(self)} simplices)"
 
@@ -159,18 +156,7 @@ class IntegerChainComplex:
         """The matrix of d_n, a correctly shaped zero matrix beyond the top."""
         if 0 <= n <= self.top_degree:
             return self.boundaries[n]
-        return IntegerMatrix.zeros(self.dim(n - 1), self.dim(n))
-
-    def verify_boundary_identity(self):
-        """Check d_n . d_{n+1} = 0 in every degree; raises on failure."""
-        for n in range(1, self.top_degree + 1):
-            product = self.boundary(n) @ self.boundary(n + 1)
-            if not product.is_zero():
-                raise ValueError(f"boundary identity fails between degrees {n + 1} and {n}")
-        return True
-
-    def euler_characteristic(self):
-        return sum((-1) ** n * self.dim(n) for n in range(self.top_degree + 1))
+        return IntegerMatrix(self.dim(n - 1), self.dim(n))
 
     def __repr__(self):
         dims = [self.dim(n) for n in range(self.top_degree + 1)]
@@ -179,15 +165,17 @@ class IntegerChainComplex:
 
 def _boundary_matrix(basis_prev, basis_cur):
     """Alternating-sign face matrix; faces outside ``basis_prev`` are dropped."""
+    # the labels of a simplex are distinct, so are its facets: no row repeats
     index = {s: i for i, s in enumerate(basis_prev)}
-    cols = len(basis_cur)
-    data = [[0] * cols for _ in basis_prev]
-    for j, simplex in enumerate(basis_cur):
+    columns = []
+    for simplex in basis_cur:
+        column = {}
         for i in range(len(simplex)):
             row = index.get(simplex[:i] + simplex[i + 1:])
             if row is not None:
-                data[row][j] += (-1) ** i
-    return IntegerMatrix(data, cols=cols)
+                column[row] = (-1) ** i
+        columns.append(column)
+    return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
 
 
 def chain_complex(complex_):
@@ -220,8 +208,8 @@ def relative_chain_complex(total, sub):
     while bases and not bases[-1]:
         bases.pop()
     if not bases:
-        return IntegerChainComplex([[]], [IntegerMatrix.zeros(0, 0)])
-    boundaries = [IntegerMatrix.zeros(0, len(bases[0]))]
+        return IntegerChainComplex([[]], [IntegerMatrix(0, 0)])
+    boundaries = [IntegerMatrix(0, len(bases[0]))]
     for n in range(1, len(bases)):
         boundaries.append(_boundary_matrix(bases[n - 1], bases[n]))
     return IntegerChainComplex(bases, boundaries)

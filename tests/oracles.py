@@ -8,11 +8,27 @@ internals it is used to check.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from maghom import Graph, random_connected_graph
 from maghom.homology import IntegerMatrix
+
+
+def matrix_from_lists(data, cols=None) -> IntegerMatrix:
+    """The sparse matrix of dense rows; ``cols`` is needed when there are none."""
+    if cols is None:
+        cols = len(data[0])
+    if any(len(row) != cols for row in data):
+        raise ValueError("ragged matrix rows")
+    columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(cols)]
+    return IntegerMatrix(len(data), cols, columns)
+
+
+def dense_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Textbook product of dense row lists (``a`` must have rows)."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def adjacency_matrix(g: Graph) -> list[list[int]]:
@@ -34,10 +50,7 @@ def walk_counts_by_steps(g: Graph, a: str, b: str, max_steps: int) -> list[int]:
     counts = []
     for _ in range(max_steps + 1):
         counts.append(power[i][j])
-        power = [
-            [sum(power[r][t] * adj[t][c] for t in range(n)) for c in range(n)]
-            for r in range(n)
-        ]
+        power = dense_product(power, adj)
     return counts
 
 
@@ -60,7 +73,7 @@ def brute_force_magnitude_basis(
 
 def rank_over_q(matrix: IntegerMatrix) -> int:
     """Row-echelon rank over the rationals with exact Fraction arithmetic."""
-    rows = [[Fraction(matrix.entry(r, c)) for c in range(matrix.cols)] for r in range(matrix.rows)]
+    rows = [[Fraction(x) for x in row] for row in matrix.to_lists()]
     rank = 0
     for col in range(matrix.cols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -78,7 +91,7 @@ def rank_over_q(matrix: IntegerMatrix) -> int:
 
 
 def rank_over_gf2(matrix: IntegerMatrix) -> int:
-    rows = [[matrix.entry(r, c) & 1 for c in range(matrix.cols)] for r in range(matrix.rows)]
+    rows = [[x & 1 for x in row] for row in matrix.to_lists()]
     rank = 0
     for col in range(matrix.cols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -103,7 +116,7 @@ def betti_via_rank_oracle(complex_, n: int) -> int:
 def random_int_matrix(rng: random.Random, max_dim: int = 5, max_entry: int = 9) -> IntegerMatrix:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)
-    return IntegerMatrix(
+    return matrix_from_lists(
         [[rng.randint(-max_entry, max_entry) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -185,6 +198,45 @@ def integer_determinant(a):
             w[i][t] = 0
         prev = piv
     return sign * w[n - 1][n - 1]
+
+
+def invariant_factors_by_minors(a):
+    """Invariant factors from determinantal divisors, with no elimination.
+
+    D_k is the gcd of all k x k minors and d_k = D_k / D_{k-1}; the factors
+    stop at the rank, where D_k first vanishes.  Exponential in the size, so
+    keep the matrices small.
+    """
+    dense = a.to_lists()
+    factors = []
+    previous = 1
+    for k in range(1, min(a.rows, a.cols) + 1):
+        divisor = 0
+        for rows in itertools.combinations(dense, k):
+            for cols in itertools.combinations(range(a.cols), k):
+                minor = matrix_from_lists([[row[c] for c in cols] for row in rows])
+                divisor = math.gcd(divisor, integer_determinant(minor))
+        if divisor == 0:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return tuple(factors)
+
+
+def assert_boundary_squares_to_zero(complex_) -> None:
+    """d_n . d_{n+1} = 0 in every degree, by dense products."""
+    for n in range(1, complex_.top_degree + 1):
+        d_n, d_up = complex_.boundary(n).to_lists(), complex_.boundary(n + 1).to_lists()
+        if d_n and d_up:
+            product = dense_product(d_n, d_up)
+            assert not any(any(row) for row in product), (
+                f"boundary identity fails between degrees {n + 1} and {n}"
+            )
+
+
+def euler_characteristic(complex_) -> int:
+    """Alternating sum of the chain ranks."""
+    return sum((-1) ** n * complex_.dim(n) for n in range(complex_.top_degree + 1))
 
 
 def tree_geodesic(g, u, v):

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 import maghom.cli
-from maghom import ComponentKey, CrossValidationReport, HomologyGroup, sq2_pair_types
+import maghom.report
+from maghom import ComponentKey, CrossValidationReport, HomologyGroup, generate, sq2_pair_types
 from maghom.geometric import Mismatch
 from maghom.homology import ZERO_GROUP
 from maghom.cli import main
@@ -189,6 +190,10 @@ def test_check_usage_errors(runner):
         r = invoke(runner, "check", "--n-max", n_max)
         assert r.exit_code == 2
         assert "--n-max" in r.stderr
+    for l_max in ("2", "-1"):
+        r = invoke(runner, "check", "--l-max", l_max, "--trials", "2")
+        assert r.exit_code == 2
+        assert "--l-max" in r.stderr
 
 
 def test_check_mismatch_exits_3(runner, monkeypatch):
@@ -300,17 +305,30 @@ def test_help_lists_commands(runner):
 
 
 def test_benchmark_tracer_finds_every_traced_function():
-    # The traced benchmark wraps maghom functions by name, so renaming or
-    # deleting one must fail here and not only in a traced benchmark run.
+    # The traced benchmark wraps maghom functions by name and its counters
+    # read matrices and results, so renaming or deleting a function, or
+    # changing what a counter reads, must fail here and not only in a traced
+    # benchmark run.
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
     undo = []
     try:
-        undo = spans.install(spans.Tracer())
+        undo = spans.install(tracer)
+        # one small table per route, called through a patched binding
+        maghom.report.build_table(generate("cycle:4"), 3, method="geometric")
+        maghom.report.build_table(generate("path:4"), 3, method="tree")
+        maghom.report.build_table(generate("sq2"), 2, method="direct")
     except spans.CoverageError as exc:
         pytest.fail(f"the benchmark tracer lost a function: {exc}")
     finally:
         spans.uninstall(undo)
     assert undo
+    for name in (
+        "homology.snf_calls", "homology.snf_nnz", "magnitude.basis_cells",
+        "simplicial.relative_cells", "geometric.simplices", "graphs.walks",
+        "trees.summands",
+    ):
+        assert tracer.counts[name] > 0, name

@@ -17,7 +17,7 @@ from maghom import (
     magnitude_homology_geometric,
 )
 from maghom.geometric import chain_map_t, interior_length, verify_chain_map
-from maghom.homology import ZERO_GROUP, homology_all
+from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
 from maghom.simplicial import SimplicialComplex, chain_complex
 from oracles import random_graph_from_seed
@@ -38,7 +38,7 @@ def test_k_pair_sq2_diagonal(sq2):
     # positions, hence dimension 2.
     assert len(maximal) == 8
     assert all(len(s) == 3 for s in maximal)
-    assert kp.sub.is_subcomplex_of(kp.total)
+    assert all(s in kp.total for s in kp.sub)
     # Labels are (position, vertex) with interior positions only.
     for pos, v in kp.total.labels:
         assert 1 <= pos <= 3
@@ -99,28 +99,32 @@ def test_chain_map_bijection_shapes(sq2):
 
 
 def test_chain_map_detects_corrupted_boundary(sq2, monkeypatch):
-    # Feed the verifier a magnitude complex with one sign flipped; the
-    # degreewise identity must fail loudly.
+    # Feed the verifier a magnitude complex with one sign flipped, then one
+    # with one nonzero removed; the degreewise identity must fail loudly.
     real = magnitude_chain_complex
-
-    def corrupted(g, key, kmax):
-        c = real(g, key, kmax)
-        for n in range(1, c.top_degree + 1):
-            mat = c.boundaries[n].to_lists()
-            if mat and mat[0] and any(any(row) for row in mat):
-                for r, row in enumerate(mat):
-                    for col, val in enumerate(row):
-                        if val:
-                            mat[r][col] = -val
-                            c.boundaries[n] = type(c.boundaries[n])(mat)
-                            return c
-        return c
-
-    monkeypatch.setattr(maghom.geometric, "magnitude_chain_complex", corrupted)
     key = ComponentKey("a", "a", 4)
-    with pytest.raises(InternalCheckError):
-        mapping = chain_map_t(sq2, build_k_pair(sq2, key))
-        verify_chain_map(sq2, mapping)
+    for corruption in ("flip", "remove"):
+
+        def corrupted(g, key, kmax):
+            c = real(g, key, kmax)
+            for n in range(1, c.top_degree + 1):
+                mat = c.boundaries[n]
+                columns = [dict(column) for column in mat.columns]
+                j = next((j for j, column in enumerate(columns) if column), None)
+                if j is not None:
+                    row = min(columns[j])
+                    if corruption == "flip":
+                        columns[j][row] = -columns[j][row]
+                    else:
+                        del columns[j][row]
+                    c.boundaries[n] = IntegerMatrix(mat.rows, mat.cols, columns)
+                    return c
+            return c
+
+        monkeypatch.setattr(maghom.geometric, "magnitude_chain_complex", corrupted)
+        with pytest.raises(InternalCheckError):
+            mapping = chain_map_t(sq2, build_k_pair(sq2, key))
+            verify_chain_map(sq2, mapping)
 
 
 # --- homology via the pair ----------------------------------------------------------

@@ -26,7 +26,7 @@ def test_graph_basics():
     assert g.distance("b", "b") == 0
     assert g.neighbors("b") == ("a", "c")
     assert g.is_tree()
-    assert g.diameter() == 2
+    assert max(g.distance(u, v) for u in g.vertices for v in g.vertices) == 2
 
 
 def test_graph_validation_errors():
@@ -82,11 +82,13 @@ def test_parse_structured():
 
 def test_generate_families():
     p = generate("path:4")
-    assert p.num_vertices == 4 and p.num_edges == 3 and p.diameter() == 3
+    assert p.num_vertices == 4 and p.num_edges == 3
+    assert max(p.distance(u, v) for u in p.vertices for v in p.vertices) == 3
     c = generate("cycle:5")
     assert c.num_vertices == 5 and c.num_edges == 5 and c.distance("v0", "v3") == 2
     k = generate("complete:4")
-    assert k.num_edges == 6 and k.diameter() == 1
+    assert k.num_edges == 6
+    assert max(k.distance(u, v) for u in k.vertices for v in k.vertices) == 1
     s = generate("star:5")
     assert s.num_edges == 4 and s.neighbors("v0") == ("v1", "v2", "v3", "v4")
     assert s.distance("v1", "v2") == 2
@@ -126,7 +128,7 @@ def test_sq2_structure(sq2):
                   ("f", "e"), ("c", "e"), ("c", "d"), ("e", "d")]
     }
     assert sq2.distance("a", "d") == 3
-    assert sq2.diameter() == 3
+    assert max(sq2.distance(u, v) for u in sq2.vertices for v in sq2.vertices) == 3
 
 
 def test_sequence_length(sq2):

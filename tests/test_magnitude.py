@@ -14,7 +14,11 @@ from maghom import (
 )
 from maghom.homology import ZERO_GROUP
 from maghom.magnitude import enumerate_basis, magnitude_chain_complex
-from oracles import brute_force_magnitude_basis, random_graph_from_seed
+from oracles import (
+    assert_boundary_squares_to_zero,
+    brute_force_magnitude_basis,
+    random_graph_from_seed,
+)
 
 
 # --- basis enumeration ---------------------------------------------------------
@@ -98,13 +102,14 @@ def test_boundary_skips_non_geodesic_drop(sq2):
     # cannot be dropped and the boundary is zero.
     key = ComponentKey("a", "a", 2)
     assert enumerate_basis(sq2, key, 2)[2] == [("a", "b", "a"), ("a", "f", "a")]
-    assert magnitude_chain_complex(sq2, key, 2).boundary(2).is_zero()
+    d2 = magnitude_chain_complex(sq2, key, 2).boundary(2)
+    assert d2.cols == 2 and not any(d2.columns)
 
 
 def test_chain_complex_boundary_identity(sq2):
     for key in [ComponentKey("a", "a", 4), ComponentKey("a", "d", 4), ComponentKey("b", "e", 3)]:
         c = magnitude_chain_complex(sq2, key, key.l)
-        c.verify_boundary_identity()
+        assert_boundary_squares_to_zero(c)
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,7 +119,7 @@ def test_chain_complex_boundary_identity_random(seed):
     rng = random.Random(seed)
     a, b = rng.choice(g.vertices), rng.choice(g.vertices)
     l = rng.randint(0, 4)
-    magnitude_chain_complex(g, ComponentKey(a, b, l), l).verify_boundary_identity()
+    assert_boundary_squares_to_zero(magnitude_chain_complex(g, ComponentKey(a, b, l), l))
 
 
 # --- homology ----------------------------------------------------------------------
