@@ -50,14 +50,12 @@ class RunConfig:
     method) happen after the graph is loaded.
     """
 
-    graph_spec: str | None
     l_values: tuple = ()
     kmax: int | None = None
     method: str = "auto"
     pair: tuple | None = None
     out: str | None = None
     fmt: str = "table"
-    seed: int | None = None
     trials: int | None = None
     n_max: int | None = None
     l_max: int | None = None
@@ -153,7 +151,6 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
     try:
         g = _load_graph(graph_spec)
         cfg = RunConfig(
-            graph_spec=graph_spec,
             l_values=_parse_l_range(l_spec),
             kmax=kmax,
             method=method,
@@ -211,7 +208,8 @@ def _check_tree_totals(g, table):
 @click.option("--graph", "graph_spec", default=None,
               help="Check one specific graph instead of random ones.")
 @click.option("--l", "l_spec", default=None,
-              help="Length (or range) to check; random per trial when omitted.")
+              help="Length or range like 3-5 for --graph (default: 3); "
+                   "random trials draw l up to --l-max.")
 @click.option("--trials", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-max", type=int, default=6, show_default=True,
@@ -221,11 +219,11 @@ def _check_tree_totals(g, table):
 def check(graph_spec, l_spec, trials, seed, n_max, l_max):
     """Cross-validate the geometric route against the direct route."""
     try:
+        if l_spec is not None and graph_spec is None:
+            raise GraphError("--l needs --graph; random trials draw l up to --l-max")
         cfg = RunConfig(
-            graph_spec=graph_spec,
-            l_values=_parse_l_range(l_spec) if l_spec else (),
+            l_values=_parse_l_range(l_spec) if l_spec is not None else (),
             method="geometric" if graph_spec else "auto",
-            seed=seed,
             trials=trials,
             n_max=n_max,
             l_max=l_max,
@@ -233,9 +231,6 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
         if graph_spec is not None:
             g = _load_graph(graph_spec)
             l_values = cfg.l_values or (3,)
-            for l in l_values:
-                if l < 3:
-                    raise GraphError(f"check needs l >= 3, got l={l}")
         elif trials == 0:
             click.echo("warning: 0 trials requested, vacuous pass", err=True)
             sys.exit(0)
@@ -281,7 +276,7 @@ def export(graph_spec, l_value, pair, out):
         a, b = _parse_pair(pair, g)
         if l_value < 3:
             raise GraphError(f"export needs l >= 3, got l={l_value}")
-        cfg = RunConfig(graph_spec=graph_spec, l_values=(l_value,), out=out)
+        cfg = RunConfig(l_values=(l_value,), out=out)
     except (GraphError, ValueError) as exc:
         _fail(EXIT_USAGE, exc)
 

@@ -17,7 +17,7 @@ d(a, b) = l (the subcomplex is then empty).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import enumerate_walks, sequence_length
@@ -77,38 +77,21 @@ def build_k_pair(g, key):
     return KPair(key=key, total=total, sub=sub)
 
 
-@dataclass
-class ChainMapT:
-    """The degree-shifting identification between the two chain complexes.
+def chain_map_t(g, key, rel, mag):
+    """Identify the relative basis with the magnitude basis two degrees up.
 
-    ``pairs_by_degree[n]`` aligns the degree-n relative basis with the
-    degree-(n+2) magnitude basis: a list of (simplex, sequence) pairs in
-    relative basis order.  Construction verifies the map is a bijection on
-    bases; ``verify_chain_map`` checks the sign-flip identity of the
-    boundary matrices.
+    ``rel`` is the relative complex of the K pair of ``key`` and ``mag`` the
+    magnitude complex of ``key`` through degree l + 1.  Checks, degree by
+    degree, that closing each relative simplex with the endpoints gives
+    exactly the magnitude basis two degrees up, and that positions are
+    recoverable as cumulative distances along the tuple.  Returns
+    ``pairs_by_degree``: ``pairs_by_degree[n]`` lists the (simplex, sequence)
+    pairs of relative degree n in relative basis order.  Raises
+    InternalCheckError on any failure.
     """
-
-    key: ComponentKey
-    relative_complex: object
-    magnitude_complex: object
-    pairs_by_degree: list = field(default_factory=list)
-
-
-def chain_map_t(g, kpair):
-    """Build and validate the basis identification for a K pair.
-
-    Checks, degree by degree, that closing each relative simplex with the
-    endpoints gives exactly the magnitude basis two degrees up, and that
-    positions are recoverable as cumulative distances along the tuple.
-    Raises InternalCheckError on any failure.
-    """
-    key = kpair.key
-    rel = relative_chain_complex(kpair.total, kpair.sub)
     # relative simplices use distinct positions from 1..l-1, so the relative
     # complex tops out at degree l-2 and the magnitude complex at degree l
-    mag = magnitude_chain_complex(g, key, key.l + 1)
-
-    mapping = ChainMapT(key=key, relative_complex=rel, magnitude_complex=mag)
+    pairs_by_degree = []
     for n in range(max(key.l - 1, 0)):
         rel_basis = rel.basis(n)
         mag_basis = mag.basis(n + 2)
@@ -134,33 +117,52 @@ def chain_map_t(g, kpair):
                 f"degree {n} basis bijection fails for {key}: "
                 f"{len(images)} relative simplices vs {len(mag_basis)} sequences"
             )
-        mapping.pairs_by_degree.append(list(zip(rel_basis, images)))
-    return mapping
+        pairs_by_degree.append(list(zip(rel_basis, images)))
+    return pairs_by_degree
 
 
-def verify_chain_map(g, mapping):
+def verify_chain_map(key, rel, mag, pairs_by_degree):
     """Check the boundary identity: relative d = -(magnitude d) under t.
 
+    ``pairs_by_degree`` is the basis identification from ``chain_map_t``.
     For every relative degree n >= 1, each relative boundary column has its
     rows carried through the basis bijection and its signs negated, and must
     then equal the magnitude column of the matching sequence.  Raises
     InternalCheckError on failure.
     """
-    rel = mapping.relative_complex
-    mag = mapping.magnitude_complex
-    for n in range(1, len(mapping.pairs_by_degree)):
+    for n in range(1, len(pairs_by_degree)):
         mag_columns = mag.boundary(n + 2).columns
         mag_index = {seq: i for i, seq in enumerate(mag.basis(n + 2))}
         mag_index_prev = {seq: i for i, seq in enumerate(mag.basis(n + 1))}
-        row_map = [mag_index_prev[seq] for _, seq in mapping.pairs_by_degree[n - 1]]
-        for (simplex, seq), column in zip(mapping.pairs_by_degree[n], rel.boundary(n).columns):
+        row_map = [mag_index_prev[seq] for _, seq in pairs_by_degree[n - 1]]
+        for (simplex, seq), column in zip(pairs_by_degree[n], rel.boundary(n).columns):
             image = {row_map[r]: -x for r, x in column.items()}
             if image != mag_columns[mag_index[seq]]:
                 raise InternalCheckError(
                     f"boundary sign identity fails at degree {n}, "
-                    f"column of simplex {simplex!r} in component {mapping.key}"
+                    f"column of simplex {simplex!r} in component {key}"
                 )
     return True
+
+
+def pair_groups(g, kpair, rel, kmax):
+    """MH_{k,l}(a, b) for 2 <= k <= kmax, read off the pair's relative complex.
+
+    ``rel`` is the relative complex of ``kpair``; needs d(a, b) <= l and
+    kmax >= 2.  Degrees k >= 3 read H_{k-2} of the pair; k = 2 reads H_0 of
+    the pair when d(a, b) < l and reduced H_0 of the total complex when
+    d(a, b) = l.
+    """
+    a, b, l = kpair.key
+    rel_homology = homology_all(rel, up_to=kmax - 2)
+    h0 = rel_homology[0]
+    if g.distance(a, b) == l:
+        # every interior tuple is at least d(a, b) = l long, so K' is empty,
+        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z
+        if len(kpair.sub):
+            raise InternalCheckError(f"K' of {kpair.key} is not empty although d(a, b) = l")
+        h0 = HomologyGroup(max(h0.betti - 1, 0))
+    return [h0] + rel_homology[1:]
 
 
 def magnitude_homology_geometric(g, key, kmax=None):
@@ -176,30 +178,15 @@ def magnitude_homology_geometric(g, key, kmax=None):
         kmax = l
     if l < 3:
         raise ValueError(f"the geometric method needs l >= 3, got {l}")
-    low = magnitude_homology_direct(g, key, kmax=min(1, kmax))
-    out = list(low)
+    out = magnitude_homology_direct(g, key, kmax=min(1, kmax))
     if kmax < 2:
         return out
 
     if g.distance(a, b) > l:
-        out.extend(ZERO_GROUP for _ in range(2, kmax + 1))
-        return out
-
+        return out + [ZERO_GROUP] * (kmax - 1)
     kpair = build_k_pair(g, key)
     rel = relative_chain_complex(kpair.total, kpair.sub)
-    rel_homology = homology_all(rel, up_to=max(kmax - 2, 0))
-
-    if g.distance(a, b) < l:
-        out.append(rel_homology[0])
-    else:
-        # every interior tuple is at least d(a, b) = l long, so K' is empty,
-        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z
-        if len(kpair.sub):
-            raise InternalCheckError(f"K' of {key} is not empty although d(a, b) = l")
-        out.append(HomologyGroup(max(rel_homology[0].betti - 1, 0)))
-    for k in range(3, kmax + 1):
-        out.append(rel_homology[k - 2] if k - 2 < len(rel_homology) else ZERO_GROUP)
-    return out
+    return out + pair_groups(g, kpair, rel, kmax)
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -221,9 +208,7 @@ class Mismatch:
 
 @dataclass
 class CrossValidationReport:
-    graph: object
     l: int
-    kmax: int
     pairs_checked: int = 0
     chain_checks: int = 0
     mismatch: Mismatch | None = None
@@ -241,31 +226,38 @@ class CrossValidationReport:
         return f"l={self.l}: MISMATCH at {self.mismatch.describe()}"
 
 
-def cross_validate(g, l, kmax=None):
+def cross_validate(g, l):
     """Compare the direct and geometric routes on every component of a graph.
 
     Checks betti and torsion for all ordered pairs (a, b) and all degrees
-    2 <= k <= kmax, and the chain-level basis bijection and boundary sign
-    identity.  Stops at the first mismatch and reports it.
-    Internal invariant failures raise InternalCheckError instead of being
-    reported as mismatches.
+    2 <= k <= l, then the chain-level basis bijection and boundary sign
+    identity.  Each component's magnitude complex, K pair and relative
+    complex are built once and serve both checks.  Stops at the first
+    mismatch and reports it.  Internal invariant failures raise
+    InternalCheckError instead of being reported as mismatches.  Requires
+    l >= 3.
     """
-    if kmax is None:
-        kmax = l
-    report = CrossValidationReport(graph=g, l=l, kmax=kmax)
+    report = CrossValidationReport(l=l)
     for a in g.vertices:
         for b in g.vertices:
             key = ComponentKey(a, b, l)
-            direct = magnitude_homology_direct(g, key, kmax)
-            geometric = magnitude_homology_geometric(g, key, kmax)
-            report.pairs_checked += 1
-            for k in range(2, kmax + 1):
-                if direct[k] != geometric[k]:
-                    report.mismatch = Mismatch(key, k, direct[k], geometric[k])
-                    return report
-            if g.distance(a, b) <= l:
+            # one degree above l, so that H_l sees its incoming boundary and
+            # the chain check sees the magnitude basis up to degree l
+            mag = magnitude_chain_complex(g, key, l + 1)
+            direct = homology_all(mag, up_to=l)
+            reachable = g.distance(a, b) <= l
+            if reachable:
                 kpair = build_k_pair(g, key)
-                mapping = chain_map_t(g, kpair)
-                verify_chain_map(g, mapping)
+                rel = relative_chain_complex(kpair.total, kpair.sub)
+                geometric = pair_groups(g, kpair, rel, l)
+            else:
+                geometric = [ZERO_GROUP] * (l - 1)
+            report.pairs_checked += 1
+            for k in range(2, l + 1):
+                if direct[k] != geometric[k - 2]:
+                    report.mismatch = Mismatch(key, k, direct[k], geometric[k - 2])
+                    return report
+            if reachable:
+                verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))
                 report.chain_checks += 1
     return report

@@ -185,6 +185,7 @@ def test_check_single_graph_length_range(runner):
 
 def test_check_usage_errors(runner):
     assert invoke(runner, "check", "--graph", "sq2", "--l", "2").exit_code == 2
+    assert invoke(runner, "check", "--graph", "sq2", "--l", "").exit_code == 2
     assert invoke(runner, "check", "--trials", "-1").exit_code == 2
     for n_max in ("0", "1"):
         r = invoke(runner, "check", "--n-max", n_max)
@@ -194,16 +195,21 @@ def test_check_usage_errors(runner):
         r = invoke(runner, "check", "--l-max", l_max, "--trials", "2")
         assert r.exit_code == 2
         assert "--l-max" in r.stderr
+    # --l sets the length of --graph only; random trials must not ignore it
+    for l_spec in ("9", "2"):
+        r = invoke(runner, "check", "--l", l_spec, "--trials", "2", "--seed", "5")
+        assert r.exit_code == 2
+        assert "--l" in r.stderr and "--graph" in r.stderr
 
 
 def test_check_mismatch_exits_3(runner, monkeypatch):
-    def fake_cross_validate(g, l, kmax=None):
+    def fake_cross_validate(g, l):
         mism = Mismatch(
             key=ComponentKey("x", "y", l), k=2,
             direct=HomologyGroup(1), geometric=ZERO_GROUP,
         )
         return CrossValidationReport(
-            graph=g, l=l, kmax=l, pairs_checked=1, chain_checks=0, mismatch=mism,
+            l=l, pairs_checked=1, chain_checks=0, mismatch=mism,
         )
 
     monkeypatch.setattr(maghom.cli, "cross_validate", fake_cross_validate)
@@ -332,3 +338,19 @@ def test_benchmark_tracer_finds_every_traced_function():
         "trees.summands",
     ):
         assert tracer.counts[name] > 0, name
+
+    # cross-validation builds each component's complexes once: cycle:5 at
+    # l = 4 has 25 components, all within distance 4
+    tracer = spans.Tracer()
+    undo = []
+    try:
+        undo = spans.install(tracer)
+        maghom.geometric.cross_validate(generate("cycle:5"), 4)
+    finally:
+        spans.uninstall(undo)
+    for name in (
+        "geometric.build_k_pair", "simplicial.relative_chain_complex",
+        "magnitude.magnitude_chain_complex", "geometric.chain_map_t",
+        "geometric.verify_chain_map",
+    ):
+        assert tracer.calls[name] == 25, name

@@ -16,10 +16,10 @@ from maghom import (
     magnitude_homology_direct,
     magnitude_homology_geometric,
 )
-from maghom.geometric import chain_map_t, interior_length, verify_chain_map
+from maghom.geometric import chain_map_t, interior_length, pair_groups, verify_chain_map
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
-from maghom.simplicial import SimplicialComplex, chain_complex
+from maghom.simplicial import SimplicialComplex, chain_complex, relative_chain_complex
 from oracles import random_graph_from_seed
 
 
@@ -84,25 +84,33 @@ def test_shorter_length_complex_embeds(sq2):
 # --- the chain-level correspondence ------------------------------------------------
 
 
+def _relative_complex(g, key):
+    kp = build_k_pair(g, key)
+    return relative_chain_complex(kp.total, kp.sub)
+
+
 def test_chain_map_on_sq2_components(sq2):
     for a, b in [("a", "a"), ("a", "d"), ("b", "e"), ("a", "b")]:
-        mapping = chain_map_t(sq2, build_k_pair(sq2, ComponentKey(a, b, 4)))
-        verify_chain_map(sq2, mapping)
+        key = ComponentKey(a, b, 4)
+        rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+        verify_chain_map(key, rel, mag, chain_map_t(sq2, key, rel, mag))
 
 
 def test_chain_map_bijection_shapes(sq2):
     key = ComponentKey("a", "a", 4)
-    mapping = chain_map_t(sq2, build_k_pair(sq2, key))
-    mag = magnitude_chain_complex(sq2, key, 4)
-    for n, pairs in enumerate(mapping.pairs_by_degree):
-        assert len(pairs) == mag.dim(n + 2)
+    rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+    pairs_by_degree = chain_map_t(sq2, key, rel, mag)
+    expected = magnitude_chain_complex(sq2, key, 4)
+    for n, pairs in enumerate(pairs_by_degree):
+        assert len(pairs) == expected.dim(n + 2)
 
 
-def test_chain_map_detects_corrupted_boundary(sq2, monkeypatch):
+def test_chain_map_detects_corrupted_boundary(sq2):
     # Feed the verifier a magnitude complex with one sign flipped, then one
     # with one nonzero removed; the degreewise identity must fail loudly.
     real = magnitude_chain_complex
     key = ComponentKey("a", "a", 4)
+    rel = _relative_complex(sq2, key)
     for corruption in ("flip", "remove"):
 
         def corrupted(g, key, kmax):
@@ -121,10 +129,9 @@ def test_chain_map_detects_corrupted_boundary(sq2, monkeypatch):
                     return c
             return c
 
-        monkeypatch.setattr(maghom.geometric, "magnitude_chain_complex", corrupted)
+        mag = corrupted(sq2, key, key.l + 1)
         with pytest.raises(InternalCheckError):
-            mapping = chain_map_t(sq2, build_k_pair(sq2, key))
-            verify_chain_map(sq2, mapping)
+            verify_chain_map(key, rel, mag, chain_map_t(sq2, key, rel, mag))
 
 
 # --- homology via the pair ----------------------------------------------------------
@@ -209,19 +216,24 @@ def test_cross_validate_sq2(sq2):
     assert report.pairs_checked == 36
     assert report.chain_checks == 36
     assert "agree" in report.describe()
+    # path:6 at l = 3 has 6 pairs at distance > l: compared, not chain-checked
+    report = cross_validate(generate("path:6"), 3)
+    assert report.ok
+    assert report.pairs_checked == 36
+    assert report.chain_checks == 30
 
 
 def test_cross_validate_reports_mismatch(sq2, monkeypatch):
-    real = magnitude_homology_direct
+    real = pair_groups
 
-    def lying(g, key, kmax=None):
-        groups = real(g, key, kmax)
-        if key.a == "a" and key.b == "a":
+    def lying(g, kpair, rel, kmax):
+        groups = real(g, kpair, rel, kmax)
+        if kpair.key.a == "a" and kpair.key.b == "a":
             groups = list(groups)
             groups[-1] = HomologyGroup(groups[-1].betti + 1, groups[-1].torsion)
         return groups
 
-    monkeypatch.setattr(maghom.geometric, "magnitude_homology_direct", lying)
+    monkeypatch.setattr(maghom.geometric, "pair_groups", lying)
     report = cross_validate(sq2, 4)
     assert not report.ok
     mism = report.mismatch
