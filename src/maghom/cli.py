@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .geometric import InternalCheckError, build_k_pair, cross_validate, interior_length
 from .graphs import (
@@ -195,13 +196,12 @@ def _check_tree_totals(g, table):
     # the per-walk decomposition must reproduce the closed form
     totals = table.totals()
     for k in range(3, table.kmax + 1):
-        if table.l >= 3:
-            expected = tree_magnitude_closed_form(g, table.l, k)
-            if totals[k] != expected:
-                raise InternalCheckError(
-                    f"tree totals disagree with the closed form at k={k}: "
-                    f"{totals[k].describe()} vs {expected.describe()}"
-                )
+        expected = tree_magnitude_closed_form(g, table.l, k)
+        if totals[k] != expected:
+            raise InternalCheckError(
+                f"tree totals disagree with the closed form at k={k}: "
+                f"{totals[k].describe()} vs {expected.describe()}"
+            )
 
 
 @main.command()
@@ -221,6 +221,12 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
     try:
         if l_spec is not None and graph_spec is None:
             raise GraphError("--l needs --graph; random trials draw l up to --l-max")
+        if graph_spec is not None:
+            ctx = click.get_current_context()
+            for name in ("trials", "seed", "n_max", "l_max"):
+                if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+                    flag = "--" + name.replace("_", "-")
+                    raise GraphError(f"{flag} applies to random trials, not to --graph")
         cfg = RunConfig(
             l_values=_parse_l_range(l_spec) if l_spec is not None else (),
             method="geometric" if graph_spec else "auto",

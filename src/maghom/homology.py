@@ -1,7 +1,7 @@
 """Exact integer linear algebra and homology groups.
 
 Everything here works over arbitrary-precision Python integers.  Matrices
-are sparse columns; only Smith normal form works on a dense copy.  Its
+are sparse columns, and Smith normal form eliminates on sparse rows.  Its
 invariant factors drive betti numbers and torsion; the test suite
 cross-checks them against gcds of minors and fraction-free elimination,
 which share no code with it.
@@ -10,6 +10,7 @@ which share no code with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 
 class IntegerMatrix:
@@ -56,131 +57,71 @@ def smith_normal_form(a):
     """The invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
     Only the positive diagonal entries of the Smith normal form are
-    returned, so their count is the rank.  Pivots are chosen as the nonzero
-    entry of minimal absolute value in the working submatrix, ties broken by
-    smallest row then column; this keeps intermediate entries small and the
-    computation deterministic.
+    returned, so their count is the rank.  The elimination works on sparse
+    rows.  Each pivot is an entry of least absolute value in the working
+    matrix, taken from the shortest row holding one; a row that is a single
+    unit ends the search.  Row operations clear the pivot column and column
+    operations reduce the pivot row, which is the only row they change once
+    its column is clear.  The loop ends: a pass either drops the pivot row
+    or leaves a remainder below the least absolute value, which can fall
+    only finitely often.  The input is not modified.
 
     >>> smith_normal_form(IntegerMatrix(2, 2, [{0: 2}, {0: 4, 1: 6}]))
     (2, 6)
     """
-    m, n = a.rows, a.cols
-    d = a.to_lists()
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-
-    def col_swap(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-
-    def row_add(i, j, q, start):
-        # row i of d gains q * row j; entries left of start are known zeros
-        ri, rj = d[i], d[j]
-        for c in range(start, n):
-            ri[c] += q * rj[c]
-
-    def col_add(j, i, q, start):
-        # column j of d gains q * column i
-        for r in range(start, m):
-            d[r][j] += q * d[r][i]
-
+    rows = {}
+    for j, column in enumerate(a.columns):
+        for i, x in column.items():
+            rows.setdefault(i, {})[j] = x
     diagonal = []
-    for t in range(min(m, n)):
-        # locate the pivot
-        best = None
-        pr = pc = -1
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    ax = x if x > 0 else -x
-                    if best is None or ax < best:
-                        best, pr, pc = ax, i, j
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
-        if best is None:
-            break
-        if pr != t:
-            row_swap(t, pr)
-        if pc != t:
-            col_swap(t, pc)
-        if d[t][t] < 0:
-            row_negate(t)
+    while rows:
+        least = size = float("inf")
+        for i, row in rows.items():
+            if least == 1 and len(row) >= size:
+                continue  # a unit in a row no longer than this one is found
+            m = min(map(abs, row.values()))
+            if (m, len(row)) < (least, size):
+                least, size, r = m, len(row), i
+                if least == size == 1:
+                    break
+        prow = rows[r]
+        c = next(j for j, x in prow.items() if abs(x) == least)
+        p = prow[c]
+        remainder = False
+        for i, row in [(i, row) for i, row in rows.items() if c in row and i != r]:
+            q = row[c] // p
+            for j, y in prow.items():
+                z = row.get(j, 0) - q * y
+                if z:
+                    row[j] = z
+                else:
+                    del row[j]
+            if c in row:
+                remainder = True
+            elif not row:
+                del rows[i]
+        if remainder:
+            continue
+        for j in [j for j in prow if j != c]:
+            prow[j] %= p
+            if not prow[j]:
+                del prow[j]
+        if len(prow) > 1:
+            continue
+        diagonal.append(abs(p))
+        del rows[r]
+    return _divisibility_chain(diagonal)
 
-        while True:
-            piv = d[t][t]
-            # clear the pivot column
-            remainder_row = None
-            for i in range(t + 1, m):
-                x = d[i][t]
-                if x:
-                    q = x // piv
-                    if q:
-                        row_add(i, t, -q, t)
-                    if d[i][t]:
-                        remainder_row = i
-            if remainder_row is not None:
-                # a remainder smaller than the pivot exists; promote the
-                # smallest one and restart the reduction
-                br, bv = remainder_row, None
-                for i in range(t + 1, m):
-                    x = d[i][t]
-                    if x:
-                        ax = abs(x)
-                        if bv is None or ax < bv:
-                            bv, br = ax, i
-                row_swap(t, br)
-                if d[t][t] < 0:
-                    row_negate(t)
-                continue
-            # clear the pivot row
-            remainder_col = None
-            for j in range(t + 1, n):
-                x = d[t][j]
-                if x:
-                    q = x // piv
-                    if q:
-                        col_add(j, t, -q, t)
-                    if d[t][j]:
-                        remainder_col = j
-            if remainder_col is not None:
-                bc, bv = remainder_col, None
-                for j in range(t + 1, n):
-                    x = d[t][j]
-                    if x:
-                        ax = abs(x)
-                        if bv is None or ax < bv:
-                            bv, bc = ax, j
-                col_swap(t, bc)
-                if d[t][t] < 0:
-                    row_negate(t)
-                continue
-            if piv != 1:
-                # the pivot must divide every remaining entry for the
-                # invariant-factor chain; mix in an offending row and redo
-                bad = None
-                for i in range(t + 1, m):
-                    ri = d[i]
-                    for j in range(t + 1, n):
-                        if ri[j] % piv:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is not None:
-                    row_add(t, bad, 1, t)
-                    continue
-            break
-        diagonal.append(d[t][t])
 
-    return tuple(diagonal)
+def _divisibility_chain(diagonal):
+    """The invariant factors of a diagonal matrix with nonzero entries."""
+    units = sum(1 for d in diagonal if d == 1)
+    chain = [d for d in diagonal if d != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return (1,) * units + tuple(chain)
 
 
 # -- finitely generated abelian groups --------------------------------------
@@ -237,11 +178,8 @@ def direct_sum(groups):
     for g in groups:
         betti += g.betti
         torsion.extend(g.torsion)
-    if len(torsion) > 1:
-        n = len(torsion)
-        diagonal = IntegerMatrix(n, n, [{j: d} for j, d in enumerate(torsion)])
-        torsion = [d for d in smith_normal_form(diagonal) if d > 1]
-    return HomologyGroup(betti, tuple(torsion))
+    torsion = tuple(d for d in _divisibility_chain(torsion) if d > 1)
+    return HomologyGroup(betti, torsion)
 
 
 # -- homology of chain complexes ---------------------------------------------

@@ -178,22 +178,14 @@ def _boundary_matrix(basis_prev, basis_cur):
     return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
 
 
-def chain_complex(complex_):
-    """The simplicial chain complex of a complex, with integer coefficients.
-
-    Degree-n basis: the n-simplices in canonical order.  The boundary of a
-    simplex is the alternating sum of its facets, with sign (-1)^i for
-    dropping the i-th smallest label.
-    """
-    return relative_chain_complex(complex_, SimplicialComplex(complex_.labels, []))
-
-
 def relative_chain_complex(total, sub):
     """The chain complex of the pair (total, sub): the quotient by ``sub``.
 
     ``sub`` must be a subcomplex of ``total`` on the same label universe.
     Degree-n basis: the n-simplices of ``total`` not in ``sub``, in canonical
-    order.  Boundary faces that land in ``sub`` are dropped.
+    order.  The boundary of a simplex is the alternating sum of its facets,
+    with sign (-1)^i for dropping the i-th smallest label; facets that land
+    in ``sub`` are dropped.
     """
     if sub.labels != total.labels:
         raise ValueError("subcomplex is on a different label universe than the total complex")

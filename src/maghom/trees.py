@@ -41,10 +41,6 @@ class TreePathComponent:
     walk: tuple
     phi: tuple
 
-    @property
-    def steps(self):
-        return len(self.walk) - 1
-
 
 def turning_points(g, walk):
     """Positions where the walk strictly loses length when skipped.

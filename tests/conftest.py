@@ -1,7 +1,8 @@
 import pytest
 
 from maghom import generate
-from maghom.simplicial import SimplicialComplex, chain_complex
+from maghom.simplicial import SimplicialComplex
+from oracles import chain_complex
 
 # Six-vertex closed-surface triangulation with Euler characteristic 1
 # (6 vertices, 15 edges, 10 faces; every edge lies in exactly two faces).

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: brute-force enumeration, textbook
 elimination over Q and over GF(2).  None of it shares code with the package
-internals it is used to check.
+internals it is used to check.  The one exception, ``chain_complex``, is a
+fixture builder and not an oracle: it is ``relative_chain_complex`` with an
+empty subcomplex.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 from maghom import Graph, random_connected_graph
 from maghom.homology import IntegerMatrix
+from maghom.simplicial import SimplicialComplex, relative_chain_complex
 
 
 def matrix_from_lists(data, cols=None) -> IntegerMatrix:
@@ -24,6 +27,11 @@ def matrix_from_lists(data, cols=None) -> IntegerMatrix:
         raise ValueError("ragged matrix rows")
     columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(cols)]
     return IntegerMatrix(len(data), cols, columns)
+
+
+def chain_complex(complex_):
+    """The simplicial chain complex of a complex: the pair with nothing removed."""
+    return relative_chain_complex(complex_, SimplicialComplex(complex_.labels, []))
 
 
 def dense_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

@@ -30,11 +30,11 @@ from maghom.magnitude import magnitude_chain_complex
 from maghom.simplicial import (
     IntegerChainComplex,
     SimplicialComplex,
-    chain_complex,
     relative_chain_complex,
 )
 from oracles import (
     assert_boundary_squares_to_zero,
+    chain_complex,
     dense_product,
     invariant_factors_by_minors,
     matrix_from_lists,

@@ -200,6 +200,12 @@ def test_check_usage_errors(runner):
         r = invoke(runner, "check", "--l", l_spec, "--trials", "2", "--seed", "5")
         assert r.exit_code == 2
         assert "--l" in r.stderr and "--graph" in r.stderr
+    # and the random-trial options must not be ignored by a single --graph
+    for option, value in (("--trials", "999"), ("--seed", "5"), ("--n-max", "4"),
+                          ("--l-max", "5")):
+        r = invoke(runner, "check", "--graph", "cycle:4", "--l", "3", option, value)
+        assert r.exit_code == 2
+        assert option in r.stderr and "--graph" in r.stderr
 
 
 def test_check_mismatch_exits_3(runner, monkeypatch):

@@ -19,8 +19,8 @@ from maghom import (
 from maghom.geometric import chain_map_t, interior_length, pair_groups, verify_chain_map
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
-from maghom.simplicial import SimplicialComplex, chain_complex, relative_chain_complex
-from oracles import random_graph_from_seed
+from maghom.simplicial import SimplicialComplex, relative_chain_complex
+from oracles import chain_complex, random_graph_from_seed
 
 
 # --- the complex pair ------------------------------------------------------------

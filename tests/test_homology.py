@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maghom import HomologyGroup
+from maghom import HomologyGroup, build_table, cross_validate, generate
 from maghom.homology import (
     IntegerMatrix,
     ZERO_GROUP,
@@ -12,10 +12,11 @@ from maghom.homology import (
     homology_all,
     smith_normal_form,
 )
-from maghom.simplicial import IntegerChainComplex, SimplicialComplex, chain_complex
+from maghom.simplicial import IntegerChainComplex, SimplicialComplex
 from oracles import (
     assert_boundary_squares_to_zero,
     betti_via_rank_oracle,
+    chain_complex,
     dense_product,
     integer_determinant,
     invariant_factors_by_minors,
@@ -64,12 +65,24 @@ def test_matrix_construction_and_shape():
 def test_snf_worked_example():
     # Upper triangular with entries 2,4 / 0,6: invariant factors 2 and 6.
     assert smith_normal_form(matrix_from_lists([[2, 4], [0, 6]])) == (2, 6)
+    # each input drives the elimination through one branch
+    for rows, factors in [
+        ([[2, 3]], (1,)),  # remainder in the pivot row
+        ([[2], [3]], (1,)),  # remainder in the pivot column
+        ([[2, 4], [6, 8]], (2, 4)),  # no unit entry
+        ([[-3, 6], [9, 3]], (3, 21)),  # negative least entry
+    ]:
+        a = matrix_from_lists(rows)
+        assert smith_normal_form(a) == factors == invariant_factors_by_minors(a)
 
 
 def test_snf_divisibility_repair():
     # diag(4, 6) is already diagonal but violates divisibility; the correct
     # invariant factors are gcd and lcm.
     assert smith_normal_form(matrix_from_lists([[4, 0], [0, 6]])) == (2, 12)
+    # mixed unit and non-unit pivots: the units stay in front of the chain
+    a = matrix_from_lists([[1, 0, 0], [0, 4, 0], [0, 0, 6]])
+    assert smith_normal_form(a) == (1, 2, 12) == invariant_factors_by_minors(a)
 
 
 def test_snf_edge_shapes():
@@ -77,6 +90,8 @@ def test_snf_edge_shapes():
     assert smith_normal_form(IntegerMatrix(0, 4)) == ()
     assert smith_normal_form(_identity(3)) == (1, 1, 1)
     assert smith_normal_form(matrix_from_lists([[-6]])) == (6,)
+    a = matrix_from_lists([[1, 1], [0, 0], [1, 1]])  # a zero row
+    assert smith_normal_form(a) == (1,) == invariant_factors_by_minors(a)
 
 
 def test_snf_deterministic():
@@ -98,6 +113,17 @@ def test_snf_properties(seed):
     assert len(diag) == rational_rank(a)
     # The factors agree with the gcds of minors, which need no elimination.
     assert diag == invariant_factors_by_minors(a)
+
+
+def test_production_code_never_densifies(monkeypatch):
+    # every route reduces the sparse columns; only tests read dense rows
+    def refuse(self):
+        raise AssertionError("IntegerMatrix.to_lists called outside the tests")
+
+    monkeypatch.setattr(IntegerMatrix, "to_lists", refuse)
+    table = build_table(generate("sq2"), 4, method="direct")
+    assert table.totals() == [HomologyGroup(b) for b in (0, 0, 0, 12, 112)]
+    assert cross_validate(generate("cycle:5"), 4).ok
 
 
 # --- rational rank and determinant -------------------------------------------

@@ -8,12 +8,16 @@ from maghom import HomologyGroup
 from maghom.homology import ZERO_GROUP, homology_all
 from maghom.simplicial import (
     SimplicialComplex,
-    chain_complex,
     complex_to_dict,
     complex_to_off,
     relative_chain_complex,
 )
-from oracles import assert_boundary_squares_to_zero, euler_characteristic, matrix_from_lists
+from oracles import (
+    assert_boundary_squares_to_zero,
+    chain_complex,
+    euler_characteristic,
+    matrix_from_lists,
+)
 
 
 def triangle_boundary():

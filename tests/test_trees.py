@@ -75,7 +75,7 @@ def test_decompose_path_components():
     assert len(comps) == 1
     assert comps[0].walk == ("v0", "v1", "v2", "v3")
     assert comps[0].phi == ()
-    assert comps[0].steps == 3
+    assert len(comps[0].walk) - 1 == 3
 
     comps = decompose_tree_component(g, ComponentKey("v0", "v1", 3))
     walks = [c.walk for c in comps]
@@ -87,7 +87,7 @@ def test_decompose_walks_have_exact_length():
     g = random_tree(5, n=7)
     for a, b in itertools.product(g.vertices[:3], repeat=2):
         for c in decompose_tree_component(g, ComponentKey(a, b, 4)):
-            assert c.steps == 4
+            assert len(c.walk) - 1 == 4
             assert sequence_length(g, c.walk) == 4
 
 
