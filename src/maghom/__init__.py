@@ -5,12 +5,12 @@ direct chain-complex route that works for every degree, a geometric route
 through relative simplicial pairs (degrees k >= 2, lengths l >= 3), and a
 closed form for trees.  The routes are kept independent so they can
 cross-validate each other; all linear algebra is exact over the integers.
-``build_table`` runs one route on every component of a graph.
+``build_table`` runs one route on one component per symmetry orbit of
+ordered vertex pairs and copies the groups to the rest of the orbit.
 """
 
 from .geometric import (
     CrossValidationReport,
-    InternalCheckError,
     KPair,
     build_k_pair,
     cross_validate,
@@ -19,6 +19,7 @@ from .geometric import (
 from .graphs import (
     Graph,
     GraphError,
+    InternalCheckError,
     enumerate_walks,
     generate,
     parse_graph,

@@ -15,9 +15,10 @@ from pathlib import Path
 import click
 from click.core import ParameterSource
 
-from .geometric import InternalCheckError, build_k_pair, cross_validate, interior_length
+from .geometric import build_k_pair, cross_validate, interior_length
 from .graphs import (
     GraphError,
+    InternalCheckError,
     generate,
     is_generator_spec,
     parse_graph,
@@ -182,7 +183,7 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
                 _check_tree_totals(g, table)
             tables.append(table)
     except InternalCheckError as exc:
-        _fail(EXIT_INTERNAL, exc)
+        _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
 
     if cfg.fmt == "structured":
         doc = report_document(tables, graph_spec, g, cfg.method)

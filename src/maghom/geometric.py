@@ -20,14 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import enumerate_walks, sequence_length
+from .graphs import InternalCheckError, enumerate_walks, sequence_length
 from .homology import ZERO_GROUP, HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
 from .simplicial import SimplicialComplex, relative_chain_complex
-
-
-class InternalCheckError(RuntimeError):
-    """An internal consistency invariant failed; results are not trustworthy."""
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,10 @@ class GraphError(ValueError):
     """Raised for malformed graph sources or invalid graph lookups."""
 
 
+class InternalCheckError(RuntimeError):
+    """An internal consistency invariant failed; results are not trustworthy."""
+
+
 class Graph:
     """An undirected, simple, connected graph.
 
@@ -97,11 +101,11 @@ class Graph:
 
     def distance(self, u, v):
         """Shortest-path distance (number of edges) between two vertices."""
-        if u not in self._index:
-            raise GraphError(f"unknown vertex: {u!r}")
-        if v not in self._index:
-            raise GraphError(f"unknown vertex: {v!r}")
-        return self._dist[u, v]
+        try:
+            return self._dist[u, v]
+        except KeyError:
+            unknown = u if u not in self._index else v
+            raise GraphError(f"unknown vertex: {unknown!r}") from None
 
     def neighbors(self, v):
         """Neighbors of v, sorted by the vertex order."""
@@ -350,33 +354,156 @@ def random_connected_graph(rng, n_min=2, n_max=6, extra_edge_prob=0.3):
     return Graph(verts, edges)
 
 
-# -- sq2 symmetry types ----------------------------------------------------
+# -- symmetry --------------------------------------------------------------
 
-# Orbits of ordered vertex pairs under the automorphism group of sq2
-# (the Klein four-group generated by the two reflections).  One label per
-# orbit, in the order used by the reference rank table.
-_SQ2_TYPE_ORBITS = (
-    ("(a,a)", (("a", "a"), ("d", "d"))),
-    ("(a,b)", (("a", "b"), ("b", "a"), ("a", "f"), ("f", "a"),
-               ("d", "c"), ("c", "d"), ("d", "e"), ("e", "d"))),
-    ("(a,c)", (("a", "c"), ("c", "a"), ("a", "e"), ("e", "a"),
-               ("d", "b"), ("b", "d"), ("d", "f"), ("f", "d"))),
-    ("(a,d)", (("a", "d"), ("d", "a"))),
-    ("(b,b)", (("b", "b"), ("f", "f"), ("c", "c"), ("e", "e"))),
-    ("(b,c)", (("b", "c"), ("c", "b"), ("f", "e"), ("e", "f"))),
-    ("(b,f)", (("b", "f"), ("f", "b"), ("c", "e"), ("e", "c"))),
-    ("(b,e)", (("b", "e"), ("e", "b"), ("c", "f"), ("f", "c"))),
-)
+
+def _distance_matrix(g):
+    return [[g._dist[u, v] for v in g.vertices] for u in g.vertices]
+
+
+def automorphism_generators(g, dist=None):
+    """Generators of the isometry group of g, as permutations of vertex indices.
+
+    A permutation p maps vertex i to vertex p[i].  Vertices are first split
+    by their sorted distance profile, which every isometry preserves.  Then,
+    for each level i of the pointwise stabiliser chain (the isometries that
+    fix vertices 0..i-1), deepest level first, a backtracking search looks
+    for one isometry mapping vertex i to each candidate not yet in the orbit
+    of i under the generators found so far.  Those generators fix 0..i-1 and
+    together reach the whole orbit, so they generate the level's stabiliser
+    and the group itself is never listed.  ``dist`` is the distance matrix
+    of g in vertex order, built here when not given.
+    """
+    if dist is None:
+        dist = _distance_matrix(g)
+    profile = [sorted(row) for row in dist]
+    n = len(dist)
+    gens = []
+    for i in reversed(range(n)):
+        orbit = _orbit(i, gens)
+        for c in range(i + 1, n):
+            if c in orbit or profile[c] != profile[i]:
+                continue
+            if any(dist[c][z] != dist[i][z] for z in range(i)):
+                continue  # c cannot replace i while 0..i-1 stay fixed
+            sigma = _extend_isometry(dist, profile, list(range(i)) + [c])
+            if sigma is not None:
+                gens.append(sigma)
+                orbit = _orbit(i, gens)
+    return gens
+
+
+def _orbit(x, gens):
+    orbit = {x}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        for sigma in gens:
+            if sigma[y] not in orbit:
+                orbit.add(sigma[y])
+                frontier.append(sigma[y])
+    return orbit
+
+
+def _extend_isometry(dist, profile, image):
+    """Complete the partial map i -> image[i] to an isometry, or return None.
+
+    Vertices are assigned in index order; a vertex may only go to an unused
+    vertex with the same distance profile and the same distances to every
+    vertex assigned before it.  The given part must already preserve
+    distances.
+    """
+    x = len(image)
+    if x == len(dist):
+        return tuple(image)
+    for y in range(len(dist)):
+        if (
+            y not in image
+            and profile[y] == profile[x]
+            and all(dist[x][z] == dist[y][image[z]] for z in range(x))
+        ):
+            sigma = _extend_isometry(dist, profile, image + [y])
+            if sigma is not None:
+                return sigma
+    return None
+
+
+def pair_orbits(g):
+    """Map every ordered pair (a, b) to the representative of its orbit.
+
+    Orbits are taken under the isometries of g together with reversal
+    (a, b) -> (b, a).  Magnitude homology is functorial in graph maps, and
+    reversing tuples is a chain isomorphism (up to sign), so all pairs of an
+    orbit have isomorphic groups.  The representative is the orbit's first
+    pair in row-major vertex order, and the dict lists the pairs in that
+    order, so a representative always comes before the pairs it stands for.
+
+    Every generator is checked to be a distance-preserving bijection before
+    any orbit is formed; InternalCheckError is raised otherwise.
+    """
+    dist = _distance_matrix(g)
+    n = len(dist)
+    names = g.vertices
+    gens = automorphism_generators(g, dist)
+    for sigma in gens:
+        if sorted(sigma) != list(range(n)):
+            raise InternalCheckError(
+                f"automorphism generator {list(sigma)} is not a bijection of the "
+                f"{n} vertices"
+            )
+        for x in range(n):
+            for y in range(n):
+                if dist[sigma[x]][sigma[y]] != dist[x][y]:
+                    raise InternalCheckError(
+                        f"automorphism generator is not an isometry: it maps "
+                        f"({names[x]}, {names[y]}) at distance {dist[x][y]} to "
+                        f"({names[sigma[x]]}, {names[sigma[y]]}) at distance "
+                        f"{dist[sigma[x]][sigma[y]]}"
+                    )
+
+    # union-find on a * n + b, always rooting a class at its least member
+    parent = list(range(n * n))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    def union(p, q):
+        p, q = find(p), find(q)
+        if p != q:
+            parent[max(p, q)] = min(p, q)
+
+    for a in range(n):
+        for b in range(n):
+            union(a * n + b, b * n + a)
+            for sigma in gens:
+                union(a * n + b, sigma[a] * n + sigma[b])
+    orbits = {}
+    for a in range(n):
+        for b in range(n):
+            r = find(a * n + b)
+            orbits[names[a], names[b]] = (names[r // n], names[r % n])
+    return orbits
+
+
+# Symmetry types of sq2 in the order of the reference rank table, each
+# labelled by its representative pair under pair_orbits.
+_SQ2_TYPE_LABELS = ("(a,a)", "(a,b)", "(a,c)", "(a,d)", "(b,b)", "(b,c)", "(b,f)", "(b,e)")
 
 
 def sq2_pair_types():
     """Vertex-pair labeling of sq2 by symmetry type.
 
     Returns a dict mapping ``"u,v"`` keys to type labels, covering all 36
-    ordered pairs; suitable for json.dump as a ``--types`` labeling file.
+    ordered pairs and grouped by label in reference order; suitable for
+    json.dump as a ``--types`` labeling file.
     """
+    orbits = pair_orbits(generate("sq2"))
     out = {}
-    for label, pairs in _SQ2_TYPE_ORBITS:
-        for u, v in pairs:
-            out[f"{u},{v}"] = label
+    for label in _SQ2_TYPE_LABELS:
+        for (u, v), (r, s) in orbits.items():
+            if label == f"({r},{s})":
+                out[f"{u},{v}"] = label
     return out

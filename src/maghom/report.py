@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .geometric import magnitude_homology_geometric
+from .graphs import pair_orbits
 from .homology import direct_sum
 from .magnitude import ComponentKey, magnitude_homology_direct
 from .trees import tree_homology_by_pair
@@ -82,6 +83,12 @@ def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
     the direct route below that.  ``table.method`` records the route that
     ran.  ``kmax`` defaults to l; ``pair`` restricts the table to a single
     ordered pair.
+
+    The route runs once per orbit of ordered pairs under the graph's
+    isometries and reversal (``pair_orbits``); every other pair gets a copy
+    of its representative's groups.  ``cross_validate``, behind
+    ``maghom check``, still solves every component, because it verifies
+    the routes.
     """
     if kmax is None:
         kmax = l
@@ -100,13 +107,13 @@ def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
     table = MagnitudeTable(
         graph_spec=graph_spec or repr(g), l=l, kmax=kmax, method=method
     )
-    if pair is not None:
-        pairs = [pair]
-    else:
-        pairs = [(a, b) for a in g.vertices for b in g.vertices]
-    for a, b in pairs:
-        table.pair_keys.append((a, b))
-        table.pair_groups[(a, b)] = route(g, ComponentKey(a, b, l), kmax)
+    orbits = {pair: pair} if pair is not None else pair_orbits(g)
+    for key, rep in orbits.items():
+        table.pair_keys.append(key)
+        if key == rep:
+            table.pair_groups[key] = route(g, ComponentKey(*key, l), kmax)
+        else:
+            table.pair_groups[key] = list(table.pair_groups[rep])
     return table
 
 

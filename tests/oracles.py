@@ -266,3 +266,30 @@ def path_of_sequence(g, seq):
     for i in range(len(seq) - 1):
         walk.extend(tree_geodesic(g, seq[i], seq[i + 1])[1:])
     return tuple(walk)
+
+
+def brute_force_pair_orbits(g: Graph) -> set[frozenset]:
+    """Orbits of ordered pairs under every isometry of g and reversal.
+
+    Lists all n! vertex permutations and keeps the distance-preserving ones,
+    so it is meant for graphs of at most about 7 vertices.
+    """
+    verts = g.vertices
+    isometries = [
+        dict(zip(verts, image))
+        for image in itertools.permutations(verts)
+        if all(
+            g.distance(x, y) == g.distance(image[i], image[j])
+            for i, x in enumerate(verts)
+            for j, y in enumerate(verts)
+        )
+    ]
+    return {
+        frozenset(
+            pair
+            for s in isometries
+            for pair in ((s[a], s[b]), (s[b], s[a]))
+        )
+        for a in verts
+        for b in verts
+    }

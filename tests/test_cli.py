@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 import maghom.cli
+import maghom.graphs
 import maghom.report
 from maghom import ComponentKey, CrossValidationReport, HomologyGroup, generate, sq2_pair_types
 from maghom.geometric import Mismatch
@@ -153,6 +154,15 @@ def test_compute_internal_check_failure_exits_4(runner, monkeypatch):
     r = invoke(runner, "compute", "--graph", "path:4", "--l", "3", "--method", "tree")
     assert r.exit_code == 4
     assert "closed form" in r.output
+
+
+def test_compute_non_isometry_exits_4_naming_the_graph(runner, monkeypatch):
+    monkeypatch.setattr(
+        maghom.graphs, "automorphism_generators", lambda g, dist=None: [(1, 0, 2, 3, 4)]
+    )
+    r = invoke(runner, "compute", "--graph", "path:5", "--l", "3")
+    assert r.exit_code == 4
+    assert "error: path:5: automorphism generator is not an isometry" in r.output
 
 
 # --- check --------------------------------------------------------------------

@@ -14,8 +14,13 @@ from maghom import (
     random_connected_graph,
     sq2_pair_types,
 )
-from maghom.graphs import is_generator_spec, sequence_length
-from oracles import random_graph_from_seed, walk_counts_by_steps
+from maghom.graphs import (
+    automorphism_generators,
+    is_generator_spec,
+    pair_orbits,
+    sequence_length,
+)
+from oracles import brute_force_pair_orbits, random_graph_from_seed, walk_counts_by_steps
 
 
 def test_graph_basics():
@@ -42,6 +47,16 @@ def test_graph_validation_errors():
         Graph(["a", "b", "c"], [("a", "b")])
     with pytest.raises(GraphError, match="unknown vertex"):
         generate("path:3").distance("v0", "nope")
+
+
+def test_distance_names_the_unknown_vertex():
+    g = generate("path:3")
+    with pytest.raises(GraphError, match="unknown vertex: 'nope'"):
+        g.distance("nope", "v0")
+    with pytest.raises(GraphError, match="unknown vertex: 'nope'"):
+        g.distance("v0", "nope")
+    with pytest.raises(GraphError, match="unknown vertex: 'x'"):
+        g.distance("x", "y")
 
 
 def test_parse_edge_list():
@@ -206,13 +221,68 @@ def test_random_connected_graph_bounds():
 
 def test_sq2_pair_types(sq2):
     types = sq2_pair_types()
-    assert len(types) == 36
-    labels = set(types.values())
-    assert labels == {"(a,a)", "(a,b)", "(a,c)", "(a,d)", "(b,b)", "(b,c)", "(b,f)", "(b,e)"}
-    # Representative pairs land in their own classes.
-    assert types["a,a"] == "(a,a)"
-    assert types["a,d"] == "(a,d)"
-    assert types["b,e"] == "(b,e)"
-    assert types["d,a"] == "(a,d)"
+    assert types == {
+        "a,a": "(a,a)", "d,d": "(a,a)",
+        "a,b": "(a,b)", "b,a": "(a,b)", "a,f": "(a,b)", "f,a": "(a,b)",
+        "d,c": "(a,b)", "c,d": "(a,b)", "d,e": "(a,b)", "e,d": "(a,b)",
+        "a,c": "(a,c)", "c,a": "(a,c)", "a,e": "(a,c)", "e,a": "(a,c)",
+        "d,b": "(a,c)", "b,d": "(a,c)", "d,f": "(a,c)", "f,d": "(a,c)",
+        "a,d": "(a,d)", "d,a": "(a,d)",
+        "b,b": "(b,b)", "f,f": "(b,b)", "c,c": "(b,b)", "e,e": "(b,b)",
+        "b,c": "(b,c)", "c,b": "(b,c)", "f,e": "(b,c)", "e,f": "(b,c)",
+        "b,f": "(b,f)", "f,b": "(b,f)", "c,e": "(b,f)", "e,c": "(b,f)",
+        "b,e": "(b,e)", "e,b": "(b,e)", "c,f": "(b,e)", "f,c": "(b,e)",
+    }
+    # --types orders its columns by first appearance of each label
+    assert list(dict.fromkeys(types.values())) == [
+        "(a,a)", "(a,b)", "(a,c)", "(a,d)", "(b,b)", "(b,c)", "(b,f)", "(b,e)",
+    ]
     # Every ordered pair of vertices is covered.
     assert set(types) == {f"{u},{v}" for u in sq2.vertices for v in sq2.vertices}
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [(f"cycle:{n}", n // 2 + 1) for n in range(3, 10)]
+    + [(f"complete:{n}", 2) for n in range(2, 7)]
+    + [(f"star:{n}", 4) for n in (3, 4, 5, 8, 20)]
+    + [("sq2", 8), ("complete:1", 1), ("path:5", 9), ("path:6", 12)],
+)
+def test_pair_orbit_counts(spec, count):
+    # star:20 has 19! isometries, so the search must never list the group
+    assert len(set(pair_orbits(generate(spec)).values())) == count
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate(spec) for spec in ("sq2", "cycle:6", "complete:4", "star:5", "path:5",
+                                 "random-tree:7:1", "random-tree:7:2")]
+    + [random_graph_from_seed(seed) for seed in range(40)],
+    ids=lambda g: repr(g),
+)
+def test_pair_orbits_match_brute_force(g):
+    orbits = pair_orbits(g)
+    assert list(orbits) == [(a, b) for a in g.vertices for b in g.vertices]
+    classes = {}
+    for pair, rep in orbits.items():
+        classes.setdefault(rep, set()).add(pair)
+    assert {frozenset(c) for c in classes.values()} == brute_force_pair_orbits(g)
+    # the representative is its orbit's first pair in row-major order
+    keys = list(orbits)
+    for rep, members in classes.items():
+        assert rep in members
+        assert min(keys.index(p) for p in members) == keys.index(rep)
+
+
+def test_automorphism_generators_are_isometries():
+    for spec in ("sq2", "cycle:8", "complete:5", "star:20", "random-tree:14:1"):
+        g = generate(spec)
+        n = g.num_vertices
+        for sigma in automorphism_generators(g):
+            assert sorted(sigma) == list(range(n))
+            v = g.vertices
+            assert all(
+                g.distance(v[x], v[y]) == g.distance(v[sigma[x]], v[sigma[y]])
+                for x in range(n)
+                for y in range(n)
+            )

@@ -1,16 +1,25 @@
 import json
+import random
 
 import pytest
 
+import maghom.graphs
+import maghom.report
 from maghom import (
+    ComponentKey,
     HomologyGroup,
+    InternalCheckError,
     build_table,
     dump_json,
     generate,
+    magnitude_homology_direct,
+    magnitude_homology_geometric,
     parse_pair_labeling,
+    random_connected_graph,
     render_table,
     report_document,
     sq2_pair_types,
+    tree_homology_by_pair,
 )
 from maghom.report import table_to_dict
 
@@ -132,3 +141,66 @@ def test_build_table_auto_resolves_the_route(sq2):
     assert build_table(sq2, 3, method="direct").totals() == table.totals()
     with pytest.raises(ValueError, match="unknown method"):
         build_table(sq2, 3, method="nosuch")
+
+
+def _copy_test_graphs():
+    rng = random.Random(31337)
+    drawn = [random_connected_graph(rng) for _ in range(10)]
+    named = [generate(spec) for spec in ("sq2", "cycle:6", "complete:4", "star:5", "path:5",
+                                         "random-tree:7:1", "random-tree:8:2")]
+    return named + drawn
+
+
+ROUTES = {
+    "direct": magnitude_homology_direct,
+    "geometric": magnitude_homology_geometric,
+    "tree": tree_homology_by_pair,
+}
+
+
+@pytest.mark.parametrize("g", _copy_test_graphs(), ids=repr)
+def test_copied_groups_equal_direct_route_calls(g):
+    l = 5
+    for method, route in ROUTES.items():
+        if method == "tree" and not g.is_tree():
+            continue
+        table = build_table(g, l, method=method)
+        assert table.pair_keys == [(a, b) for a in g.vertices for b in g.vertices]
+        for a, b in table.pair_keys:
+            assert table.pair_groups[a, b] == route(g, ComponentKey(a, b, l), l), (method, a, b)
+
+
+def test_build_table_runs_the_route_once_per_orbit(sq2, monkeypatch):
+    calls = []
+    real = maghom.report.magnitude_homology_direct
+
+    def counting(g, key, kmax):
+        calls.append((key.a, key.b))
+        return real(g, key, kmax)
+
+    monkeypatch.setattr(maghom.report, "magnitude_homology_direct", counting)
+    table = build_table(sq2, 4, method="direct")
+    assert calls == [("a", "a"), ("a", "b"), ("a", "c"), ("a", "d"),
+                     ("b", "b"), ("b", "c"), ("b", "e"), ("b", "f")]
+    assert len(table.pair_keys) == 36
+    assert table.totals() == build_table(sq2, 4, method="direct").totals()
+    calls.clear()
+    build_table(sq2, 4, method="direct", pair=("f", "c"))
+    assert calls == [("f", "c")]
+
+
+def test_build_table_rejects_a_non_isometry(monkeypatch):
+    g = generate("path:5")
+    # swapping v0 and v1 moves v0's neighbour v1 to distance 2
+    monkeypatch.setattr(
+        maghom.graphs, "automorphism_generators", lambda g, dist=None: [(1, 0, 2, 3, 4)]
+    )
+    with pytest.raises(InternalCheckError, match="not an isometry"):
+        build_table(g, 3, method="direct")
+    monkeypatch.setattr(
+        maghom.graphs, "automorphism_generators", lambda g, dist=None: [(0, 0, 2, 3, 4)]
+    )
+    with pytest.raises(InternalCheckError, match="not a bijection"):
+        build_table(g, 3, method="direct")
+    # a single pair needs no orbits, so it does not search
+    assert len(build_table(g, 3, method="direct", pair=("v0", "v4")).pair_keys) == 1
