@@ -32,7 +32,7 @@ from .report import (
     render_table,
     report_document,
 )
-from .simplicial import complex_to_dict, complex_to_off
+from .simplicial import SimplicialComplex, complex_to_dict, complex_to_off
 from .trees import build_delta_pair, decompose_tree_component, tree_magnitude_closed_form
 
 EXIT_USAGE = 2
@@ -294,6 +294,10 @@ def export(graph_spec, l_value, pair, out):
             f"notice: d({a}, {b}) > {l_value}, the pair is empty", err=True
         )
 
+    # the only consumer of whole complexes: wrapping validates downward closure
+    total = SimplicialComplex(kpair.labels, kpair.total)
+    sub = SimplicialComplex(kpair.labels, kpair.sub)
+
     def annotate(simplex):
         return {"interior_length": interior_length(g, key, simplex)}
 
@@ -303,13 +307,13 @@ def export(graph_spec, l_value, pair, out):
         "a": a,
         "b": b,
         "l": l_value,
-        "total": complex_to_dict(kpair.total, annotate=annotate),
-        "sub": complex_to_dict(kpair.sub, annotate=annotate),
+        "total": complex_to_dict(total, annotate=annotate),
+        "sub": complex_to_dict(sub, annotate=annotate),
     }
     paths = [Path(f"{cfg.out}.pair.json")]
     paths[0].write_text(dump_json(doc), encoding="utf-8")
 
-    for name, complex_ in (("total", kpair.total), ("sub", kpair.sub)):
+    for name, complex_ in (("total", total), ("sub", sub)):
         path = Path(f"{cfg.out}.{name}.off")
         if complex_.dim > 3:
             click.echo(
@@ -320,7 +324,7 @@ def export(graph_spec, l_value, pair, out):
         path.write_text(complex_to_off(complex_), encoding="utf-8")
         paths.append(path)
 
-    if g.is_tree() and l_value >= 3:
+    if g.is_tree():
         records = []
         for component in decompose_tree_component(g, key):
             total, sub = build_delta_pair(component, l_value)

@@ -6,6 +6,10 @@ positioned interior vertices realized by some walk from a to b with at most
 l steps.  The subcomplex K'_l(a, b) keeps the simplices whose endpoint-closed
 tuple (a, x_{i_1}, ..., x_{i_k}, b) has total length at most l - 1.
 
+Only the relative cells K \\ K' carry chains.  They are enumerated top-down
+from the walks of exactly l steps, so K' is never built as a complex and
+no simplicial complex object is constructed on this route.
+
 Reading a relative simplex's positioned vertices in position order and
 closing with the endpoints is a degree-preserving bijection onto the
 magnitude basis two degrees up, under which the relative simplicial boundary
@@ -23,21 +27,33 @@ from itertools import combinations
 from .graphs import InternalCheckError, enumerate_walks, sequence_length
 from .homology import ZERO_GROUP, HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
-from .simplicial import SimplicialComplex, relative_chain_complex
+from .simplicial import relative_chain_complex
 
 
 @dataclass(frozen=True)
 class KPair:
-    """The pair (K_l(a,b), K'_l(a,b)) for one component key."""
+    """The pair (K_l(a,b), K'_l(a,b)) of one component key, as simplex sets.
+
+    ``total`` is K and ``cells`` is K \\ K', the simplices that carry
+    relative chains.  Both hold positioned simplices: tuples of (position,
+    vertex) labels in position order.  ``labels`` is the label universe in
+    canonical order.
+    """
 
     key: ComponentKey
-    total: SimplicialComplex
-    sub: SimplicialComplex
+    labels: tuple
+    total: frozenset
+    cells: frozenset
+
+    @property
+    def sub(self):
+        """K' as the simplices of K that are not relative cells."""
+        return self.total - self.cells
 
 
 def interior_tuple(key, simplex):
     """The endpoint-closed vertex tuple of a positioned simplex."""
-    return (key.a,) + tuple(v for _, v in simplex) + (key.b,)
+    return (key.a, *[v for _, v in simplex], key.b)
 
 
 def interior_length(g, key, simplex):
@@ -46,31 +62,45 @@ def interior_length(g, key, simplex):
 
 
 def build_k_pair(g, key):
-    """Construct (K_l(a,b), K'_l(a,b)).
+    """Construct K_l(a,b) and its relative cells K_l(a,b) \\ K'_l(a,b).
 
     Requires l >= 3.  Every walk with at most l steps contributes the
     downward closure of its full positioned interior; the union over walks
-    is K.  A pair at distance greater than l yields the empty pair.  Labels
-    are (position, vertex), ordered by position first and vertex order
-    second, so that simplex orientation agrees with position order.
+    is K.  The relative cells are enumerated top-down from the interiors of
+    the walks of exactly l steps: drop one position at a time and keep a
+    face while its interior length is still l.  A simplex of K outside K'
+    has interior length l, so every walk whose interior holds it has
+    exactly l steps; dropping a vertex never lengthens the closed tuple, so
+    every simplex between the two has length l as well.  The descent thus
+    reaches every simplex of K outside K' and nothing else.  A pair at
+    distance greater than l yields the empty pair.  Labels are
+    (position, vertex), ordered by position first and vertex order second,
+    so that simplex orientation agrees with position order.
     """
     a, b, l = key
     if l < 3:
         raise ValueError(f"the geometric construction needs l >= 3, got {l}")
     g.index(a), g.index(b)
 
-    universe = [(pos, v) for pos in range(1, l) for v in g.vertices]
-    simplices = set()
+    labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
+    total = set()
+    layer = set()
     for walk in enumerate_walks(g, a, b, l):
-        steps = len(walk) - 1
-        candidate = tuple((i, walk[i]) for i in range(1, steps))
-        for size in range(1, len(candidate) + 1):
-            simplices.update(combinations(candidate, size))
-    total = SimplicialComplex(universe, simplices)
+        interior = tuple(enumerate(walk[1:-1], 1))
+        for size in range(1, len(interior) + 1):
+            total.update(combinations(interior, size))
+        if len(walk) - 1 == l:
+            layer.add(interior)
 
-    sub_simplices = [s for s in simplices if interior_length(g, key, s) <= l - 1]
-    sub = SimplicialComplex(universe, sub_simplices)
-    return KPair(key=key, total=total, sub=sub)
+    # one layer per simplex size, largest first
+    cells = set()
+    while layer:
+        layer = {face for face in layer if interior_length(g, key, face) == l}
+        cells.update(layer)
+        layer = {
+            cell[:i] + cell[i + 1:] for cell in layer if len(cell) > 1 for i in range(len(cell))
+        }
+    return KPair(key=key, labels=labels, total=frozenset(total), cells=frozenset(cells))
 
 
 def chain_map_t(g, key, rel, mag):
@@ -181,7 +211,7 @@ def magnitude_homology_geometric(g, key, kmax=None):
     if g.distance(a, b) > l:
         return out + [ZERO_GROUP] * (kmax - 1)
     kpair = build_k_pair(g, key)
-    rel = relative_chain_complex(kpair.total, kpair.sub)
+    rel = relative_chain_complex(kpair.labels, kpair.cells)
     return out + pair_groups(g, kpair, rel, kmax)
 
 
@@ -244,7 +274,7 @@ def cross_validate(g, l):
             reachable = g.distance(a, b) <= l
             if reachable:
                 kpair = build_k_pair(g, key)
-                rel = relative_chain_complex(kpair.total, kpair.sub)
+                rel = relative_chain_complex(kpair.labels, kpair.cells)
                 geometric = pair_groups(g, kpair, rel, l)
             else:
                 geometric = [ZERO_GROUP] * (l - 1)

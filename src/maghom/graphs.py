@@ -134,7 +134,7 @@ def sequence_length(g, points):
     Defined for arbitrary vertex tuples; repeated consecutive entries
     contribute zero.
     """
-    return sum(g.distance(points[i], points[i + 1]) for i in range(len(points) - 1))
+    return sum(map(g.distance, points[:-1], points[1:]))
 
 
 # -- parsing ---------------------------------------------------------------

@@ -178,29 +178,37 @@ def _boundary_matrix(basis_prev, basis_cur):
     return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
 
 
-def relative_chain_complex(total, sub):
-    """The chain complex of the pair (total, sub): the quotient by ``sub``.
+def relative_chain_complex(labels, cells):
+    """The relative chain complex spanned by the cells of a pair (K, K').
 
-    ``sub`` must be a subcomplex of ``total`` on the same label universe.
-    Degree-n basis: the n-simplices of ``total`` not in ``sub``, in canonical
-    order.  The boundary of a simplex is the alternating sum of its facets,
-    with sign (-1)^i for dropping the i-th smallest label; facets that land
-    in ``sub`` are dropped.
+    ``labels`` is the label universe in canonical order and ``cells`` the
+    simplices of K not in K'.  Degree-n basis: the cells with n + 1 labels,
+    each sorted by the universe order, in canonical order.  The boundary of
+    a cell is the alternating sum of its facets, with sign (-1)^i for
+    dropping the i-th smallest label; facets that are not cells lie in K'
+    and are dropped.  Raises ValueError on a repeated universe label, and
+    on a cell with an unknown label, a repeated label or no label at all.
     """
-    if sub.labels != total.labels:
-        raise ValueError("subcomplex is on a different label universe than the total complex")
-    missing = next((s for s in sub if s not in total._simplices), None)
-    if missing is not None:
-        raise ValueError(f"subcomplex simplex missing from total complex: {missing!r}")
-    dropped = sub._simplices
-    bases = [
-        [s for s in total.simplices_of_dim(n) if s not in dropped]
-        for n in range(total.dim + 1)
-    ]
-    while bases and not bases[-1]:
-        bases.pop()
-    if not bases:
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("duplicate label in universe")
+    by_dim = {}
+    for cell in cells:
+        try:
+            order = tuple(sorted(map(index.__getitem__, cell)))
+        except KeyError as exc:
+            raise ValueError(f"unknown label in simplex: {exc.args[0]!r}") from None
+        if not order:
+            raise ValueError("the empty simplex is not allowed")
+        if len(set(order)) != len(order):
+            raise ValueError(f"repeated label in simplex: {tuple(cell)!r}")
+        by_dim.setdefault(len(order) - 1, set()).add(order)
+    if not by_dim:
         return IntegerChainComplex([[]], [IntegerMatrix(0, 0)])
+    bases = [
+        [tuple(labels[i] for i in order) for order in sorted(by_dim.get(n, ()))]
+        for n in range(max(by_dim) + 1)
+    ]
     boundaries = [IntegerMatrix(0, len(bases[0]))]
     for n in range(1, len(bases)):
         boundaries.append(_boundary_matrix(bases[n - 1], bases[n]))

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: brute-force enumeration, textbook
 elimination over Q and over GF(2).  None of it shares code with the package
-internals it is used to check.  The one exception, ``chain_complex``, is a
-fixture builder and not an oracle: it is ``relative_chain_complex`` with an
-empty subcomplex.
+internals it is used to check.  The exceptions, ``chain_complex`` and
+``pair_chain_complex``, are fixture builders and not oracles: they hand the
+simplices of a complex, or of a pair of complexes, to
+``relative_chain_complex``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from maghom import Graph, random_connected_graph
 from maghom.homology import IntegerMatrix
-from maghom.simplicial import SimplicialComplex, relative_chain_complex
+from maghom.simplicial import relative_chain_complex
 
 
 def matrix_from_lists(data, cols=None) -> IntegerMatrix:
@@ -31,7 +32,47 @@ def matrix_from_lists(data, cols=None) -> IntegerMatrix:
 
 def chain_complex(complex_):
     """The simplicial chain complex of a complex: the pair with nothing removed."""
-    return relative_chain_complex(complex_, SimplicialComplex(complex_.labels, []))
+    return relative_chain_complex(complex_.labels, complex_)
+
+
+def pair_chain_complex(total, sub):
+    """The chain complex of a pair of complexes: the quotient by ``sub``.
+
+    ``sub`` must be a subcomplex of ``total`` on the same label universe, in
+    the same order; otherwise ValueError.
+    """
+    if sub.labels != total.labels:
+        raise ValueError("subcomplex is on a different label universe than the total complex")
+    missing = next((s for s in sub if s not in total), None)
+    if missing is not None:
+        raise ValueError(f"subcomplex simplex missing from total complex: {missing!r}")
+    return relative_chain_complex(total.labels, [s for s in total if s not in sub])
+
+
+def k_pair_by_definition(g: Graph, key) -> tuple[set, set]:
+    """(K, K') of a component straight from the definitions.
+
+    K is the downward closure of the positioned interiors of all walks from
+    a to b with at most l steps, listed by unpruned extension along edges;
+    K' keeps the simplices of K whose endpoint-closed tuple has length at
+    most l - 1.
+    """
+    a, b, l = key
+    walks, frontier = [], [(a,)]
+    for _ in range(l + 1):
+        walks.extend(w for w in frontier if w[-1] == b)
+        frontier = [w + (y,) for w in frontier for y in g.neighbors(w[-1])]
+    total = set()
+    for walk in walks:
+        interior = [(i, walk[i]) for i in range(1, len(walk) - 1)]
+        for size in range(1, len(interior) + 1):
+            total.update(itertools.combinations(interior, size))
+    sub = set()
+    for simplex in total:
+        closed = [a] + [v for _, v in simplex] + [b]
+        if sum(g.distance(u, v) for u, v in zip(closed, closed[1:])) <= l - 1:
+            sub.add(simplex)
+    return total, sub
 
 
 def dense_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

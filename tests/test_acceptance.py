@@ -114,7 +114,7 @@ def test_criterion_3_component_spot_checks():
             assert ad[3] == HomologyGroup(2)
             assert ad[0] == ad[1] == ad[2] == ad[4] == ZERO_GROUP
         kp = build_k_pair(g, ComponentKey("a", "a", 4))
-        maximal = kp.total.maximal_simplices()
+        maximal = SimplicialComplex(kp.labels, kp.total).maximal_simplices()
         assert len(maximal) == 8
         assert all(len(s) == 3 for s in maximal)
         ad_walks = [w for w in enumerate_walks(g, "a", "d", 4) if len(w) == 5]
@@ -252,7 +252,8 @@ def test_criterion_7_structural_invariants():
                 kp = build_k_pair(g, key)
                 _assert_downward_closed(kp.total)
                 _assert_downward_closed(kp.sub)
-                rel = relative_chain_complex(kp.total, kp.sub)
+                assert kp.cells <= kp.total
+                rel = relative_chain_complex(kp.labels, kp.cells)
                 _assert_position_rigidity(g, key, rel)
                 assert_boundary_squares_to_zero(rel)
                 complexes += 3

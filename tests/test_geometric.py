@@ -11,16 +11,18 @@ from maghom import (
     InternalCheckError,
     KPair,
     build_k_pair,
+    build_table,
     cross_validate,
     generate,
     magnitude_homology_direct,
     magnitude_homology_geometric,
+    random_connected_graph,
 )
 from maghom.geometric import chain_map_t, interior_length, pair_groups, verify_chain_map
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
 from maghom.simplicial import SimplicialComplex, relative_chain_complex
-from oracles import chain_complex, random_graph_from_seed
+from oracles import chain_complex, k_pair_by_definition, random_graph_from_seed
 
 
 # --- the complex pair ------------------------------------------------------------
@@ -33,14 +35,15 @@ def test_k_pair_requires_length_three(sq2):
 
 def test_k_pair_sq2_diagonal(sq2):
     kp = build_k_pair(sq2, ComponentKey("a", "a", 4))
-    maximal = kp.total.maximal_simplices()
+    total = SimplicialComplex(kp.labels, kp.total)
+    maximal = total.maximal_simplices()
     # One maximal simplex per 4-step round trip; each has the 3 interior
     # positions, hence dimension 2.
     assert len(maximal) == 8
     assert all(len(s) == 3 for s in maximal)
     assert all(s in kp.total for s in kp.sub)
     # Labels are (position, vertex) with interior positions only.
-    for pos, v in kp.total.labels:
+    for pos, v in total.labels:
         assert 1 <= pos <= 3
         assert v in sq2.vertices
 
@@ -50,7 +53,8 @@ def test_k_pair_endpoint_distance_equal_length():
     g = generate("path:5")
     kp = build_k_pair(g, ComponentKey("v0", "v4", 4))
     assert len(kp.sub) == 0
-    assert kp.total.maximal_simplices() == [((1, "v1"), (2, "v2"), (3, "v3"))]
+    total = SimplicialComplex(kp.labels, kp.total)
+    assert total.maximal_simplices() == [((1, "v1"), (2, "v2"), (3, "v3"))]
 
 
 def test_k_pair_unreachable_is_empty():
@@ -81,12 +85,64 @@ def test_shorter_length_complex_embeds(sq2):
             assert s in big.sub or s in big.total
 
 
+def _definition_battery():
+    """Graphs and lengths on which the K pair is compared with its definition."""
+    rng = random.Random(31337)
+    for _ in range(20):
+        # the draws of `maghom check --seed 31337` at the default sizes
+        g = random_connected_graph(rng, n_min=2, n_max=6)
+        yield g, rng.randint(3, 5)
+    sq2 = generate("sq2")
+    yield from ((sq2, l) for l in (4, 5, 6))
+    yield generate("cycle:7"), 7
+    yield generate("complete:5"), 5
+    yield generate("cycle:6"), 3
+    yield from ((generate("path:6"), l) for l in (3, 4))
+
+
+def test_k_pair_matches_definition():
+    # K, K' and the relative basis against a construction straight from the
+    # definitions (all walks of at most l steps, closed lengths <= l - 1)
+    components = 0
+    for g, l in _definition_battery():
+        for a in g.vertices:
+            for b in g.vertices:
+                key = ComponentKey(a, b, l)
+                total, sub = k_pair_by_definition(g, key)
+                kp = build_k_pair(g, key)
+                assert kp.total == total, key
+                assert kp.sub == sub, key
+                rel = relative_chain_complex(kp.labels, kp.cells)
+                index = {lab: i for i, lab in enumerate(kp.labels)}
+                for n in range(l - 1):
+                    expected = sorted(
+                        (s for s in total - sub if len(s) == n + 1),
+                        key=lambda s: [index[lab] for lab in s],
+                    )
+                    assert rel.basis(n) == expected, (key, n)
+                components += 1
+    assert components == 674
+
+
+def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
+    # the route and cross-validation work on simplex sets; only export wraps
+    # them in validated complexes
+    def refuse(self, labels, simplices):
+        raise AssertionError("SimplicialComplex built on the geometric route")
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    table = build_table(generate("cycle:7"), 5, method="geometric")
+    # the direct route's totals, torsion-free
+    assert table.totals() == [HomologyGroup(b) for b in (0, 0, 0, 42, 0, 14)]
+    assert cross_validate(generate("cycle:5"), 4).ok
+
+
 # --- the chain-level correspondence ------------------------------------------------
 
 
 def _relative_complex(g, key):
     kp = build_k_pair(g, key)
-    return relative_chain_complex(kp.total, kp.sub)
+    return relative_chain_complex(kp.labels, kp.cells)
 
 
 def test_chain_map_on_sq2_components(sq2):
@@ -165,7 +221,8 @@ def test_degree_two_branch_distance_equals_length():
     key = ComponentKey("v0", "v3", 3)
     kp = build_k_pair(g, key)
     assert len(kp.sub) == 0
-    assert homology_all(chain_complex(kp.total), up_to=0)[0] == HomologyGroup(2)
+    total = SimplicialComplex(kp.labels, kp.total)
+    assert homology_all(chain_complex(total), up_to=0)[0] == HomologyGroup(2)
     groups = magnitude_homology_geometric(g, key)
     assert groups[2] == HomologyGroup(1)
     assert groups == magnitude_homology_direct(g, key)
@@ -176,8 +233,10 @@ def test_degree_two_branch_rejects_nonempty_sub(monkeypatch):
     g = generate("cycle:6")
     key = ComponentKey("v0", "v3", 3)
     kp = build_k_pair(g, key)
-    vertex = kp.total.simplices_of_dim(0)[0]
-    bad = KPair(key=key, total=kp.total, sub=SimplicialComplex(kp.total.labels, [vertex]))
+    vertex = min(s for s in kp.total if len(s) == 1)
+    # K keeps the vertex, the cells lose it, so K' = K minus the cells holds it
+    bad = KPair(key=key, labels=kp.labels, total=kp.total, cells=kp.cells - {vertex})
+    assert bad.sub == {vertex}
     monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
     with pytest.raises(InternalCheckError, match="not empty"):
         magnitude_homology_geometric(g, key)

@@ -17,6 +17,7 @@ from oracles import (
     chain_complex,
     euler_characteristic,
     matrix_from_lists,
+    pair_chain_complex,
 )
 
 
@@ -108,18 +109,40 @@ def test_relative_pair_validation():
     # Sub lives on a different label universe, so it is not a subcomplex.
     other = SimplicialComplex.from_maximal("abcd", ["cd"])
     with pytest.raises(ValueError, match="subcomplex"):
-        relative_chain_complex(full_triangle(), other)
+        pair_chain_complex(full_triangle(), other)
     # The same labels in another order are another universe too.
     reordered = SimplicialComplex.from_maximal("cba", ["bc"])
     with pytest.raises(ValueError, match="subcomplex"):
-        relative_chain_complex(full_triangle(), reordered)
+        pair_chain_complex(full_triangle(), reordered)
     # A simplex of sub that the total complex lacks is named.
     with pytest.raises(ValueError, match=r"subcomplex.*\('a', 'b', 'c'\)"):
-        relative_chain_complex(triangle_boundary(), full_triangle())
+        pair_chain_complex(triangle_boundary(), full_triangle())
+
+
+def test_relative_cell_validation():
+    with pytest.raises(ValueError, match="unknown label"):
+        relative_chain_complex("abc", [("a", "d")])
+    with pytest.raises(ValueError, match="repeated label"):
+        relative_chain_complex("abc", [("b", "b")])
+    with pytest.raises(ValueError, match="empty simplex"):
+        relative_chain_complex("abc", [("a",), ()])
+    with pytest.raises(ValueError, match="duplicate label"):
+        relative_chain_complex("aba", [("a",)])
+
+
+def test_relative_cells_follow_universe_order():
+    # cells may come in any label order and any sequence; the basis is
+    # sorted by the universe, and facets that are not cells are dropped
+    c = relative_chain_complex("cba", {("a", "b"), ("c", "a"), ("a", "b", "c"), ("b",)})
+    assert [c.basis(n) for n in range(3)] == [
+        [("b",)], [("c", "a"), ("b", "a")], [("c", "b", "a")],
+    ]
+    assert list(c.boundary(1).columns) == [{}, {0: -1}]
+    assert list(c.boundary(2).columns) == [{0: -1, 1: 1}]
 
 
 def test_relative_disk_mod_boundary_is_sphere():
-    c = relative_chain_complex(full_triangle(), triangle_boundary())
+    c = pair_chain_complex(full_triangle(), triangle_boundary())
     assert c.basis(2) == [("a", "b", "c")]
     assert c.basis(1) == []
     assert_boundary_squares_to_zero(c)
@@ -130,7 +153,7 @@ def test_relative_disk_mod_boundary_is_sphere():
 def test_relative_with_empty_sub_matches_absolute():
     s = triangle_boundary()
     empty = SimplicialComplex("abc", [])
-    rel = relative_chain_complex(s, empty)
+    rel = pair_chain_complex(s, empty)
     absolute = chain_complex(s)
     assert [rel.dim(n) for n in range(3)] == [absolute.dim(n) for n in range(3)]
     assert homology_all(rel, up_to=1)[1] == homology_all(absolute, up_to=1)[1]
@@ -138,7 +161,7 @@ def test_relative_with_empty_sub_matches_absolute():
 
 def test_relative_everything_collapsed():
     s = full_triangle()
-    rel = relative_chain_complex(s, s)
+    rel = pair_chain_complex(s, s)
     assert rel.dim(0) == 0 and rel.top_degree == 0
 
 

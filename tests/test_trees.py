@@ -17,14 +17,13 @@ from maghom import (
 from maghom.graphs import sequence_length
 from maghom.homology import ZERO_GROUP, direct_sum, homology_all
 from maghom.magnitude import enumerate_basis
-from maghom.simplicial import relative_chain_complex
 from maghom.trees import (
     build_delta_pair,
     classify_delta,
     decompose_tree_component,
     turning_points,
 )
-from oracles import path_of_sequence, tree_geodesic
+from oracles import pair_chain_complex, path_of_sequence, tree_geodesic
 
 
 def random_tree(seed, n=None):
@@ -100,7 +99,7 @@ def test_delta_pair_shapes():
     total, sub = build_delta_pair(comp, 3)
     # Positions 1..2; sub keeps faces missing at least one turning point.
     assert total.labels == (1, 2)
-    rel = relative_chain_complex(total, sub)
+    rel = pair_chain_complex(total, sub)
     assert rel.basis(1) == [(1, 2)]
     assert rel.basis(0) == []
 
@@ -114,7 +113,7 @@ def test_classification_matches_relative_homology(l):
         for phi in itertools.combinations(positions, m):
             comp = _FakeComponent(phi)
             kind = classify_delta(comp, l)
-            c = relative_chain_complex(*build_delta_pair(comp, l))
+            c = pair_chain_complex(*build_delta_pair(comp, l))
             groups = homology_all(c, l - 2) if c.dim(0) or c.top_degree else []
             if kind == "empty":
                 assert m == 0
