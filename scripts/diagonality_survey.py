@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Survey which small graphs have diagonal magnitude homology.
 
-A graph is diagonal when MH_{k,l} vanishes for every k != l.  Trees and
-complete graphs come out diagonal; cycles do not.  The script computes
+A graph is diagonal when MH_{k,l} vanishes for every k != l.  Trees,
+complete graphs and the 4-cycle come out diagonal; the longer cycles and
+sq2 do not.  The script computes
 totals for each family member over a length range and prints one row per
 (graph, l) with the off-diagonal degrees that carry homology.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -40,62 +39,44 @@ EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run options shared by the commands.
-
-    Construction enforces the numeric invariants and that --out names a
-    path in an existing directory, not a directory itself (an existing one
-    or one with a trailing separator), so nothing is written before a usage
-    error;
-    graph-dependent checks (pair membership, tree input for the tree
-    method) happen after the graph is loaded.
-    """
-
-    l_values: tuple = ()
-    kmax: int | None = None
-    method: str = "auto"
-    pair: tuple | None = None
-    out: str | None = None
-    fmt: str = "table"
-    trials: int | None = None
-    n_max: int | None = None
-    l_max: int | None = None
-
-    def __post_init__(self):
-        for l in self.l_values:
-            if l < 0:
-                raise GraphError("--l must be nonnegative")
-            if self.method in ("geometric", "tree") and l < 3:
-                raise GraphError(f"method {self.method} needs l >= 3, got l={l}")
-        if self.kmax is not None and self.kmax < 0:
-            raise GraphError("--kmax must be nonnegative")
-        if self.trials is not None and self.trials < 0:
-            raise GraphError("--trials must be nonnegative")
-        if self.n_max is not None and self.n_max < 2:
-            raise GraphError(f"--n-max must be at least 2, got {self.n_max}")
-        if self.l_max is not None and self.l_max < 3:
-            raise GraphError(f"--l-max must be at least 3, got {self.l_max}")
-        if self.out is not None:
-            if self.out.endswith((os.sep, "/")) or Path(self.out).is_dir():
-                raise GraphError(f"--out names a directory: {self.out!r}")
-            parent = Path(self.out).parent
-            if not parent.is_dir():
-                raise GraphError(f"--out directory does not exist: {str(parent)!r}")
-
-
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
+def _read_file(spec, missing):
+    """The text of the regular file at ``spec``; GraphError(missing) if none."""
+    try:
+        if Path(spec).is_file():
+            return Path(spec).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise GraphError(f"cannot read {spec!r}: {exc.strerror}") from None
+    raise GraphError(missing)
+
+
 def _load_graph(spec):
     if is_generator_spec(spec):
         return generate(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise GraphError(f"not a builtin generator and not a file: {spec!r}")
-    return parse_graph(path.read_text(encoding="utf-8"))
+    return parse_graph(_read_file(spec, f"not a builtin generator and not a file: {spec!r}"))
+
+
+def _check_lengths(l_values, method):
+    for l in l_values:
+        if l < 0:
+            raise GraphError("--l must be nonnegative")
+        if method in ("geometric", "tree") and l < 3:
+            raise GraphError(f"method {method} needs l >= 3, got l={l}")
+
+
+def _check_out(out):
+    # --out must name a path in an existing directory and not a directory
+    # itself (an existing one or one with a trailing separator), so that
+    # nothing is written before a usage error
+    if out.endswith((os.sep, "/")) or Path(out).is_dir():
+        raise GraphError(f"--out names a directory: {out!r}")
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise GraphError(f"--out directory does not exist: {str(parent)!r}")
 
 
 def _parse_l_range(text):
@@ -152,45 +133,38 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
     """Compute magnitude homology groups of a graph."""
     try:
         g = _load_graph(graph_spec)
-        cfg = RunConfig(
-            l_values=_parse_l_range(l_spec),
-            kmax=kmax,
-            method=method,
-            pair=_parse_pair(pair, g) if pair else None,
-            out=out,
-            fmt=fmt,
-        )
+        l_values = _parse_l_range(l_spec)
+        pair = _parse_pair(pair, g) if pair else None
+        _check_lengths(l_values, method)
+        if kmax is not None and kmax < 0:
+            raise GraphError("--kmax must be nonnegative")
+        if out is not None:
+            _check_out(out)
         labeling = None
         if types_path:
-            path = Path(types_path)
-            if not path.exists():
-                raise GraphError(f"labeling file not found: {types_path!r}")
-            labeling = parse_pair_labeling(path.read_text(encoding="utf-8"), g)
-        if cfg.method == "tree" and not g.is_tree():
+            text = _read_file(types_path, f"labeling file not found: {types_path!r}")
+            labeling = parse_pair_labeling(text, g)
+        if method == "tree" and not g.is_tree():
             raise GraphError("method tree needs a tree input")
     except (GraphError, ValueError) as exc:
         _fail(EXIT_USAGE, exc)
 
     tables = []
     try:
-        for l in cfg.l_values:
-            table = build_table(
-                g, l, cfg.kmax, cfg.method, pair=cfg.pair, graph_spec=graph_spec
-            )
+        for l in l_values:
+            table = build_table(g, l, kmax, method, pair=pair, graph_spec=graph_spec)
             if labeling is not None:
                 table.apply_types(labeling)
-            if table.method == "tree" and cfg.pair is None:
+            if table.method == "tree" and pair is None:
                 _check_tree_totals(g, table)
             tables.append(table)
     except InternalCheckError as exc:
         _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
 
-    if cfg.fmt == "structured":
-        doc = report_document(tables, graph_spec, g, cfg.method)
-        _write_output(dump_json(doc), cfg.out)
+    if fmt == "structured":
+        _write_output(dump_json(report_document(tables, graph_spec, g, method)), out)
     else:
-        text = "\n".join(render_table(t, graph_label=graph_spec) for t in tables)
-        _write_output(text, cfg.out)
+        _write_output("\n".join(map(render_table, tables)), out)
 
 
 def _check_tree_totals(g, table):
@@ -228,16 +202,15 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
                 if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
                     flag = "--" + name.replace("_", "-")
                     raise GraphError(f"{flag} applies to random trials, not to --graph")
-        cfg = RunConfig(
-            l_values=_parse_l_range(l_spec) if l_spec is not None else (),
-            method="geometric" if graph_spec else "auto",
-            trials=trials,
-            n_max=n_max,
-            l_max=l_max,
-        )
-        if graph_spec is not None:
+            l_values = _parse_l_range(l_spec) if l_spec is not None else (3,)
+            _check_lengths(l_values, "geometric")
             g = _load_graph(graph_spec)
-            l_values = cfg.l_values or (3,)
+        elif trials < 0:
+            raise GraphError("--trials must be nonnegative")
+        elif n_max < 2:
+            raise GraphError(f"--n-max must be at least 2, got {n_max}")
+        elif l_max < 3:
+            raise GraphError(f"--l-max must be at least 3, got {l_max}")
         elif trials == 0:
             click.echo("warning: 0 trials requested, vacuous pass", err=True)
             sys.exit(0)
@@ -283,7 +256,7 @@ def export(graph_spec, l_value, pair, out):
         a, b = _parse_pair(pair, g)
         if l_value < 3:
             raise GraphError(f"export needs l >= 3, got l={l_value}")
-        cfg = RunConfig(l_values=(l_value,), out=out)
+        _check_out(out)
     except (GraphError, ValueError) as exc:
         _fail(EXIT_USAGE, exc)
 
@@ -310,11 +283,11 @@ def export(graph_spec, l_value, pair, out):
         "total": complex_to_dict(total, annotate=annotate),
         "sub": complex_to_dict(sub, annotate=annotate),
     }
-    paths = [Path(f"{cfg.out}.pair.json")]
+    paths = [Path(f"{out}.pair.json")]
     paths[0].write_text(dump_json(doc), encoding="utf-8")
 
     for name, complex_ in (("total", total), ("sub", sub)):
-        path = Path(f"{cfg.out}.{name}.off")
+        path = Path(f"{out}.{name}.off")
         if complex_.dim > 3:
             click.echo(
                 f"notice: {name} complex has dimension {complex_.dim} > 3, "
@@ -336,7 +309,7 @@ def export(graph_spec, l_value, pair, out):
                     "sub": complex_to_dict(sub, include_all=False),
                 }
             )
-        path = Path(f"{cfg.out}.deltas.json")
+        path = Path(f"{out}.deltas.json")
         path.write_text(
             dump_json({"format_version": 1, "components": records}), encoding="utf-8"
         )

@@ -461,31 +461,18 @@ def pair_orbits(g):
                         f"{dist[sigma[x]][sigma[y]]}"
                     )
 
-    # union-find on a * n + b, always rooting a class at its least member
-    parent = list(range(n * n))
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    def union(p, q):
-        p, q = find(p), find(q)
-        if p != q:
-            parent[max(p, q)] = min(p, q)
-
-    for a in range(n):
-        for b in range(n):
-            union(a * n + b, b * n + a)
-            for sigma in gens:
-                union(a * n + b, sigma[a] * n + sigma[b])
-    orbits = {}
-    for a in range(n):
-        for b in range(n):
-            r = find(a * n + b)
-            orbits[names[a], names[b]] = (names[r // n], names[r % n])
-    return orbits
+    # reversal and each generator as permutations of the pair indices a * n + b
+    moves = [[b * n + a for a in range(n) for b in range(n)]]
+    moves += [[sigma[a] * n + sigma[b] for a in range(n) for b in range(n)] for sigma in gens]
+    rep = [None] * (n * n)
+    for p in range(n * n):
+        if rep[p] is None:
+            for q in _orbit(p, moves):
+                rep[q] = p
+    return {
+        (names[p // n], names[p % n]): (names[r // n], names[r % n])
+        for p, r in enumerate(rep)
+    }
 
 
 # Symmetry types of sq2 in the order of the reference rank table, each

@@ -130,14 +130,14 @@ def _render_grid(header, rows):
     return "\n".join(lines)
 
 
-def render_table(table, graph_label=None):
+def render_table(table):
     """Human-readable table: one row per degree k.
 
     Columns are the type labels when a type grouping was applied, the single
     pair when the table was restricted, and just the totals otherwise.
     """
     title = (
-        f"magnitude homology  graph={graph_label or table.graph_spec}  "
+        f"magnitude homology  graph={table.graph_spec}  "
         f"l={table.l}  kmax={table.kmax}  method={table.method}"
     )
     if table.type_labels is not None:

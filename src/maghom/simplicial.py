@@ -1,9 +1,11 @@
 """Simplicial complexes on ordered label universes and their chain complexes.
 
 A simplex is stored as a tuple of labels sorted by the universe order, and
-that order also fixes the orientation signs of the boundary operator.  The
-complexes here are abstract: labels can be graph vertices, integers, or
-(position, vertex) pairs.
+that order also fixes the orientation signs of the boundary operator.  One
+normal form, ``_normal_form``, validates and sorts the simplices for both
+``SimplicialComplex`` and ``relative_chain_complex``.  The complexes here
+are abstract: labels can be graph vertices, integers, or (position, vertex)
+pairs.
 """
 
 from __future__ import annotations
@@ -13,107 +15,101 @@ from itertools import combinations
 from .homology import IntegerMatrix
 
 
+def _normal_form(labels, simplices):
+    """The simplices by dimension: entry n lists those with n + 1 labels.
+
+    ``labels`` is the label universe in canonical order.  Each simplex is
+    sorted by the universe order and each entry by the tuples of label
+    positions; entries run from dimension 0 to the top, so there are none
+    for no simplices.  Raises ValueError on a repeated universe label, and
+    on a simplex with an unknown label, a repeated label or no label at all.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("duplicate label in universe")
+    by_dim = {}
+    for cell in simplices:
+        try:
+            order = tuple(sorted(map(index.__getitem__, cell)))
+        except KeyError as exc:
+            raise ValueError(f"unknown label in simplex: {exc.args[0]!r}") from None
+        if not order:
+            raise ValueError("the empty simplex is not allowed")
+        if len(set(order)) != len(order):
+            raise ValueError(f"repeated label in simplex: {tuple(cell)!r}")
+        by_dim.setdefault(len(order) - 1, set()).add(order)
+    return [
+        [tuple(labels[i] for i in order) for order in sorted(by_dim.get(n, ()))]
+        for n in range(max(by_dim, default=-1) + 1)
+    ]
+
+
 class SimplicialComplex:
     """A finite abstract simplicial complex with an explicit simplex set.
 
     The simplex set must be downward closed; construction verifies this and
-    rejects unknown labels, repeated labels inside a simplex, and the empty
-    simplex.
+    rejects what ``_normal_form`` rejects.
     """
 
-    __slots__ = ("labels", "_index", "_simplices", "_by_dim")
+    __slots__ = ("labels", "_by_dim")
 
     def __init__(self, labels, simplices):
         self.labels = tuple(labels)
-        self._index = {}
-        for lab in self.labels:
-            if lab in self._index:
-                raise ValueError(f"duplicate label in universe: {lab!r}")
-            self._index[lab] = len(self._index)
-
-        normalized = set()
-        for s in simplices:
-            simplex = self._normalize(s)
-            normalized.add(simplex)
-        for simplex in normalized:
-            if len(simplex) > 1:
+        self._by_dim = _normal_form(self.labels, simplices)
+        for lower, upper in zip(self._by_dim, self._by_dim[1:]):
+            present = set(lower)
+            for simplex in upper:
                 for i in range(len(simplex)):
                     facet = simplex[:i] + simplex[i + 1:]
-                    if facet not in normalized:
+                    if facet not in present:
                         raise ValueError(
                             f"not downward closed: {simplex!r} present, facet {facet!r} missing"
                         )
-        self._simplices = frozenset(normalized)
-        self._by_dim = {}
-        for simplex in self._simplices:
-            self._by_dim.setdefault(len(simplex) - 1, []).append(simplex)
-        for group in self._by_dim.values():
-            group.sort(key=self._sort_key)
-
-    def _normalize(self, s):
-        items = tuple(s)
-        if not items:
-            raise ValueError("the empty simplex is not allowed")
-        for lab in items:
-            if lab not in self._index:
-                raise ValueError(f"unknown label in simplex: {lab!r}")
-        if len(set(items)) != len(items):
-            raise ValueError(f"repeated label in simplex: {items!r}")
-        return tuple(sorted(items, key=self._index.__getitem__))
-
-    def _sort_key(self, simplex):
-        return tuple(self._index[lab] for lab in simplex)
 
     @classmethod
     def from_maximal(cls, labels, maximal):
         """Build the downward closure of the given simplices."""
         closure = set()
-        probe = cls(labels, [])
-        for s in maximal:
-            simplex = probe._normalize(s)
-            for r in range(1, len(simplex) + 1):
-                closure.update(combinations(simplex, r))
+        for group in _normal_form(labels, maximal):
+            for simplex in group:
+                for r in range(1, len(simplex) + 1):
+                    closure.update(combinations(simplex, r))
         return cls(labels, closure)
 
     # -- queries -----------------------------------------------------------
 
-    def __contains__(self, s):
-        try:
-            return self._normalize(s) in self._simplices
-        except ValueError:
-            return False
-
     def __len__(self):
-        return len(self._simplices)
+        return sum(map(len, self._by_dim))
 
     def __iter__(self):
-        for n in sorted(self._by_dim):
-            yield from self._by_dim[n]
+        for group in self._by_dim:
+            yield from group
 
     @property
     def dim(self):
-        return max(self._by_dim, default=-1)
+        return len(self._by_dim) - 1
 
     def simplices_of_dim(self, n):
         """Simplices of dimension n in canonical (index-tuple) order."""
-        return list(self._by_dim.get(n, []))
+        return list(self._by_dim[n]) if 0 <= n <= self.dim else []
 
     def vertex_labels(self):
         return [s[0] for s in self.simplices_of_dim(0)]
 
     def maximal_simplices(self):
-        """Simplices not contained in any larger simplex, canonical order."""
+        """Simplices not contained in any larger simplex, canonical order.
+
+        The complex is downward closed, so a simplex lies in a larger one
+        exactly when it is a facet of a simplex one dimension up.
+        """
         out = []
-        for n in sorted(self._by_dim, reverse=True):
-            for simplex in self._by_dim[n]:
-                fs = set(simplex)
-                if not any(fs < set(other) for other in out):
-                    out.append(simplex)
-        return sorted(out, key=lambda s: (len(s), self._sort_key(s)))
+        for lower, upper in zip(self._by_dim, self._by_dim[1:] + [[]]):
+            facets = {s[:i] + s[i + 1:] for s in upper for i in range(len(s))}
+            out.extend(s for s in lower if s not in facets)
+        return out
 
     def __repr__(self):
         return f"SimplicialComplex(dim {self.dim}, {len(self)} simplices)"
-
 
 class IntegerChainComplex:
     """A nonnegatively graded chain complex of free Z-modules.
@@ -186,29 +182,11 @@ def relative_chain_complex(labels, cells):
     each sorted by the universe order, in canonical order.  The boundary of
     a cell is the alternating sum of its facets, with sign (-1)^i for
     dropping the i-th smallest label; facets that are not cells lie in K'
-    and are dropped.  Raises ValueError on a repeated universe label, and
-    on a cell with an unknown label, a repeated label or no label at all.
+    and are dropped.  Raises ValueError where ``_normal_form`` does.
     """
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValueError("duplicate label in universe")
-    by_dim = {}
-    for cell in cells:
-        try:
-            order = tuple(sorted(map(index.__getitem__, cell)))
-        except KeyError as exc:
-            raise ValueError(f"unknown label in simplex: {exc.args[0]!r}") from None
-        if not order:
-            raise ValueError("the empty simplex is not allowed")
-        if len(set(order)) != len(order):
-            raise ValueError(f"repeated label in simplex: {tuple(cell)!r}")
-        by_dim.setdefault(len(order) - 1, set()).add(order)
-    if not by_dim:
+    bases = _normal_form(labels, cells)
+    if not bases:
         return IntegerChainComplex([[]], [IntegerMatrix(0, 0)])
-    bases = [
-        [tuple(labels[i] for i in order) for order in sorted(by_dim.get(n, ()))]
-        for n in range(max(by_dim) + 1)
-    ]
     boundaries = [IntegerMatrix(0, len(bases[0]))]
     for n in range(1, len(bases)):
         boundaries.append(_boundary_matrix(bases[n - 1], bases[n]))

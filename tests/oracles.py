@@ -43,10 +43,11 @@ def pair_chain_complex(total, sub):
     """
     if sub.labels != total.labels:
         raise ValueError("subcomplex is on a different label universe than the total complex")
-    missing = next((s for s in sub if s not in total), None)
+    present = set(total)
+    missing = next((s for s in sub if s not in present), None)
     if missing is not None:
         raise ValueError(f"subcomplex simplex missing from total complex: {missing!r}")
-    return relative_chain_complex(total.labels, [s for s in total if s not in sub])
+    return relative_chain_complex(total.labels, present - set(sub))
 
 
 def k_pair_by_definition(g: Graph, key) -> tuple[set, set]:

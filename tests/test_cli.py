@@ -112,27 +112,45 @@ def test_compute_usage_errors(runner, tmp_path):
     comma_graph.write_text("a,b c\n")
     space_graph = tmp_path / "space.json"
     space_graph.write_text('{"vertices": [" a", "b"], "edges": [[" a", "b"]]}')
+    missing = tmp_path / "missing.txt"
+    not_a_file = "not a builtin generator and not a file"
     cases = [
-        ["compute", "--graph", "nosuch:3", "--l", "2"],
-        ["compute", "--graph", "sq2", "--l", "banana"],
-        ["compute", "--graph", "sq2", "--l", "5-3"],
-        ["compute", "--graph", "sq2", "--l", "-1"],
-        ["compute", "--graph", "sq2", "--l", "4", "--pair", "a"],
-        ["compute", "--graph", "sq2", "--l", "4", "--pair", "a,zz"],
-        ["compute", "--graph", "sq2", "--l", "4", "--method", "tree"],
-        ["compute", "--graph", "sq2", "--l", "2", "--method", "geometric"],
-        ["compute", "--graph", str(tmp_path / "missing.txt"), "--l", "2"],
-        ["compute", "--graph", str(comma_graph), "--l", "2"],
-        ["compute", "--graph", str(space_graph), "--l", "2"],
-        ["compute", "--graph", "sq2", "--l", "2", "--out", str(tmp_path / "no" / "x")],
-        ["compute", "--graph", "sq2", "--l", "2", "--out", str(tmp_path)],
-        ["compute", "--graph", "sq2", "--l", "2", "--out", f"{tmp_path / 'new'}/"],
-        ["compute", "--graph", "sq2", "--l", "4", "--types", str(tmp_path / "no.json")],
-        ["compute", "--graph", "sq2"],  # missing --l entirely
+        (["--graph", "nosuch:3", "--l", "2"], f"{not_a_file}: 'nosuch:3'"),
+        (["--graph", "sq2", "--l", "banana"],
+         "--l expects an integer or a range like 3-5, got 'banana'"),
+        (["--graph", "sq2", "--l", "5-3"], "empty --l range: '5-3'"),
+        (["--graph", "sq2", "--l", "-1"], "--l must be nonnegative"),
+        (["--graph", "sq2", "--l", "4", "--pair", "a"], """--pair expects "u,v", got 'a'"""),
+        (["--graph", "sq2", "--l", "4", "--pair", "a,zz"], "unknown vertex: 'zz'"),
+        (["--graph", "sq2", "--l", "4", "--method", "tree"], "method tree needs a tree input"),
+        (["--graph", "sq2", "--l", "2", "--method", "geometric"],
+         "method geometric needs l >= 3, got l=2"),
+        (["--graph", "sq2", "--l", "4", "--kmax", "-1"], "--kmax must be nonnegative"),
+        (["--graph", str(missing), "--l", "2"], f"{not_a_file}: {str(missing)!r}"),
+        (["--graph", str(comma_graph), "--l", "2"], "vertex label contains ',': 'a,b'"),
+        (["--graph", str(space_graph), "--l", "2"],
+         "vertex label has leading or trailing whitespace: ' a'"),
+        (["--graph", "sq2", "--l", "2", "--out", str(tmp_path / "no" / "x")],
+         f"--out directory does not exist: {str(tmp_path / 'no')!r}"),
+        (["--graph", "sq2", "--l", "2", "--out", str(tmp_path)],
+         f"--out names a directory: {str(tmp_path)!r}"),
+        (["--graph", "sq2", "--l", "2", "--out", f"{tmp_path / 'new'}/"],
+         f"--out names a directory: {str(tmp_path / 'new') + '/'!r}"),
+        (["--graph", "sq2", "--l", "4", "--types", str(tmp_path / "no.json")],
+         f"labeling file not found: {str(tmp_path / 'no.json')!r}"),
+        (["--graph", "sq2"], "Missing option '--l'"),
+        # a directory, or a name that cannot be opened, is no input file
+        (["--graph", str(tmp_path), "--l", "2"], f"{not_a_file}: {str(tmp_path)!r}"),
+        (["--graph", "", "--l", "2"], f"{not_a_file}: ''"),
+        (["--graph", ".", "--l", "2"], f"{not_a_file}: '.'"),
+        (["--graph", "x" * 5000, "--l", "2"], "File name too long"),
+        (["--graph", "sq2", "--l", "4", "--types", str(tmp_path)],
+         f"labeling file not found: {str(tmp_path)!r}"),
     ]
-    for args in cases:
-        r = runner.invoke(main, args)
+    for args, message in cases:
+        r = runner.invoke(main, ["compute", *args])
         assert r.exit_code == 2, (args, r.output)
+        assert message in r.stderr, (args, r.stderr)
 
 
 def test_compute_types_must_cover_all_pairs(runner, tmp_path):
@@ -193,29 +211,36 @@ def test_check_single_graph_length_range(runner):
     assert r.output.count("agree") == 2
 
 
-def test_check_usage_errors(runner):
-    assert invoke(runner, "check", "--graph", "sq2", "--l", "2").exit_code == 2
-    assert invoke(runner, "check", "--graph", "sq2", "--l", "").exit_code == 2
-    assert invoke(runner, "check", "--trials", "-1").exit_code == 2
-    for n_max in ("0", "1"):
-        r = invoke(runner, "check", "--n-max", n_max)
-        assert r.exit_code == 2
-        assert "--n-max" in r.stderr
-    for l_max in ("2", "-1"):
-        r = invoke(runner, "check", "--l-max", l_max, "--trials", "2")
-        assert r.exit_code == 2
-        assert "--l-max" in r.stderr
+def test_check_usage_errors(runner, tmp_path):
+    cases = [
+        (["--graph", "sq2", "--l", "2"], "method geometric needs l >= 3, got l=2"),
+        (["--graph", "sq2", "--l", ""], "--l expects an integer or a range like 3-5, got ''"),
+        (["--graph", str(tmp_path), "--l", "3"],
+         f"not a builtin generator and not a file: {str(tmp_path)!r}"),
+        (["--trials", "-1"], "--trials must be nonnegative"),
+    ]
+    cases += [(["--n-max", n], f"--n-max must be at least 2, got {n}") for n in ("0", "1")]
+    cases += [
+        (["--l-max", n, "--trials", "2"], f"--l-max must be at least 3, got {n}")
+        for n in ("2", "-1")
+    ]
     # --l sets the length of --graph only; random trials must not ignore it
-    for l_spec in ("9", "2"):
-        r = invoke(runner, "check", "--l", l_spec, "--trials", "2", "--seed", "5")
-        assert r.exit_code == 2
-        assert "--l" in r.stderr and "--graph" in r.stderr
+    cases += [
+        (["--l", l_spec, "--trials", "2", "--seed", "5"],
+         "--l needs --graph; random trials draw l up to --l-max")
+        for l_spec in ("9", "2")
+    ]
     # and the random-trial options must not be ignored by a single --graph
-    for option, value in (("--trials", "999"), ("--seed", "5"), ("--n-max", "4"),
-                          ("--l-max", "5")):
-        r = invoke(runner, "check", "--graph", "cycle:4", "--l", "3", option, value)
-        assert r.exit_code == 2
-        assert option in r.stderr and "--graph" in r.stderr
+    cases += [
+        (["--graph", "cycle:4", "--l", "3", option, value],
+         f"{option} applies to random trials, not to --graph")
+        for option, value in (("--trials", "999"), ("--seed", "5"), ("--n-max", "4"),
+                              ("--l-max", "5"))
+    ]
+    for args, message in cases:
+        r = runner.invoke(main, ["check", *args])
+        assert r.exit_code == 2, (args, r.output)
+        assert f"error: {message}\n" == r.stderr, (args, r.stderr)
 
 
 def test_check_mismatch_exits_3(runner, monkeypatch):
@@ -287,29 +312,30 @@ def test_export_empty_component_notice(runner, tmp_path):
 
 def test_export_usage_errors(runner, tmp_path):
     stem = str(tmp_path / "x")
-    assert invoke(runner, "export", "--graph", "sq2", "--l", "2",
-                  "--pair", "a,b", "--out", stem).exit_code == 2
-    assert invoke(runner, "export", "--graph", "sq2", "--l", "4",
-                  "--pair", "a", "--out", stem).exit_code == 2
-    assert invoke(runner, "export", "--graph", "sq2", "--l", "4",
-                  "--pair", "a,zz", "--out", stem).exit_code == 2
+
+    def export(graph="sq2", l="4", pair="a,b", out=stem):
+        r = invoke(runner, "export", "--graph", graph, "--l", l, "--pair", pair, "--out", out)
+        assert r.exit_code == 2, r.output
+        return r.stderr
+
+    assert export(l="2") == "error: export needs l >= 3, got l=2\n"
+    assert export(pair="a") == """error: --pair expects "u,v", got 'a'\n"""
+    assert export(pair="a,zz") == "error: unknown vertex: 'zz'\n"
+    assert export(graph=str(tmp_path)) == (
+        f"error: not a builtin generator and not a file: {str(tmp_path)!r}\n"
+    )
     missing = tmp_path / "missing" / "dir"
-    r = invoke(runner, "export", "--graph", "sq2", "--l", "4",
-               "--pair", "a,b", "--out", str(missing / "x"))
-    assert r.exit_code == 2
-    assert str(missing) in r.stderr
+    assert export(out=str(missing / "x")) == (
+        f"error: --out directory does not exist: {str(missing)!r}\n"
+    )
     assert not (tmp_path / "missing").exists()
     outdir = tmp_path / "outdir"
     outdir.mkdir()
-    r = invoke(runner, "export", "--graph", "sq2", "--l", "4",
-               "--pair", "a,b", "--out", str(outdir))
-    assert r.exit_code == 2
-    assert str(outdir) in r.stderr
+    assert export(out=str(outdir)) == f"error: --out names a directory: {str(outdir)!r}\n"
     assert list(outdir.iterdir()) == []
     assert not list(tmp_path.glob("outdir.*"))
-    r = invoke(runner, "export", "--graph", "sq2", "--l", "4",
-               "--pair", "a,b", "--out", f"{tmp_path / 'new'}/")
-    assert r.exit_code == 2
+    new = f"{tmp_path / 'new'}/"
+    assert export(out=new) == f"error: --out names a directory: {new!r}\n"
     assert not (tmp_path / "new").exists() and not list(tmp_path.glob("new.*"))
 
 

@@ -130,6 +130,20 @@ def test_relative_cell_validation():
         relative_chain_complex("aba", [("a",)])
 
 
+@pytest.mark.parametrize("labels, simplex, message", [
+    ("aba", ("a",), "duplicate label in universe"),
+    ("abc", ("a", "d"), "unknown label in simplex: 'd'"),
+    ("abc", ("b", "b"), "repeated label in simplex: ('b', 'b')"),
+    ("abc", (), "the empty simplex is not allowed"),
+])
+def test_one_normal_form_validates_every_entry_point(labels, simplex, message):
+    builders = (SimplicialComplex, SimplicialComplex.from_maximal, relative_chain_complex)
+    for build in builders:
+        with pytest.raises(ValueError) as info:
+            build(labels, [simplex])
+        assert str(info.value) == message, build
+
+
 def test_relative_cells_follow_universe_order():
     # cells may come in any label order and any sequence; the basis is
     # sorted by the universe, and facets that are not cells are dropped
@@ -213,6 +227,11 @@ def test_random_complex_boundary_identity_and_euler(seed):
         size = rng.randint(1, 4)
         maximal.add(tuple(sorted(rng.sample(labels, size))))
     s = SimplicialComplex.from_maximal(labels, maximal)
+    # labels are their own universe positions, so canonical order is
+    # (size, tuple) order
+    simplices = set(s)
+    brute_maximal = [x for x in simplices if not any(set(x) < set(y) for y in simplices)]
+    assert s.maximal_simplices() == sorted(brute_maximal, key=lambda x: (len(x), x))
     c = chain_complex(s)
     assert_boundary_squares_to_zero(c)
     groups = homology_all(c, c.top_degree)
