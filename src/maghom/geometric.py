@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import InternalCheckError, enumerate_walks, sequence_length
-from .homology import ZERO_GROUP, HomologyGroup, homology_all
+from .homology import HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
 from .simplicial import relative_chain_complex
 
@@ -174,10 +174,10 @@ def verify_chain_map(key, rel, mag, pairs_by_degree):
 def pair_groups(g, kpair, rel, kmax):
     """MH_{k,l}(a, b) for 2 <= k <= kmax, read off the pair's relative complex.
 
-    ``rel`` is the relative complex of ``kpair``; needs d(a, b) <= l and
-    kmax >= 2.  Degrees k >= 3 read H_{k-2} of the pair; k = 2 reads H_0 of
-    the pair when d(a, b) < l and reduced H_0 of the total complex when
-    d(a, b) = l.
+    ``rel`` is the relative complex of ``kpair``; needs kmax >= 2.  Degrees
+    k >= 3 read H_{k-2} of the pair; k = 2 reads H_0 of the pair when
+    d(a, b) < l and reduced H_0 of the total complex when d(a, b) = l.  A
+    pair at distance greater than l has no cells and reads zero throughout.
     """
     a, b, l = kpair.key
     rel_homology = homology_all(rel, up_to=kmax - 2)
@@ -199,7 +199,7 @@ def magnitude_homology_geometric(g, key, kmax=None):
     degrees 0 and 1 are delegated to the direct route (their chain groups
     are at most one-dimensional).  Requires l >= 3.
     """
-    a, b, l = key
+    l = key.l
     if kmax is None:
         kmax = l
     if l < 3:
@@ -207,9 +207,6 @@ def magnitude_homology_geometric(g, key, kmax=None):
     out = magnitude_homology_direct(g, key, kmax=min(1, kmax))
     if kmax < 2:
         return out
-
-    if g.distance(a, b) > l:
-        return out + [ZERO_GROUP] * (kmax - 1)
     kpair = build_k_pair(g, key)
     rel = relative_chain_complex(kpair.labels, kpair.cells)
     return out + pair_groups(g, kpair, rel, kmax)
@@ -271,19 +268,17 @@ def cross_validate(g, l):
             # the chain check sees the magnitude basis up to degree l
             mag = magnitude_chain_complex(g, key, l + 1)
             direct = homology_all(mag, up_to=l)
-            reachable = g.distance(a, b) <= l
-            if reachable:
-                kpair = build_k_pair(g, key)
-                rel = relative_chain_complex(kpair.labels, kpair.cells)
-                geometric = pair_groups(g, kpair, rel, l)
-            else:
-                geometric = [ZERO_GROUP] * (l - 1)
+            kpair = build_k_pair(g, key)
+            rel = relative_chain_complex(kpair.labels, kpair.cells)
+            geometric = pair_groups(g, kpair, rel, l)
             report.pairs_checked += 1
             for k in range(2, l + 1):
                 if direct[k] != geometric[k - 2]:
                     report.mismatch = Mismatch(key, k, direct[k], geometric[k - 2])
                     return report
-            if reachable:
+            # only a pair within distance l has cells to identify, so only
+            # such a pair counts as a chain check
+            if g.distance(a, b) <= l:
                 verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))
                 report.chain_checks += 1
     return report

@@ -185,8 +185,8 @@ def direct_sum(groups):
 # -- homology of chain complexes ---------------------------------------------
 
 
-def homology_all(complex_, up_to=None):
-    """Integral homology in degrees 0..up_to (default: the top degree).
+def homology_all(complex_, up_to):
+    """Integral homology in degrees 0..up_to.
 
     betti_k = dim C_k - rank d_k - rank d_{k+1}; the torsion of H_k is read
     off the invariant factors of d_{k+1} that exceed 1.  Each boundary's
@@ -194,8 +194,6 @@ def homology_all(complex_, up_to=None):
     ``top_degree``, ``dim(n)`` and ``boundary(n)``.
     """
     top = complex_.top_degree
-    if up_to is None:
-        up_to = top
     diagonals = {}
     for k in range(1, min(up_to + 1, top) + 1):
         diagonals[k] = smith_normal_form(complex_.boundary(k))

@@ -12,40 +12,36 @@ import json
 from dataclasses import dataclass, field
 
 from .geometric import magnitude_homology_geometric
-from .graphs import pair_orbits
+from .graphs import InternalCheckError, pair_orbits
 from .homology import direct_sum
 from .magnitude import ComponentKey, magnitude_homology_direct
-from .trees import tree_homology_by_pair
+from .trees import tree_homology_by_pair, tree_magnitude_closed_form
 
 FORMAT_VERSION = 1
 
 
 @dataclass
 class MagnitudeTable:
-    """Magnitude homology of one graph at one length, all ordered pairs."""
+    """Magnitude homology of one graph at one length, all ordered pairs.
+
+    ``pair_groups`` maps each pair, in row-major order, to its groups in
+    degrees 0..kmax; ``type_groups``, once ``apply_types`` ran, maps each
+    label, in first-appearance order, to the direct sums over its pairs.
+    """
 
     graph_spec: str
     l: int
     kmax: int
     method: str
-    pair_keys: list = field(default_factory=list)
     pair_groups: dict = field(default_factory=dict)
-    type_labels: list | None = None
     type_groups: dict | None = None
-
-    def group(self, a, b, k):
-        return self.pair_groups[(a, b)][k]
 
     def totals(self):
         """Componentwise direct sum over all pairs, one group per degree."""
         return [
-            direct_sum(self.pair_groups[key][k] for key in self.pair_keys)
+            direct_sum(groups[k] for groups in self.pair_groups.values())
             for k in range(self.kmax + 1)
         ]
-
-    def type_totals(self, label):
-        groups = self.type_groups[label]
-        return [groups[k] for k in range(self.kmax + 1)]
 
     def apply_types(self, labeling):
         """Group pairs by a labeling dict mapping (a, b) tuples to labels.
@@ -53,25 +49,20 @@ class MagnitudeTable:
         The labeling must cover every ordered pair.  Label order follows
         first appearance in the labeling.
         """
-        missing = [key for key in self.pair_keys if key not in labeling]
+        missing = [key for key in self.pair_groups if key not in labeling]
         if missing:
             a, b = missing[0]
             raise ValueError(f"labeling does not cover pair ({a}, {b})")
-        labels = []
-        for key in labeling:
-            if labeling[key] not in labels:
-                labels.append(labeling[key])
-        self.type_labels = labels
         self.type_groups = {
             label: [
                 direct_sum(
-                    self.pair_groups[key][k]
-                    for key in self.pair_keys
+                    groups[k]
+                    for key, groups in self.pair_groups.items()
                     if labeling[key] == label
                 )
                 for k in range(self.kmax + 1)
             ]
-            for label in labels
+            for label in dict.fromkeys(labeling.values())
         }
 
 
@@ -88,7 +79,8 @@ def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
     isometries and reversal (``pair_orbits``); every other pair gets a copy
     of its representative's groups.  ``cross_validate``, behind
     ``maghom check``, still solves every component, because it verifies
-    the routes.
+    the routes.  A whole tree table is checked against the closed form in
+    degrees 3..kmax; a disagreement raises InternalCheckError.
     """
     if kmax is None:
         kmax = l
@@ -109,11 +101,20 @@ def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
     )
     orbits = {pair: pair} if pair is not None else pair_orbits(g)
     for key, rep in orbits.items():
-        table.pair_keys.append(key)
         if key == rep:
             table.pair_groups[key] = route(g, ComponentKey(*key, l), kmax)
         else:
             table.pair_groups[key] = list(table.pair_groups[rep])
+    if method == "tree" and pair is None:
+        # the per-walk decomposition must reproduce the closed form
+        totals = table.totals()
+        for k in range(3, kmax + 1):
+            expected = tree_magnitude_closed_form(g, l, k)
+            if totals[k] != expected:
+                raise InternalCheckError(
+                    f"tree totals disagree with the closed form at k={k}: "
+                    f"{totals[k].describe()} vs {expected.describe()}"
+                )
     return table
 
 
@@ -140,13 +141,13 @@ def render_table(table):
         f"magnitude homology  graph={table.graph_spec}  "
         f"l={table.l}  kmax={table.kmax}  method={table.method}"
     )
-    if table.type_labels is not None:
-        header = ["k"] + table.type_labels + ["total"]
-        columns = [table.type_totals(label) for label in table.type_labels]
-    elif len(table.pair_keys) == 1:
-        a, b = table.pair_keys[0]
+    if table.type_groups is not None:
+        header = ["k", *table.type_groups, "total"]
+        columns = list(table.type_groups.values())
+    elif len(table.pair_groups) == 1:
+        [((a, b), groups)] = table.pair_groups.items()
         header = ["k", f"({a},{b})"]
-        columns = [table.pair_groups[(a, b)]]
+        columns = [groups]
     else:
         header = ["k", "total"]
         columns = []
@@ -154,7 +155,7 @@ def render_table(table):
     rows = []
     for k in range(table.kmax + 1):
         row = [f"k={k}"] + [col[k].short() for col in columns]
-        if table.type_labels is not None or not columns:
+        if table.type_groups is not None or not columns:
             row.append(totals[k].short())
         rows.append(row)
     return title + "\n" + _render_grid(header, rows) + "\n"
@@ -176,25 +177,19 @@ def table_to_dict(table):
             {
                 "a": a,
                 "b": b,
-                "groups": [
-                    _group_record(k, group)
-                    for k, group in enumerate(table.pair_groups[(a, b)])
-                ],
+                "groups": [_group_record(k, group) for k, group in enumerate(groups)],
             }
-            for a, b in table.pair_keys
+            for (a, b), groups in table.pair_groups.items()
         ],
         "totals": [_group_record(k, group) for k, group in enumerate(table.totals())],
     }
-    if table.type_labels is not None:
+    if table.type_groups is not None:
         doc["types"] = [
             {
                 "label": label,
-                "groups": [
-                    _group_record(k, group)
-                    for k, group in enumerate(table.type_totals(label))
-                ],
+                "groups": [_group_record(k, group) for k, group in enumerate(groups)],
             }
-            for label in table.type_labels
+            for label, groups in table.type_groups.items()
         ]
     return doc
 

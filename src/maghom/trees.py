@@ -42,19 +42,14 @@ class TreePathComponent:
     phi: tuple
 
 
-def turning_points(g, walk):
-    """Positions where the walk strictly loses length when skipped.
+def turning_points(walk):
+    """Positions where a walk on a tree steps straight back.
 
     Position i (interior) is a turning point when d(x_{i-1}, x_{i+1}) is
-    strictly below d(x_{i-1}, x_i) + d(x_i, x_{i+1}); on a tree this happens
-    exactly when x_{i-1} = x_{i+1}.
+    strictly below d(x_{i-1}, x_i) + d(x_i, x_{i+1}); for a walk on a tree
+    this happens exactly when x_{i-1} = x_{i+1}, which is what is tested.
     """
-    return tuple(
-        i
-        for i in range(1, len(walk) - 1)
-        if g.distance(walk[i - 1], walk[i + 1])
-        < g.distance(walk[i - 1], walk[i]) + g.distance(walk[i], walk[i + 1])
-    )
+    return tuple(i for i in range(1, len(walk) - 1) if walk[i - 1] == walk[i + 1])
 
 
 def decompose_tree_component(g, key):
@@ -68,7 +63,7 @@ def decompose_tree_component(g, key):
     out = []
     for walk in enumerate_walks(g, a, b, l):
         if len(walk) - 1 == l:
-            out.append(TreePathComponent(walk=walk, phi=turning_points(g, walk)))
+            out.append(TreePathComponent(walk=walk, phi=turning_points(walk)))
     return out
 
 

@@ -89,15 +89,15 @@ def test_criterion_2_sq2_per_type_table():
         labeling = {tuple(k.split(",")): v for k, v in sq2_pair_types().items()}
         table.apply_types(labeling)
         order = ["(a,a)", "(a,b)", "(a,c)", "(a,d)", "(b,b)", "(b,c)", "(b,f)", "(b,e)"]
-        assert table.type_labels == order
+        assert list(table.type_groups) == order
         rows = {
-            k: [table.type_totals(lab)[k].betti for lab in order] for k in (2, 3, 4)
+            k: [table.type_groups[lab][k].betti for lab in order] for k in (2, 3, 4)
         }
         assert rows[2] == [0, 0, 0, 0, 0, 0, 0, 0]
         assert rows[3] == [0, 0, 8, 4, 0, 0, 0, 0]
         assert rows[4] == [12, 40, 0, 0, 32, 0, 20, 8]
         for lab in order:
-            assert all(h.torsion == () for h in table.type_totals(lab))
+            assert all(h.torsion == () for h in table.type_groups[lab])
         out["detail"] = "8 symmetry types, 36 pairs"
 
 

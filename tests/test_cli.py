@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -91,6 +92,41 @@ def test_compute_types_table(runner, tmp_path):
     assert row3.split()[1:] == ["0", "0", "8", "4", "0", "0", "0", "0", "12"]
 
 
+# sha256 of the exact stdout of each command; the structured form carries
+# the package version, so a version bump changes those three digests
+PINNED_REPORTS = [
+    (["--graph", "sq2", "--l", "4"],
+     "ab6403deb5ed6db22bc68fafcefa5c32cd412144c2be719d92f933ccba3981fc"),
+    (["--graph", "sq2", "--l", "4", "--format", "structured"],
+     "c2f1707ba48b28f48e225bb511e4213a668d34690862799bf52262b5a305317e"),
+    (["--graph", "sq2", "--l", "4", "--pair", "a,d"],
+     "c0e68756c21457a1b41caf42dd2c8c33eeeba29e928bee26c8ed671f483d2392"),
+    (["--graph", "sq2", "--l", "4", "--types", "{types}"],
+     "7ab3ce6fef1800d6f36e9486acee22808bda5c47c394eeb6adadf8e9a3c87f94"),
+    (["--graph", "sq2", "--l", "4", "--types", "{types}", "--format", "structured"],
+     "1bb10bcb66553c36c84b977901516a23fd509d76b74402e06b0b066d82d9859c"),
+    (["--graph", "sq2", "--l", "4", "--types", "{types}", "--pair", "b,c"],
+     "6a074d04cc64a80bf77aab1c4f9402dd23e322c22f96fcd448df6c994fe1ded4"),
+    (["--graph", "sq2", "--l", "4", "--types", "{types}", "--pair", "b,c",
+      "--format", "structured"],
+     "e60824ae38a92b8676cfef4f02048cf98f7956c674ffdbfdb2ec1c5a5d2e7b26"),
+    (["--graph", "sq2", "--l", "3-5", "--types", "{types}"],
+     "6d1831e5acce2c5a32ad22efa49a1e86527692d55ddd3ca190185257bc3156cd"),
+    (["--graph", "random-tree:10:2", "--l", "3-6"],
+     "334b7d13e222a05837e26100cc0fb6f9eed4fdcf65c6d5ccab7478dca7eb0d13"),
+]
+
+
+def test_compute_report_bytes_are_pinned(runner, tmp_path):
+    labeling_path = tmp_path / "types.json"
+    labeling_path.write_text(json.dumps(sq2_pair_types()))
+    for args, digest in PINNED_REPORTS:
+        args = [arg.format(types=labeling_path) for arg in args]
+        r = runner.invoke(main, ["compute", *args])
+        assert r.exit_code == 0, (args, r.output)
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, (args, r.stdout)
+
+
 def test_compute_out_flag_writes_file(runner, tmp_path):
     out = tmp_path / "result.txt"
     r = invoke(runner, "compute", "--graph", "path:4", "--l", "2", "--out", str(out))
@@ -120,6 +156,10 @@ def test_compute_usage_errors(runner, tmp_path):
          "--l expects an integer or a range like 3-5, got 'banana'"),
         (["--graph", "sq2", "--l", "5-3"], "empty --l range: '5-3'"),
         (["--graph", "sq2", "--l", "-1"], "--l must be nonnegative"),
+        # --l takes ASCII digits only, not every form that int() accepts
+        *[(["--graph", "path:2", "--l", l_spec],
+           f"--l expects an integer or a range like 3-5, got {l_spec!r}")
+          for l_spec in ("1_0", "+4", "\u0664", " 4 ", "3 - 5", "4\n", "-1-3")],
         (["--graph", "sq2", "--l", "4", "--pair", "a"], """--pair expects "u,v", got 'a'"""),
         (["--graph", "sq2", "--l", "4", "--pair", "a,zz"], "unknown vertex: 'zz'"),
         (["--graph", "sq2", "--l", "4", "--method", "tree"], "method tree needs a tree input"),
@@ -166,7 +206,7 @@ def test_compute_internal_check_failure_exits_4(runner, monkeypatch):
     # Force the tree totals check to see numbers that contradict the closed
     # form by lying about the closed form itself.
     monkeypatch.setattr(
-        maghom.cli, "tree_magnitude_closed_form",
+        maghom.report, "tree_magnitude_closed_form",
         lambda g, l, k: HomologyGroup(999),
     )
     r = invoke(runner, "compute", "--graph", "path:4", "--l", "3", "--method", "tree")
@@ -215,9 +255,16 @@ def test_check_usage_errors(runner, tmp_path):
     cases = [
         (["--graph", "sq2", "--l", "2"], "method geometric needs l >= 3, got l=2"),
         (["--graph", "sq2", "--l", ""], "--l expects an integer or a range like 3-5, got ''"),
+        (["--graph", "sq2", "--l", "-1"], "--l must be nonnegative"),
+        (["--graph", "sq2", "--l", "5-3"], "empty --l range: '5-3'"),
         (["--graph", str(tmp_path), "--l", "3"],
          f"not a builtin generator and not a file: {str(tmp_path)!r}"),
         (["--trials", "-1"], "--trials must be nonnegative"),
+    ]
+    cases += [
+        (["--graph", "path:2", "--l", l_spec],
+         f"--l expects an integer or a range like 3-5, got {l_spec!r}")
+        for l_spec in ("1_0", "+4", "\u0664", " 4 ", "3 - 5")
     ]
     cases += [(["--n-max", n], f"--n-max must be at least 2, got {n}") for n in ("0", "1")]
     cases += [

@@ -33,26 +33,26 @@ def sq2_table():
 def test_totals_and_group_lookup(sq2_table):
     totals = sq2_table.totals()
     assert [h.betti for h in totals] == [0, 0, 0, 12, 112]
-    assert sq2_table.group("a", "a", 4) == HomologyGroup(6)
-    assert sq2_table.group("a", "d", 3) == HomologyGroup(2)
-    assert len(sq2_table.pair_keys) == 36
+    assert sq2_table.pair_groups["a", "a"][4] == HomologyGroup(6)
+    assert sq2_table.pair_groups["a", "d"][3] == HomologyGroup(2)
+    assert len(sq2_table.pair_groups) == 36
 
 
 def test_single_pair_table():
     g = generate("sq2")
     t = build_table(g, 4, 4, "direct", pair=("a", "d"), graph_spec="sq2")
-    assert t.pair_keys == [("a", "d")]
+    assert list(t.pair_groups) == [("a", "d")]
     assert [h.betti for h in t.totals()] == [0, 0, 0, 2, 0]
 
 
 def test_apply_types_groups_pairs(sq2_table):
     labeling = {tuple(k.split(",")): v for k, v in sq2_pair_types().items()}
     sq2_table.apply_types(labeling)
-    assert sq2_table.type_labels == [
+    assert list(sq2_table.type_groups) == [
         "(a,a)", "(a,b)", "(a,c)", "(a,d)", "(b,b)", "(b,c)", "(b,f)", "(b,e)",
     ]
-    k3 = {lab: sq2_table.type_totals(lab)[3].betti for lab in sq2_table.type_labels}
-    k4 = {lab: sq2_table.type_totals(lab)[4].betti for lab in sq2_table.type_labels}
+    k3 = {lab: groups[3].betti for lab, groups in sq2_table.type_groups.items()}
+    k4 = {lab: groups[4].betti for lab, groups in sq2_table.type_groups.items()}
     assert k3 == {"(a,a)": 0, "(a,b)": 0, "(a,c)": 8, "(a,d)": 4,
                   "(b,b)": 0, "(b,c)": 0, "(b,f)": 0, "(b,e)": 0}
     assert k4 == {"(a,a)": 12, "(a,b)": 40, "(a,c)": 0, "(a,d)": 0,
@@ -135,12 +135,26 @@ def test_parse_pair_labeling_errors():
 def test_build_table_auto_resolves_the_route(sq2):
     table = build_table(sq2, 3)
     assert table.l == 3 and table.kmax == 3 and table.method == "geometric"
-    assert len(table.pair_keys) == 36
+    assert len(table.pair_groups) == 36
     assert build_table(sq2, 2).method == "direct"
     assert build_table(generate("path:4"), 3).method == "tree"
     assert build_table(sq2, 3, method="direct").totals() == table.totals()
     with pytest.raises(ValueError, match="unknown method"):
         build_table(sq2, 3, method="nosuch")
+
+
+def test_build_table_checks_tree_totals_against_the_closed_form(monkeypatch):
+    g = generate("path:4")
+    build_table(g, 3, method="tree")
+    monkeypatch.setattr(
+        maghom.report, "tree_magnitude_closed_form", lambda g, l, k: HomologyGroup(999)
+    )
+    for method in ("tree", "auto"):
+        with pytest.raises(InternalCheckError, match="disagree with the closed form at k=3"):
+            build_table(g, 3, method=method)
+    # a single pair has no closed form to meet, and other routes are not checked
+    build_table(g, 3, method="tree", pair=("v0", "v3"))
+    build_table(g, 3, method="direct")
 
 
 def _copy_test_graphs():
@@ -165,8 +179,8 @@ def test_copied_groups_equal_direct_route_calls(g):
         if method == "tree" and not g.is_tree():
             continue
         table = build_table(g, l, method=method)
-        assert table.pair_keys == [(a, b) for a in g.vertices for b in g.vertices]
-        for a, b in table.pair_keys:
+        assert list(table.pair_groups) == [(a, b) for a in g.vertices for b in g.vertices]
+        for a, b in table.pair_groups:
             assert table.pair_groups[a, b] == route(g, ComponentKey(a, b, l), l), (method, a, b)
 
 
@@ -182,7 +196,7 @@ def test_build_table_runs_the_route_once_per_orbit(sq2, monkeypatch):
     table = build_table(sq2, 4, method="direct")
     assert calls == [("a", "a"), ("a", "b"), ("a", "c"), ("a", "d"),
                      ("b", "b"), ("b", "c"), ("b", "e"), ("b", "f")]
-    assert len(table.pair_keys) == 36
+    assert len(table.pair_groups) == 36
     assert table.totals() == build_table(sq2, 4, method="direct").totals()
     calls.clear()
     build_table(sq2, 4, method="direct", pair=("f", "c"))
@@ -203,4 +217,4 @@ def test_build_table_rejects_a_non_isometry(monkeypatch):
     with pytest.raises(InternalCheckError, match="not a bijection"):
         build_table(g, 3, method="direct")
     # a single pair needs no orbits, so it does not search
-    assert len(build_table(g, 3, method="direct", pair=("v0", "v4")).pair_keys) == 1
+    assert len(build_table(g, 3, method="direct", pair=("v0", "v4")).pair_groups) == 1

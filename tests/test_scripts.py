@@ -1,9 +1,11 @@
-"""Smoke runs of the example scripts: exit status and the line each one checks."""
+"""Smoke runs of the example scripts and of README's library quick start."""
 
 import importlib.util
+import re
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -27,3 +29,20 @@ def test_diagonality_survey_verdict(capsys):
         "diagonal at every surveyed l: path:3, path:5, star:5, random-tree:7:2, "
         "cycle:4, complete:3, complete:4"
     )
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    # the two blocks run in one namespace, as a reader would paste them, and
+    # every print line ends in a comment holding exactly what it prints
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    expected = []
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        expected += [
+            line.split("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")
+        ]
+    assert capsys.readouterr().out.splitlines() == expected
