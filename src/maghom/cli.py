@@ -52,6 +52,8 @@ def _read_file(spec, missing):
             return Path(spec).read_text(encoding="utf-8")
     except OSError as exc:
         raise GraphError(f"cannot read {spec!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"cannot read {spec!r}: not UTF-8 text ({exc.reason})") from None
     raise GraphError(missing)
 
 
@@ -61,21 +63,18 @@ def _load_graph(spec):
     return parse_graph(_read_file(spec, f"not a builtin generator and not a file: {spec!r}"))
 
 
-def _check_lengths(l_values, method):
-    for l in l_values:
-        if method in ("geometric", "tree") and l < 3:
-            raise GraphError(f"method {method} needs l >= 3, got l={l}")
-
-
 def _check_out(out):
     # --out must name a path in an existing directory and not a directory
     # itself (an existing one or one with a trailing separator), so that
     # nothing is written before a usage error
-    if out.endswith((os.sep, "/")) or Path(out).is_dir():
-        raise GraphError(f"--out names a directory: {out!r}")
     parent = Path(out).parent
-    if not parent.is_dir():
-        raise GraphError(f"--out directory does not exist: {str(parent)!r}")
+    try:
+        if out.endswith((os.sep, "/")) or Path(out).is_dir():
+            raise GraphError(f"--out names a directory: {out!r}")
+        if not parent.is_dir():
+            raise GraphError(f"--out directory does not exist: {str(parent)!r}")
+    except OSError as exc:
+        raise GraphError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 def _parse_l_range(text):
@@ -86,10 +85,15 @@ def _parse_l_range(text):
     match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", text)
     if match is None:
         raise GraphError(f"--l expects an integer or a range like 3-5, got {text!r}")
+    # int() refuses more digits than the interpreter's limit (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit:
+        raise GraphError(f"--l has more than {limit} digits")
     lo, hi = int(match[1]), int(match[2] or match[1])
     if hi < lo:
         raise GraphError(f"empty --l range: {text!r}")
-    return tuple(range(lo, hi + 1))
+    # a range, not a tuple: a huge --l range costs nothing before it runs
+    return range(lo, hi + 1)
 
 
 def _parse_pair(text, g):
@@ -100,11 +104,25 @@ def _parse_pair(text, g):
     return (parts[0], parts[1])
 
 
-def _write_output(text, out):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        click.echo(text, nl=False)
+def _write_files(texts):
+    """Write each path's text, none if a path is a directory; GraphError names the path."""
+    try:
+        for path in texts:
+            if path.is_dir():
+                raise GraphError(f"cannot write {str(path)!r}: it is a directory")
+        for path, text in texts.items():
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise GraphError(f"cannot write {str(path)!r}: {exc.strerror}") from None
+
+
+def _random_trials(seed, trials, n_max, l_max):
+    """(label, graph, l) of each random trial, drawn one at a time."""
+    rng = random.Random(seed)
+    for trial in range(1, trials + 1):
+        g = random_connected_graph(rng, n_max=n_max)
+        l = rng.randint(3, l_max)
+        yield f"trial {trial}/{trials}: n={g.num_vertices} e={g.num_edges}", g, l
 
 
 @click.group()
@@ -134,7 +152,6 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
         g = _load_graph(graph_spec)
         l_values = _parse_l_range(l_spec)
         pair = _parse_pair(pair, g) if pair else None
-        _check_lengths(l_values, method)
         if kmax is not None and kmax < 0:
             raise GraphError("--kmax must be nonnegative")
         if out is not None:
@@ -143,25 +160,25 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
         if types_path:
             text = _read_file(types_path, f"labeling file not found: {types_path!r}")
             labeling = parse_pair_labeling(text, g)
-        if method == "tree" and not g.is_tree():
-            raise GraphError("method tree needs a tree input")
-    except (GraphError, ValueError) as exc:
-        _fail(EXIT_USAGE, exc)
 
-    tables = []
-    try:
+        tables = []
         for l in l_values:
             table = build_table(g, l, kmax, method, pair=pair, graph_spec=graph_spec)
             if labeling is not None:
                 table.apply_types(labeling)
             tables.append(table)
+        if fmt == "structured":
+            rendered = dump_json(report_document(tables, graph_spec, g, method))
+        else:
+            rendered = "\n".join(map(render_table, tables))
+        if out:
+            _write_files({Path(out): rendered})
+        else:
+            click.echo(rendered, nl=False)
+    except GraphError as exc:
+        _fail(EXIT_USAGE, exc)
     except InternalCheckError as exc:
         _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
-
-    if fmt == "structured":
-        _write_output(dump_json(report_document(tables, graph_spec, g, method)), out)
-    else:
-        _write_output("\n".join(map(render_table, tables)), out)
 
 
 @main.command()
@@ -188,8 +205,8 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
                     flag = "--" + name.replace("_", "-")
                     raise GraphError(f"{flag} applies to random trials, not to --graph")
             l_values = _parse_l_range(l_spec) if l_spec is not None else (3,)
-            _check_lengths(l_values, "geometric")
             g = _load_graph(graph_spec)
+            runs = ((f"{graph_spec}:", g, l) for l in l_values)
         elif trials < 0:
             raise GraphError("--trials must be nonnegative")
         elif n_max < 2:
@@ -199,31 +216,19 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
         elif trials == 0:
             click.echo("warning: 0 trials requested, vacuous pass", err=True)
             sys.exit(0)
-    except (GraphError, ValueError) as exc:
-        _fail(EXIT_USAGE, exc)
+        else:
+            runs = _random_trials(seed, trials, n_max, l_max)
 
-    try:
-        if graph_spec is not None:
-            for l in l_values:
-                report = cross_validate(g, l)
-                click.echo(f"{graph_spec}: {report.describe()}")
-                if not report.ok:
-                    sys.exit(EXIT_MISMATCH)
-            sys.exit(0)
-
-        rng = random.Random(seed)
-        for trial in range(1, trials + 1):
-            g = random_connected_graph(rng, n_min=2, n_max=n_max)
-            l = rng.randint(3, l_max)
+        for label, g, l in runs:
             report = cross_validate(g, l)
-            click.echo(
-                f"trial {trial}/{trials}: n={g.num_vertices} e={g.num_edges} "
-                f"{report.describe()}"
-            )
+            click.echo(f"{label} {report.describe()}")
             if not report.ok:
                 click.echo(f"counterexample: {report.mismatch.describe()}", err=True)
                 sys.exit(EXIT_MISMATCH)
-        click.echo(f"{trials}/{trials} trials agree")
+        if graph_spec is None:
+            click.echo(f"{trials}/{trials} trials agree")
+    except GraphError as exc:
+        _fail(EXIT_USAGE, exc)
     except InternalCheckError as exc:
         _fail(EXIT_INTERNAL, exc)
 
@@ -239,69 +244,62 @@ def export(graph_spec, l_value, pair, out):
     try:
         g = _load_graph(graph_spec)
         a, b = _parse_pair(pair, g)
-        if l_value < 3:
-            raise GraphError(f"export needs l >= 3, got l={l_value}")
         _check_out(out)
-    except (GraphError, ValueError) as exc:
+        key = ComponentKey(a, b, l_value)
+        kpair = build_k_pair(g, key)
+        if g.distance(a, b) > l_value:
+            click.echo(f"notice: d({a}, {b}) > {l_value}, the pair is empty", err=True)
+
+        # the only consumer of whole complexes: wrapping validates downward closure
+        total = SimplicialComplex(kpair.labels, kpair.total)
+        sub = SimplicialComplex(kpair.labels, kpair.sub)
+
+        def annotate(simplex):
+            return {"interior_length": interior_length(g, key, simplex)}
+
+        doc = {
+            "format_version": 1,
+            "graph": graph_spec,
+            "a": a,
+            "b": b,
+            "l": l_value,
+            "total": complex_to_dict(total, annotate=annotate),
+            "sub": complex_to_dict(sub, annotate=annotate),
+        }
+        # every file's text first, so that a bad path leaves nothing written
+        texts = {Path(f"{out}.pair.json"): dump_json(doc)}
+        for name, complex_ in (("total", total), ("sub", sub)):
+            if complex_.dim > 3:
+                click.echo(
+                    f"notice: {name} complex has dimension {complex_.dim} > 3, "
+                    f"skipping OFF export", err=True,
+                )
+                continue
+            texts[Path(f"{out}.{name}.off")] = complex_to_off(complex_)
+
+        if g.is_tree():
+            records = []
+            for component in decompose_tree_component(g, key):
+                total, sub = build_delta_pair(component, l_value)
+                records.append(
+                    {
+                        "walk": list(component.walk),
+                        "turning_points": list(component.phi),
+                        "total": complex_to_dict(total, include_all=False),
+                        "sub": complex_to_dict(sub, include_all=False),
+                    }
+                )
+            texts[Path(f"{out}.deltas.json")] = dump_json(
+                {"format_version": 1, "components": records}
+            )
+
+        _write_files(texts)
+        for path in texts:
+            click.echo(f"wrote {path}")
+    except GraphError as exc:
         _fail(EXIT_USAGE, exc)
-
-    key = ComponentKey(a, b, l_value)
-    kpair = build_k_pair(g, key)
-    if g.distance(a, b) > l_value:
-        click.echo(
-            f"notice: d({a}, {b}) > {l_value}, the pair is empty", err=True
-        )
-
-    # the only consumer of whole complexes: wrapping validates downward closure
-    total = SimplicialComplex(kpair.labels, kpair.total)
-    sub = SimplicialComplex(kpair.labels, kpair.sub)
-
-    def annotate(simplex):
-        return {"interior_length": interior_length(g, key, simplex)}
-
-    doc = {
-        "format_version": 1,
-        "graph": graph_spec,
-        "a": a,
-        "b": b,
-        "l": l_value,
-        "total": complex_to_dict(total, annotate=annotate),
-        "sub": complex_to_dict(sub, annotate=annotate),
-    }
-    paths = [Path(f"{out}.pair.json")]
-    paths[0].write_text(dump_json(doc), encoding="utf-8")
-
-    for name, complex_ in (("total", total), ("sub", sub)):
-        path = Path(f"{out}.{name}.off")
-        if complex_.dim > 3:
-            click.echo(
-                f"notice: {name} complex has dimension {complex_.dim} > 3, "
-                f"skipping OFF export", err=True,
-            )
-            continue
-        path.write_text(complex_to_off(complex_), encoding="utf-8")
-        paths.append(path)
-
-    if g.is_tree():
-        records = []
-        for component in decompose_tree_component(g, key):
-            total, sub = build_delta_pair(component, l_value)
-            records.append(
-                {
-                    "walk": list(component.walk),
-                    "turning_points": list(component.phi),
-                    "total": complex_to_dict(total, include_all=False),
-                    "sub": complex_to_dict(sub, include_all=False),
-                }
-            )
-        path = Path(f"{out}.deltas.json")
-        path.write_text(
-            dump_json({"format_version": 1, "components": records}), encoding="utf-8"
-        )
-        paths.append(path)
-
-    for path in paths:
-        click.echo(f"wrote {path}")
+    except InternalCheckError as exc:
+        _fail(EXIT_INTERNAL, exc)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import InternalCheckError, enumerate_walks, sequence_length
+from .graphs import GraphError, InternalCheckError, enumerate_walks, sequence_length
 from .homology import HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
 from .simplicial import relative_chain_complex
@@ -51,6 +51,11 @@ class KPair:
         return self.total - self.cells
 
 
+def _require_length(l):
+    if l < 3:
+        raise GraphError(f"method geometric needs l >= 3, got l={l}")
+
+
 def interior_tuple(key, simplex):
     """The endpoint-closed vertex tuple of a positioned simplex."""
     return (key.a, *[v for _, v in simplex], key.b)
@@ -64,11 +69,11 @@ def interior_length(g, key, simplex):
 def build_k_pair(g, key):
     """Construct K_l(a,b) and its relative cells K_l(a,b) \\ K'_l(a,b).
 
-    Requires l >= 3.  Every walk with at most l steps contributes the
-    downward closure of its full positioned interior; the union over walks
-    is K.  The relative cells are enumerated top-down from the interiors of
-    the walks of exactly l steps: drop one position at a time and keep a
-    face while its interior length is still l.  A simplex of K outside K'
+    Requires l >= 3 (GraphError otherwise).  Every walk with at most l
+    steps contributes the downward closure of its full positioned interior;
+    the union over walks is K.  The relative cells are enumerated top-down
+    from the interiors of the walks of exactly l steps: drop one position
+    at a time and keep a face while its interior length is still l.  A simplex of K outside K'
     has interior length l, so every walk whose interior holds it has
     exactly l steps; dropping a vertex never lengthens the closed tuple, so
     every simplex between the two has length l as well.  The descent thus
@@ -78,8 +83,7 @@ def build_k_pair(g, key):
     so that simplex orientation agrees with position order.
     """
     a, b, l = key
-    if l < 3:
-        raise ValueError(f"the geometric construction needs l >= 3, got {l}")
+    _require_length(l)
     g.index(a), g.index(b)
 
     labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
@@ -197,13 +201,11 @@ def magnitude_homology_geometric(g, key, kmax=None):
     Degrees k >= 3 read H_{k-2} of the pair; k = 2 uses H_0 of the pair when
     d(a, b) < l and reduced H_0 of the total complex when d(a, b) = l;
     degrees 0 and 1 are delegated to the direct route (their chain groups
-    are at most one-dimensional).  Requires l >= 3.
+    are at most one-dimensional).  Requires l >= 3 (GraphError otherwise).
     """
-    l = key.l
+    _require_length(key.l)
     if kmax is None:
-        kmax = l
-    if l < 3:
-        raise ValueError(f"the geometric method needs l >= 3, got {l}")
+        kmax = key.l
     out = magnitude_homology_direct(g, key, kmax=min(1, kmax))
     if kmax < 2:
         return out

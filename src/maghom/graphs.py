@@ -15,7 +15,8 @@ from collections import deque
 
 
 class GraphError(ValueError):
-    """Raised for malformed graph sources or invalid graph lookups."""
+    """Unusable input: a malformed graph or labeling, an unknown vertex, a length
+    or graph a route does not take, a file that cannot be read or written."""
 
 
 class InternalCheckError(RuntimeError):
@@ -161,7 +162,7 @@ def parse_graph(text):
 def _parse_structured(text):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid JSON graph file: {exc}") from None
     if not isinstance(doc, dict):
         raise GraphError("structured graph file must be a JSON object")
@@ -332,12 +333,10 @@ def enumerate_walks(g, a, b, max_steps):
 # -- random graphs for the validation harness ------------------------------
 
 
-def random_connected_graph(rng, n_min=2, n_max=6, extra_edge_prob=0.3):
-    """A random connected graph: a random spanning tree plus extra edges.
-
-    Deterministic for a given ``random.Random`` state.
-    """
-    n = rng.randint(n_min, n_max)
+def random_connected_graph(rng, n_max=6):
+    """A random connected graph on 2..n_max vertices, drawn from ``rng``: a
+    random spanning tree plus each other edge with probability 0.3."""
+    n = rng.randint(2, n_max)
     verts = [f"v{i}" for i in range(n)]
     edges = []
     present = set()
@@ -348,7 +347,7 @@ def random_connected_graph(rng, n_min=2, n_max=6, extra_edge_prob=0.3):
     for i in range(n):
         for j in range(i + 1, n):
             key = frozenset((verts[i], verts[j]))
-            if key not in present and rng.random() < extra_edge_prob:
+            if key not in present and rng.random() < 0.3:
                 edges.append((verts[i], verts[j]))
                 present.add(key)
     return Graph(verts, edges)

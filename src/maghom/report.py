@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .geometric import magnitude_homology_geometric
-from .graphs import InternalCheckError, pair_orbits
+from .graphs import GraphError, InternalCheckError, pair_orbits
 from .homology import direct_sum
 from .magnitude import ComponentKey, magnitude_homology_direct
 from .trees import tree_homology_by_pair, tree_magnitude_closed_form
@@ -46,13 +46,14 @@ class MagnitudeTable:
     def apply_types(self, labeling):
         """Group pairs by a labeling dict mapping (a, b) tuples to labels.
 
-        The labeling must cover every ordered pair.  Label order follows
-        first appearance in the labeling.
+        The labeling must cover every computed pair (GraphError otherwise).
+        Only the labels of computed pairs get a column, in order of first
+        appearance in the labeling.
         """
-        missing = [key for key in self.pair_groups if key not in labeling]
+        missing = next((key for key in self.pair_groups if key not in labeling), None)
         if missing:
-            a, b = missing[0]
-            raise ValueError(f"labeling does not cover pair ({a}, {b})")
+            raise GraphError(f"labeling does not cover pair ({missing[0]}, {missing[1]})")
+        labels = dict.fromkeys(labeling[key] for key in labeling if key in self.pair_groups)
         self.type_groups = {
             label: [
                 direct_sum(
@@ -62,7 +63,7 @@ class MagnitudeTable:
                 )
                 for k in range(self.kmax + 1)
             ]
-            for label in dict.fromkeys(labeling.values())
+            for label in labels
         }
 
 
@@ -221,26 +222,27 @@ def parse_pair_labeling(text, g):
     """Parse a --types labeling file: JSON mapping "u,v" keys to labels.
 
     Requires complete coverage of all ordered vertex pairs and known
-    vertices; returns a dict keyed by (a, b) tuples preserving file order.
+    vertices (GraphError otherwise); returns a dict keyed by (a, b) tuples
+    preserving file order.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid labeling file: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise GraphError(f"invalid labeling file: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValueError("labeling file must be a JSON object")
+        raise GraphError("labeling file must be a JSON object")
     labeling = {}
     for key, label in doc.items():
         parts = key.split(",")
         if len(parts) != 2:
-            raise ValueError(f'labeling key {key!r} is not of the form "u,v"')
+            raise GraphError(f'labeling key {key!r} is not of the form "u,v"')
         a, b = parts[0].strip(), parts[1].strip()
         g.index(a), g.index(b)
         if not isinstance(label, str):
-            raise ValueError(f"label for {key!r} must be a string")
+            raise GraphError(f"label for {key!r} must be a string")
         labeling[(a, b)] = label
     for a in g.vertices:
         for b in g.vertices:
             if (a, b) not in labeling:
-                raise ValueError(f"labeling does not cover pair ({a}, {b})")
+                raise GraphError(f"labeling does not cover pair ({a}, {b})")
     return labeling

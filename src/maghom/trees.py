@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import enumerate_walks
+from .graphs import GraphError, enumerate_walks
 from .homology import ZERO_GROUP, HomologyGroup
 from .magnitude import magnitude_homology_direct
 from .simplicial import SimplicialComplex
@@ -28,10 +28,7 @@ from .simplicial import SimplicialComplex
 
 def _require_tree(g):
     if not g.is_tree():
-        raise ValueError(
-            f"expected a tree, got a connected graph with {g.num_edges} edges "
-            f"on {g.num_vertices} vertices"
-        )
+        raise GraphError("method tree needs a tree input")
 
 
 @dataclass(frozen=True)
@@ -117,11 +114,12 @@ def tree_homology_by_pair(g, key, kmax=None):
 
     Degrees k >= 3 count the sphere-type walk summands (each contributes one
     Z at k = l); degrees 0..2 sit outside the decomposition's range and are
-    delegated to the direct route.  Requires l >= 3.
+    delegated to the direct route.  Requires l >= 3 and a tree; either
+    failing raises GraphError, the length tested first.
     """
-    _require_tree(g)
     if key.l < 3:
-        raise ValueError(f"the tree decomposition needs l >= 3, got {key.l}")
+        raise GraphError(f"method tree needs l >= 3, got l={key.l}")
+    _require_tree(g)
     if kmax is None:
         kmax = key.l
     out = list(magnitude_homology_direct(g, key, kmax=min(kmax, 2)))

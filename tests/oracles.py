@@ -76,6 +76,34 @@ def k_pair_by_definition(g: Graph, key) -> tuple[set, set]:
     return total, sub
 
 
+def magnitude_series_coefficients(g: Graph, l: int) -> dict[tuple[str, str], int]:
+    """[q^l] (Z_G(q)^{-1})_{ab} for every ordered pair (a, b), Z_G = (q^{d(x,y)}).
+
+    Z_G = I + N with N = O(q), so Z_G^{-1} is the series sum_m (-N)^m, and
+    its coefficient matrices C_0 .. C_l obey C_0 = I and
+    C_j = -sum_{d >= 1} A_d C_{j-d}, where A_d marks the pairs at distance
+    d.  (N^m)_{ab} sums q^length over the tuples (a, ..., b) of m + 1
+    entries with consecutive entries distinct, which are the magnitude
+    chains of degree m, so the coefficient at (a, b) is the Euler
+    characteristic sum_k (-1)^k rank MH_{k,l}(a, b).  Only the metric is
+    read; nothing here enumerates tuples.
+    """
+    verts = g.vertices
+    n = len(verts)
+    dist = [[g.distance(x, y) for y in verts] for x in verts]
+    coeffs = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for j in range(1, l + 1):
+        c = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for z in range(n):
+                if 1 <= dist[x][z] <= j:
+                    prev = coeffs[j - dist[x][z]][z]
+                    for y in range(n):
+                        c[x][y] -= prev[y]
+        coeffs.append(c)
+    return {(a, b): coeffs[l][i][j] for i, a in enumerate(verts) for j, b in enumerate(verts)}
+
+
 def dense_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Textbook product of dense row lists (``a`` must have rows)."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]

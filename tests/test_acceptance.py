@@ -156,7 +156,7 @@ def test_criterion_5_random_graph_cross_validation():
         rng = random.Random(RANDOM_BATTERY_SEED)
         pairs = chains = 0
         for trial in range(50):
-            g = random_connected_graph(rng, n_min=2, n_max=6)
+            g = random_connected_graph(rng, n_max=6)
             l = rng.randint(3, 5)
             report = cross_validate(g, l)
             assert report.ok, f"trial {trial}: {report.describe()}"

@@ -106,10 +106,10 @@ PINNED_REPORTS = [
     (["--graph", "sq2", "--l", "4", "--types", "{types}", "--format", "structured"],
      "1bb10bcb66553c36c84b977901516a23fd509d76b74402e06b0b066d82d9859c"),
     (["--graph", "sq2", "--l", "4", "--types", "{types}", "--pair", "b,c"],
-     "6a074d04cc64a80bf77aab1c4f9402dd23e322c22f96fcd448df6c994fe1ded4"),
+     "962af15eca53622e2c1662fd4551384782fd6c906af66767dc6b79847e6ae470"),
     (["--graph", "sq2", "--l", "4", "--types", "{types}", "--pair", "b,c",
       "--format", "structured"],
-     "e60824ae38a92b8676cfef4f02048cf98f7956c674ffdbfdb2ec1c5a5d2e7b26"),
+     "cb05ca5cf7424b77ca2ced05dc9007a622f18d83a4faf06ca611466fc7a26d65"),
     (["--graph", "sq2", "--l", "3-5", "--types", "{types}"],
      "6d1831e5acce2c5a32ad22efa49a1e86527692d55ddd3ca190185257bc3156cd"),
     (["--graph", "random-tree:10:2", "--l", "3-6"],
@@ -149,6 +149,10 @@ def test_compute_usage_errors(runner, tmp_path):
     space_graph = tmp_path / "space.json"
     space_graph.write_text('{"vertices": [" a", "b"], "edges": [[" a", "b"]]}')
     missing = tmp_path / "missing.txt"
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("\u00e9 b\n".encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"vertices": ' + "[" * 100000)
     not_a_file = "not a builtin generator and not a file"
     cases = [
         (["--graph", "nosuch:3", "--l", "2"], f"{not_a_file}: 'nosuch:3'"),
@@ -186,6 +190,15 @@ def test_compute_usage_errors(runner, tmp_path):
         (["--graph", "x" * 5000, "--l", "2"], "File name too long"),
         (["--graph", "sq2", "--l", "4", "--types", str(tmp_path)],
          f"labeling file not found: {str(tmp_path)!r}"),
+        # files that are not UTF-8, and a length int() refuses to read
+        (["--graph", str(latin1), "--l", "2"], f"cannot read {str(latin1)!r}: not UTF-8 text"),
+        (["--graph", "sq2", "--l", "4", "--types", str(latin1)],
+         f"cannot read {str(latin1)!r}: not UTF-8 text"),
+        (["--graph", "sq2", "--l", "9" * 5000], "--l has more than"),
+        # JSON nested deeper than the parser's recursion limit
+        (["--graph", str(deep), "--l", "2"], "invalid JSON graph file: maximum recursion depth"),
+        (["--graph", "sq2", "--l", "4", "--types", str(deep)],
+         "invalid labeling file: maximum recursion depth"),
     ]
     for args, message in cases:
         r = runner.invoke(main, ["compute", *args])
@@ -200,6 +213,40 @@ def test_compute_types_must_cover_all_pairs(runner, tmp_path):
                "--types", str(labeling_path))
     assert r.exit_code == 2
     assert "cover" in r.output
+
+
+def test_compute_unwritable_out_exits_2(runner, tmp_path):
+    # a name the file system refuses is found before the work
+    out = str(tmp_path / ("x" * 300))
+    r = invoke(runner, "compute", "--graph", "path:3", "--l", "2", "--out", out)
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith(f"error: cannot write {out!r}: ")
+    # a link into a missing directory fails only when written, after the work
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing" / "file")
+    r = invoke(runner, "compute", "--graph", "path:3", "--l", "2", "--out", str(link))
+    assert r.exit_code == 2, r.output
+    assert r.stdout == ""
+    assert r.stderr.startswith(f"error: cannot write {str(link)!r}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+
+def test_internal_value_error_is_no_usage_error(runner, monkeypatch, tmp_path):
+    # only GraphError means bad input; any other ValueError is a fault and
+    # must not pass for a usage error
+    def broken(spec):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(maghom.cli, "generate", broken)
+    for args in (
+        ["compute", "--graph", "sq2", "--l", "2"],
+        ["check", "--graph", "sq2", "--l", "3"],
+        ["export", "--graph", "sq2", "--l", "3", "--pair", "a,b", "--out", str(tmp_path / "x")],
+    ):
+        r = invoke(runner, *args)
+        assert r.exit_code == 1, args
+        assert isinstance(r.exception, ValueError), args
+        assert "error:" not in r.stderr, args
 
 
 def test_compute_internal_check_failure_exits_4(runner, monkeypatch):
@@ -301,9 +348,18 @@ def test_check_mismatch_exits_3(runner, monkeypatch):
         )
 
     monkeypatch.setattr(maghom.cli, "cross_validate", fake_cross_validate)
-    r = invoke(runner, "check", "--trials", "1", "--seed", "0")
-    assert r.exit_code == 3
-    assert "counterexample" in r.stderr
+    # random trials and a single --graph report a disagreement the same way
+    for args in (
+        ["--trials", "1", "--seed", "0", "--l-max", "3"],
+        ["--graph", "sq2", "--l", "3-4"],
+    ):
+        r = invoke(runner, "check", *args)
+        assert r.exit_code == 3, args
+        assert "l=3: MISMATCH at component (a=x, b=y, l=3), degree 2" in r.stdout, args
+        assert "l=4" not in r.stdout, args
+        assert r.stderr == (
+            "counterexample: component (a=x, b=y, l=3), degree 2: direct Z vs geometric 0\n"
+        ), args
 
 
 # --- export -------------------------------------------------------------------
@@ -365,7 +421,7 @@ def test_export_usage_errors(runner, tmp_path):
         assert r.exit_code == 2, r.output
         return r.stderr
 
-    assert export(l="2") == "error: export needs l >= 3, got l=2\n"
+    assert export(l="2") == "error: method geometric needs l >= 3, got l=2\n"
     assert export(pair="a") == """error: --pair expects "u,v", got 'a'\n"""
     assert export(pair="a,zz") == "error: unknown vertex: 'zz'\n"
     assert export(graph=str(tmp_path)) == (
@@ -384,6 +440,24 @@ def test_export_usage_errors(runner, tmp_path):
     new = f"{tmp_path / 'new'}/"
     assert export(out=new) == f"error: --out names a directory: {new!r}\n"
     assert not (tmp_path / "new").exists() and not list(tmp_path.glob("new.*"))
+
+
+def test_export_write_failures_exit_2_with_nothing_written(runner, tmp_path):
+    # a target that is a directory is refused before any file is written
+    (tmp_path / "p5.total.off").mkdir()
+    args = ["export", "--graph", "path:5", "--l", "4", "--pair", "v0,v4", "--out"]
+    r = invoke(runner, *args, str(tmp_path / "p5"))
+    assert r.exit_code == 2, r.output
+    target = str(tmp_path / "p5.total.off")
+    assert r.stderr == f"error: cannot write {target!r}: it is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["p5.total.off"]
+    assert not list((tmp_path / "p5.total.off").iterdir())
+    # a stem the file system takes, but not with the first suffix added
+    long_stem = str(tmp_path / ("x" * 250))
+    r = invoke(runner, *args, long_stem)
+    assert r.exit_code == 2, r.output
+    assert r.stderr.startswith(f"error: cannot write {long_stem + '.pair.json'!r}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["p5.total.off"]
 
 
 # --- entry point ----------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import maghom.geometric
 from maghom import (
     ComponentKey,
+    GraphError,
     HomologyGroup,
     InternalCheckError,
     KPair,
@@ -29,8 +30,14 @@ from oracles import chain_complex, k_pair_by_definition, random_graph_from_seed
 
 
 def test_k_pair_requires_length_three(sq2):
-    with pytest.raises(ValueError):
+    # the geometric route owns its length rule; the CLI prints the message
+    message = r"^method geometric needs l >= 3, got l=2$"
+    with pytest.raises(GraphError, match=message):
         build_k_pair(sq2, ComponentKey("a", "a", 2))
+    # also when degrees 0 and 1 alone, which need no pair, are asked for
+    for kmax in (None, 1):
+        with pytest.raises(GraphError, match=message):
+            magnitude_homology_geometric(sq2, ComponentKey("a", "b", 2), kmax)
 
 
 def test_k_pair_sq2_diagonal(sq2):
@@ -90,7 +97,7 @@ def _definition_battery():
     rng = random.Random(31337)
     for _ in range(20):
         # the draws of `maghom check --seed 31337` at the default sizes
-        g = random_connected_graph(rng, n_min=2, n_max=6)
+        g = random_connected_graph(rng, n_max=6)
         yield g, rng.randint(3, 5)
     sq2 = generate("sq2")
     yield from ((sq2, l) for l in (4, 5, 6))

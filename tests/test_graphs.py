@@ -215,7 +215,7 @@ def test_distance_is_a_metric(seed):
 
 def test_random_connected_graph_bounds():
     for seed in range(30):
-        g = random_connected_graph(random.Random(seed), n_min=2, n_max=6)
+        g = random_connected_graph(random.Random(seed), n_max=6)
         assert 2 <= g.num_vertices <= 6
 
 

@@ -7,6 +7,7 @@ import maghom.graphs
 import maghom.report
 from maghom import (
     ComponentKey,
+    GraphError,
     HomologyGroup,
     InternalCheckError,
     build_table,
@@ -62,8 +63,18 @@ def test_apply_types_groups_pairs(sq2_table):
 def test_apply_types_requires_full_coverage():
     g = generate("path:3")
     t = build_table(g, 2, 2, "direct")
-    with pytest.raises(ValueError, match="cover"):
+    with pytest.raises(GraphError, match="cover"):
         t.apply_types({("v0", "v0"): "diag"})
+
+
+def test_apply_types_on_a_single_pair_keeps_only_its_label(sq2):
+    labeling = {tuple(k.split(",")): v for k, v in sq2_pair_types().items()}
+    t = build_table(sq2, 4, 4, "direct", pair=("b", "a"))
+    t.apply_types(labeling)
+    assert list(t.type_groups) == ["(a,b)"]
+    assert t.type_groups["(a,b)"] == t.pair_groups["b", "a"]
+    assert "(a,a)" not in render_table(t)
+    assert [record["label"] for record in table_to_dict(t)["types"]] == ["(a,b)"]
 
 
 def test_render_table_totals_only():
@@ -122,14 +133,19 @@ def test_parse_pair_labeling_ok():
 
 def test_parse_pair_labeling_errors():
     g = generate("path:2")
-    with pytest.raises(ValueError, match="unknown vertex"):
+    # every error is a GraphError, which the CLI maps to exit code 2
+    with pytest.raises(GraphError, match="unknown vertex"):
         parse_pair_labeling(json.dumps({"v0,v9": "x"}), g)
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError, match="must be a JSON object"):
         parse_pair_labeling("[1, 2]", g)
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError, match="invalid labeling file"):
         parse_pair_labeling("{not json", g)
-    with pytest.raises(ValueError, match="u,v"):
+    with pytest.raises(GraphError, match="u,v"):
         parse_pair_labeling(json.dumps({"v0": "x"}), g)
+    with pytest.raises(GraphError, match="must be a string"):
+        parse_pair_labeling(json.dumps({"v0,v0": 1}), g)
+    with pytest.raises(GraphError, match=r"does not cover pair \(v0, v1\)"):
+        parse_pair_labeling(json.dumps({"v0,v0": "d"}), g)
 
 
 def test_build_table_auto_resolves_the_route(sq2):

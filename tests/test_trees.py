@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from maghom import (
     ComponentKey,
+    GraphError,
     HomologyGroup,
     generate,
     magnitude_homology_direct,
@@ -242,10 +243,15 @@ def test_tree_totals_equal_closed_form():
     assert totals[5] == tree_magnitude_closed_form(g, 5, 5)
 
 
-def test_tree_route_requires_minimum_length():
+def test_tree_route_requires_minimum_length(sq2):
     g = generate("path:3")
-    with pytest.raises(ValueError, match="l >= 3"):
+    with pytest.raises(GraphError, match=r"^method tree needs l >= 3, got l=2$"):
         tree_homology_by_pair(g, ComponentKey("v0", "v1", 2))
+    # the length is tested before the graph
+    with pytest.raises(GraphError, match=r"^method tree needs l >= 3, got l=2$"):
+        tree_homology_by_pair(sq2, ComponentKey("a", "b", 2))
+    with pytest.raises(GraphError, match=r"^method tree needs a tree input$"):
+        tree_homology_by_pair(sq2, ComponentKey("a", "b", 3))
 
 
 # --- geodesic helpers -------------------------------------------------------------------
