@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
+from types import MappingProxyType
 
 
 class GraphError(ValueError):
@@ -107,6 +108,11 @@ class Graph:
         except KeyError:
             unknown = u if u not in self._index else v
             raise GraphError(f"unknown vertex: {unknown!r}") from None
+
+    @property
+    def distances(self):
+        """The distance table, read-only: ``distances[u, v]`` is d(u, v)."""
+        return MappingProxyType(self._dist)
 
     def neighbors(self, v):
         """Neighbors of v, sorted by the vertex order."""

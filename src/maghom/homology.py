@@ -1,15 +1,17 @@
 """Exact integer linear algebra and homology groups.
 
 Everything here works over arbitrary-precision Python integers.  Matrices
-are sparse columns, and Smith normal form eliminates on sparse rows.  Its
-invariant factors drive betti numbers and torsion; the test suite
-cross-checks them against gcds of minors and fraction-free elimination,
-which share no code with it.
+are sparse columns, and Smith normal form eliminates on sparse rows, with a
+column index for the rows to clear and a heap for the next pivot, so no
+pass scans the rows.  Its invariant factors drive betti numbers and
+torsion; the test suite cross-checks them against gcds of minors and
+fraction-free elimination, which share no code with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -58,58 +60,84 @@ def smith_normal_form(a):
 
     Only the positive diagonal entries of the Smith normal form are
     returned, so their count is the rank.  The elimination works on sparse
-    rows.  Each pivot is an entry of least absolute value in the working
-    matrix, taken from the shortest row holding one; a row that is a single
-    unit ends the search.  Row operations clear the pivot column and column
-    operations reduce the pivot row, which is the only row they change once
-    its column is clear.  The loop ends: a pass either drops the pivot row
-    or leaves a remainder below the least absolute value, which can fall
-    only finitely often.  The input is not modified.
+    rows, numbered by first appearance in the columns, with a column index
+    (column -> rows holding it) kept current on every fill-in and
+    cancellation, so no pass scans the rows.  Each pivot is an entry of
+    least absolute value in the working matrix, taken from the shortest row
+    holding one, ties going to the earliest row; a heap keyed by (least
+    absolute value, row length, row number) yields that row, and an entry
+    is stale once its row has changed.  Row operations clear the pivot
+    column, in row order, and column operations reduce the pivot row, which
+    is the only row they change once its column is clear.  The loop ends: a
+    pass either drops the pivot row or leaves a remainder below the least
+    absolute value, which can fall only finitely often.  The input is not
+    modified.
 
     >>> smith_normal_form(IntegerMatrix(2, 2, [{0: 2}, {0: 4, 1: 6}]))
     (2, 6)
     """
-    rows = {}
+    first_seen = {}
     for j, column in enumerate(a.columns):
         for i, x in column.items():
-            rows.setdefault(i, {})[j] = x
+            first_seen.setdefault(i, {})[j] = x
+    if not first_seen:
+        return ()
+    rows = dict(enumerate(first_seen.values()))
+    holders = [set() for _ in range(a.cols)]
+    keys = {}
+    for i, row in rows.items():
+        for j in row:
+            holders[j].add(i)
+        keys[i] = (min(map(abs, row.values())), len(row), i)
+    heap = list(keys.values())
+    heapify(heap)
+
     diagonal = []
     while rows:
-        least = size = float("inf")
-        for i, row in rows.items():
-            if least == 1 and len(row) >= size:
-                continue  # a unit in a row no longer than this one is found
-            m = min(map(abs, row.values()))
-            if (m, len(row)) < (least, size):
-                least, size, r = m, len(row), i
-                if least == size == 1:
-                    break
+        while keys.get(heap[0][2]) != heap[0]:
+            heappop(heap)
+        least, _, r = heap[0]
         prow = rows[r]
         c = next(j for j, x in prow.items() if abs(x) == least)
         p = prow[c]
         remainder = False
-        for i, row in [(i, row) for i, row in rows.items() if c in row and i != r]:
-            q = row[c] // p
+        for i in sorted(holders[c]):
+            if i == r:
+                continue
+            row = rows[i]
+            q = row[c] // p  # nonzero: |row[c]| >= |p|
             for j, y in prow.items():
-                z = row.get(j, 0) - q * y
-                if z:
-                    row[j] = z
-                else:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -q * y
+                    holders[j].add(i)
+                elif x == q * y:
                     del row[j]
-            if c in row:
-                remainder = True
-            elif not row:
-                del rows[i]
+                    holders[j].remove(i)
+                else:
+                    row[j] = x - q * y
+            if row:
+                remainder |= c in row
+                key = keys[i] = (min(map(abs, row.values())), len(row), i)
+                heappush(heap, key)
+            else:
+                del rows[i], keys[i]
         if remainder:
             continue
         for j in [j for j in prow if j != c]:
-            prow[j] %= p
-            if not prow[j]:
+            x = prow[j] % p
+            if x:
+                prow[j] = x
+            else:
                 del prow[j]
+                holders[j].remove(r)
         if len(prow) > 1:
+            key = keys[r] = (min(map(abs, prow.values())), len(prow), r)
+            heappush(heap, key)
             continue
         diagonal.append(abs(p))
-        del rows[r]
+        holders[c].remove(r)
+        del rows[r], keys[r]
     return _divisibility_chain(diagonal)
 
 

@@ -28,72 +28,67 @@ def enumerate_basis(g, key, kmax):
     """Per-degree bases of MC_{*,l}(a, b) for degrees 0..kmax.
 
     Each degree's basis is sorted lexicographically under the vertex order.
-    Enumeration recurses over next vertices and prunes with a memoized
-    feasibility test: can the remaining length be consumed exactly, within
-    the remaining step budget, ending at b?  Degrees above l are always
-    empty because every step has length at least 1.
+    Enumeration recurses over next vertices, taking only the steps after
+    which the remaining length can be consumed exactly, within the
+    remaining step budget, ending at b; those steps are memoized per
+    (vertex, remaining length, budget).  Degrees above l are always empty
+    because every step has length at least 1.
     """
     a, b, l = key
     g.index(a), g.index(b)
     if l < 0 or kmax < 0:
         return [[] for _ in range(max(kmax + 1, 0))]
     per_degree = [[] for _ in range(kmax + 1)]
+    dist = g.distances
+    # each vertex's steps (y, d(v, y)) in vertex order, so that the bases
+    # come out sorted
+    steps = {v: [(y, dist[v, y]) for y in g.vertices if y != v] for v in g.vertices}
     memo = {}
 
-    def feasible(v, remaining, steps):
-        if remaining == 0:
-            return v == b
-        if steps == 0:
-            return False
-        state = (v, remaining, steps)
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        ok = False
-        for y in g.vertices:
-            if y != v:
-                d = g.distance(v, y)
-                if d <= remaining and feasible(y, remaining - d, steps - 1):
-                    ok = True
-                    break
-        memo[state] = ok
-        return ok
+    def options(v, remaining, budget):
+        state = (v, remaining, budget)
+        found = memo.get(state)
+        if found is None:
+            found = memo[state] = []
+            for y, d in steps[v]:
+                rest = remaining - d
+                if rest == 0 and y == b or rest > 0 and budget > 1 and options(y, rest, budget - 1):
+                    found.append((y, d))
+        return found
 
     prefix = [a]
 
-    def extend(used):
+    def extend(last, used):
         k = len(prefix) - 1
-        if prefix[-1] == b and used == l:
+        if last == b and used == l:
             per_degree[k].append(tuple(prefix))
         if k == kmax or used >= l:
             return
-        last = prefix[-1]
-        for y in g.vertices:
-            if y == last:
-                continue
-            step = g.distance(last, y)
-            total = used + step
-            if total <= l and feasible(y, l - total, kmax - k - 1):
-                prefix.append(y)
-                extend(total)
-                prefix.pop()
+        for y, d in options(last, l - used, kmax - k):
+            prefix.append(y)
+            extend(y, used + d)
+            prefix.pop()
 
-    if feasible(a, l, kmax):
-        extend(0)
+    extend(a, 0)
     return per_degree
 
 
 def _boundary_from_bases(g, basis_prev, basis_cur):
     # consecutive entries of a tuple differ, so dropping two different
     # interior vertices never gives the same face
+    dist = g.distances
     index = {seq: i for i, seq in enumerate(basis_prev)}
     columns = []
     for seq in basis_cur:
         column = {}
+        sign = -1  # (-1) ** i, from i = 1
+        before = dist[seq[0], seq[1]]
         for i in range(1, len(seq) - 1):
-            left, mid, right = seq[i - 1], seq[i], seq[i + 1]
-            if g.distance(left, right) == g.distance(left, mid) + g.distance(mid, right):
-                column[index[seq[:i] + seq[i + 1:]]] = (-1) ** i
+            after = dist[seq[i], seq[i + 1]]
+            if dist[seq[i - 1], seq[i + 1]] == before + after:
+                column[index[seq[:i] + seq[i + 1:]]] = sign
+            sign = -sign
+            before = after
         columns.append(column)
     return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
 

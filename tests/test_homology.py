@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -71,9 +72,29 @@ def test_snf_worked_example():
         ([[2], [3]], (1,)),  # remainder in the pivot column
         ([[2, 4], [6, 8]], (2, 4)),  # no unit entry
         ([[-3, 6], [9, 3]], (3, 21)),  # negative least entry
+        # the remaining inputs drive the pivot heap and the column index,
+        # as followed by hand in their comments
+        # row 1 is a single unit, so it is the first pivot; clearing column 1
+        # from row 0 cancels that entry, and row 0 leaves column 1's index
+        ([[2, 1], [0, -1]], (1, 2)),
+        # the least entry 4 ties in both rows and row 0 is first; 6 // 4
+        # leaves 2 in row 1, a smaller pivot that takes the next pass
+        ([[4, 6], [6, 4]], (2, 10)),
+        # the unit in row 0 clears row 1's column 0 (a cancellation) and
+        # fills in column 1 (a new index entry); row 1's -2 then pivots and
+        # leaves a remainder in row 2, whose -1 then clears the filled-in
+        # entry; column 2 is zero, so the rank is 2
+        ([[1, 1, 0], [2, 0, 0], [0, 3, 0]], (1, 1)),
+        # the pass on row 0's 2 cancels row 1's column 0 entry and leaves a
+        # remainder 1 in row 2, which pivots in column 0 again: row 1 must
+        # have left that column's index
+        ([[2, 0], [4, 5], [3, 0]], (1, 5)),
+        # the three unit pivots each cancel an entry of row 2 and the first
+        # two fill one in, so its last entry, -4, comes from fill-in alone
+        ([[1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 0, 2], [0, 0, 3, 1]], (1, 1, 1, 4)),
     ]:
         a = matrix_from_lists(rows)
-        assert smith_normal_form(a) == factors == invariant_factors_by_minors(a)
+        assert smith_normal_form(a) == factors == invariant_factors_by_minors(a), rows
 
 
 def test_snf_divisibility_repair():
@@ -113,6 +134,25 @@ def test_snf_properties(seed):
     assert len(diag) == rational_rank(a)
     # The factors agree with the gcds of minors, which need no elimination.
     assert diag == invariant_factors_by_minors(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), rows=st.integers(1, 40), cols=st.integers(1, 40))
+def test_snf_on_sparse_boundary_like_matrices(seed, rows, cols):
+    # few entries per column, as in magnitude boundaries (whose entries are
+    # +-1), with +-2 mixed in so that torsion can occur
+    rng = random.Random(seed)
+    density = rng.choice((0.03, 0.08, 0.2))
+    a = IntegerMatrix(rows, cols, [
+        {i: rng.choice((-2, -1, 1, 2)) for i in range(rows) if rng.random() < density}
+        for _ in range(cols)
+    ])
+    diag = smith_normal_form(a)
+    assert len(diag) == rank_over_q(a)
+    assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
+    # the first invariant factor is the gcd of all entries
+    entries = [x for column in a.columns for x in column.values()]
+    assert diag[:1] == ((math.gcd(*entries),) if entries else ())
 
 
 def test_production_code_never_densifies(monkeypatch):

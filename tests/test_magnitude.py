@@ -12,6 +12,7 @@ from maghom import (
     generate,
     magnitude_homology_direct,
 )
+from maghom.graphs import sequence_length
 from maghom.homology import ZERO_GROUP
 from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from oracles import (
@@ -63,6 +64,26 @@ def test_basis_matches_brute_force_random(seed):
     per_degree = enumerate_basis(g, ComponentKey(a, b, l), kmax)
     for k in range(kmax + 1):
         assert per_degree[k] == brute_force_magnitude_basis(g, a, b, l, k)
+
+
+def test_basis_and_signs_follow_an_unsorted_declaration_order(sq2):
+    # the vertex order is the declaration order, not the order of the labels
+    g = Graph(["e", "b", "f", "a", "d", "c"], sq2.edges)
+    for a, b, l in [("a", "a", 4), ("e", "c", 4), ("b", "d", 5)]:
+        key = ComponentKey(a, b, l)
+        bases = enumerate_basis(g, key, l)
+        assert any(basis != sorted(basis) for basis in bases)
+        for k, basis in enumerate(bases):
+            assert basis == brute_force_magnitude_basis(g, a, b, l, k)
+        complex_ = magnitude_chain_complex(g, key, l)
+        for k in range(1, l + 1):
+            index = {seq: n for n, seq in enumerate(bases[k - 1])}
+            expected = []
+            for seq in bases[k]:
+                faces = [(i, seq[:i] + seq[i + 1:]) for i in range(1, k)]
+                expected.append({index[face]: (-1) ** i for i, face in faces
+                                 if sequence_length(g, face) == l})
+            assert list(complex_.boundary(k).columns) == expected, (key, k)
 
 
 def test_basis_empty_beyond_length():

@@ -55,11 +55,16 @@ def test_check_battery_graphs_match_the_series():
 
 def test_sq2_whole_graph_series():
     sq2 = generate("sq2")
-    values = [6, -16, 32, -58, 100, -168, 278, -456]
-    assert [sum(magnitude_series_coefficients(sq2, l).values()) for l in range(8)] == values
-    for l, value in enumerate(values):
+    values = [6, -16, 32, -58, 100, -168, 278, -456, 744, -1210]
+    assert [sum(magnitude_series_coefficients(sq2, l).values()) for l in range(10)] == values
+    for l, value in enumerate(values[:8]):
         totals = build_table(sq2, l).totals()
         assert sum((-1) ** k * group.betti for k, group in enumerate(totals)) == value
+    # rungs past the two-route battery, on the direct route
+    for l, top in [(8, [76, 900, 1568]), (9, [2, 284, 2180, 3108])]:
+        totals = build_table(sq2, l, method="direct").totals()
+        assert totals == [ZERO_GROUP] * (l + 1 - len(top)) + [HomologyGroup(b) for b in top]
+        assert sum((-1) ** k * group.betti for k, group in enumerate(totals)) == values[l]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
