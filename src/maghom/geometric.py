@@ -72,15 +72,19 @@ def build_k_pair(g, key):
     Requires l >= 3 (GraphError otherwise).  Every walk with at most l
     steps contributes the downward closure of its full positioned interior;
     the union over walks is K.  The relative cells are enumerated top-down
-    from the interiors of the walks of exactly l steps: drop one position
-    at a time and keep a face while its interior length is still l.  A simplex of K outside K'
-    has interior length l, so every walk whose interior holds it has
-    exactly l steps; dropping a vertex never lengthens the closed tuple, so
-    every simplex between the two has length l as well.  The descent thus
-    reaches every simplex of K outside K' and nothing else.  A pair at
-    distance greater than l yields the empty pair.  Labels are
-    (position, vertex), ordered by position first and vertex order second,
-    so that simplex orientation agrees with position order.
+    from the interiors of the walks of exactly l steps, which have interior
+    length l by construction.  From a cell of length l, dropping the vertex
+    x_i of the closed tuple keeps the length l exactly when the triangle
+    through it is tight, d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1}),
+    since the drop replaces those two terms by the first; only such faces
+    are generated.  A simplex of K outside K' has interior length l, so
+    every walk whose interior holds it has exactly l steps; dropping a
+    vertex never lengthens the closed tuple, so every simplex between the
+    two has length l as well.  The descent thus reaches every simplex of K
+    outside K' and nothing else.  A pair at distance greater than l yields
+    the empty pair.  Labels are (position, vertex), ordered by position
+    first and vertex order second, so that simplex orientation agrees with
+    position order.
     """
     a, b, l = key
     _require_length(l)
@@ -96,14 +100,20 @@ def build_k_pair(g, key):
         if len(walk) - 1 == l:
             layer.add(interior)
 
-    # one layer per simplex size, largest first
+    # one layer per simplex size, largest first; every cell has length l
+    dist = g.distances
     cells = set()
     while layer:
-        layer = {face for face in layer if interior_length(g, key, face) == l}
         cells.update(layer)
-        layer = {
-            cell[:i] + cell[i + 1:] for cell in layer if len(cell) > 1 for i in range(len(cell))
-        }
+        faces = set()
+        for cell in layer:
+            if len(cell) > 1:
+                closed = interior_tuple(key, cell)
+                for i in range(len(cell)):
+                    x, y, z = closed[i:i + 3]
+                    if dist[x, z] == dist[x, y] + dist[y, z]:
+                        faces.add(cell[:i] + cell[i + 1:])
+        layer = faces
     return KPair(key=key, labels=labels, total=frozenset(total), cells=frozenset(cells))
 
 
@@ -113,14 +123,16 @@ def chain_map_t(g, key, rel, mag):
     ``rel`` is the relative complex of the K pair of ``key`` and ``mag`` the
     magnitude complex of ``key`` through degree l + 1.  Checks, degree by
     degree, that closing each relative simplex with the endpoints gives
-    exactly the magnitude basis two degrees up, and that positions are
-    recoverable as cumulative distances along the tuple.  Returns
+    exactly the magnitude basis two degrees up: the steps of each closed
+    tuple, read from the distance table, must sum to l, and their running
+    sums must equal the simplex's positions.  Returns
     ``pairs_by_degree``: ``pairs_by_degree[n]`` lists the (simplex, sequence)
     pairs of relative degree n in relative basis order.  Raises
     InternalCheckError on any failure.
     """
     # relative simplices use distinct positions from 1..l-1, so the relative
     # complex tops out at degree l-2 and the magnitude complex at degree l
+    dist = g.distances
     pairs_by_degree = []
     for n in range(max(key.l - 1, 0)):
         rel_basis = rel.basis(n)
@@ -128,12 +140,12 @@ def chain_map_t(g, key, rel, mag):
         images = []
         for simplex in rel_basis:
             seq = interior_tuple(key, simplex)
-            if sequence_length(g, seq) != key.l:
+            steps = [dist[x, y] for x, y in zip(seq, seq[1:])]
+            if sum(steps) != key.l:
                 raise InternalCheckError(
                     f"relative simplex {simplex!r} has interior length != l"
                 )
             # positions must equal cumulative distances along the sequence
-            steps = [g.distance(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
             expected_pos = 0
             for (pos, _), step in zip(simplex, steps):
                 expected_pos += step

@@ -309,30 +309,38 @@ def enumerate_walks(g, a, b, max_steps):
     zero-step walk ``(a,)`` is included when a == b, so the number of walks
     equals the sum of adjacency-matrix powers A^0 + ... + A^max_steps at the
     (a, b) entry.  Output is sorted lexicographically under the vertex
-    order and is produced by depth-first extension, pruned whenever the
-    remaining step budget cannot reach b.
+    order and is produced by depth-first extension, taking only the
+    neighbors from which b is still within the remaining step budget;
+    those steps are read from the distance table and memoized per
+    (vertex, remaining budget).
     """
     g.index(a), g.index(b)
     if max_steps < 0:
         return []
+    dist = g.distances
+    memo = {}
+
+    def steps(v, budget):
+        found = memo.get((v, budget))
+        if found is None:
+            found = memo[v, budget] = [y for y in g.neighbors(v) if dist[y, b] < budget]
+        return found
+
     out = []
     prefix = [a]
 
-    def extend():
-        last = prefix[-1]
+    def extend(last, budget):
         if last == b:
             out.append(tuple(prefix))
-        budget = max_steps - (len(prefix) - 1)
         if budget <= 0:
             return
-        for y in g.neighbors(last):
-            if g.distance(y, b) <= budget - 1:
-                prefix.append(y)
-                extend()
-                prefix.pop()
+        for y in steps(last, budget):
+            prefix.append(y)
+            extend(y, budget - 1)
+            prefix.pop()
 
-    if g.distance(a, b) <= max_steps:
-        extend()
+    if dist[a, b] <= max_steps:
+        extend(a, max_steps)
     return out
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import maghom.geometric
 from maghom import (
     ComponentKey,
+    Graph,
     GraphError,
     HomologyGroup,
     InternalCheckError,
@@ -14,6 +15,7 @@ from maghom import (
     build_k_pair,
     build_table,
     cross_validate,
+    enumerate_walks,
     generate,
     magnitude_homology_direct,
     magnitude_homology_geometric,
@@ -197,6 +199,25 @@ def test_chain_map_detects_corrupted_boundary(sq2):
             verify_chain_map(key, rel, mag, chain_map_t(sq2, key, rel, mag))
 
 
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        # (a, b, f, d) keeps length 4, but f sits at distance 2, not 3
+        ({((1, "b"), (2, "f"))}, {((1, "b"), (3, "f"))}, "position mismatch"),
+        # (a, b, c, d) has length 3 < l
+        (set(), {((1, "b"), (2, "c"))}, "interior length != l"),
+    ],
+)
+def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
+    key = ComponentKey("a", "d", 4)
+    kp = build_k_pair(sq2, key)
+    assert drop <= kp.cells and not add & kp.cells
+    rel = relative_chain_complex(kp.labels, (kp.cells - drop) | add)
+    mag = magnitude_chain_complex(sq2, key, key.l + 1)
+    with pytest.raises(InternalCheckError, match=message):
+        chain_map_t(sq2, key, rel, mag)
+
+
 # --- homology via the pair ----------------------------------------------------------
 
 
@@ -315,3 +336,21 @@ def test_cross_validate_random_graphs(seed):
     l = random.Random(seed).randint(3, 4)
     report = cross_validate(g, l)
     assert report.ok, report.describe()
+
+
+def test_walk_layer_reads_no_pairwise_distance(sq2, monkeypatch):
+    # the walk layer, the descent and the chain-map check read the distance
+    # table once per call, never the per-pair lookup
+    def refuse(self, u, v):
+        raise AssertionError("Graph.distance called")
+
+    tree = generate("random-tree:14:1")
+    monkeypatch.setattr(Graph, "distance", refuse)
+    keys = [(sq2, ComponentKey(a, b, l)) for l in (4, 5) for a in sq2.vertices for b in sq2.vertices]
+    keys += [(tree, ComponentKey(a, b, 6)) for a in tree.vertices for b in tree.vertices]
+    for g, key in keys:
+        enumerate_walks(g, key.a, key.b, key.l)
+        kp = build_k_pair(g, key)
+        rel = relative_chain_complex(kp.labels, kp.cells)
+        mag = magnitude_chain_complex(g, key, key.l + 1)
+        verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))

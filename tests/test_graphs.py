@@ -199,6 +199,19 @@ def test_walk_counts_match_adjacency_powers(seed):
     assert by_steps == expected
 
 
+@pytest.mark.parametrize("spec, l", [("random-tree:14:1", 9), ("random-tree:14:3", 9), ("sq2", 7)])
+def test_walk_counts_on_every_pair(spec, l):
+    # long enough that the memoized steps are reused across prefixes; each
+    # list is strictly increasing in vertex-index order: sorted, no repeats
+    g = generate(spec)
+    for a, b in itertools.product(g.vertices, repeat=2):
+        walks = enumerate_walks(g, a, b, l)
+        by_steps = [sum(1 for w in walks if len(w) == s + 1) for s in range(l + 1)]
+        assert by_steps == walk_counts_by_steps(g, a, b, l), (a, b)
+        ranks = [[g.index(v) for v in w] for w in walks]
+        assert all(x < y for x, y in zip(ranks, ranks[1:])), (a, b)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_distance_is_a_metric(seed):
