@@ -235,19 +235,22 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
 
 @main.command()
 @click.option("--graph", "graph_spec", required=True)
-@click.option("--l", "l_value", type=int, required=True)
+@click.option("--l", "l_spec", required=True, help="Length parameter: one integer.")
 @click.option("--pair", required=True, help='Ordered pair "u,v".')
 @click.option("--out", required=True,
               help="Output path stem; writes <stem>.pair.json plus OFF files.")
-def export(graph_spec, l_value, pair, out):
+def export(graph_spec, l_spec, pair, out):
     """Export the geometric pair of one component for inspection."""
     try:
+        l_value = _parse_l_range(l_spec)[0]
+        if "-" in l_spec:
+            raise GraphError(f"export takes one --l, not a range: {l_spec!r}")
         g = _load_graph(graph_spec)
         a, b = _parse_pair(pair, g)
         _check_out(out)
         key = ComponentKey(a, b, l_value)
         kpair = build_k_pair(g, key)
-        if g.distance(a, b) > l_value:
+        if g.distances[a, b] > l_value:
             click.echo(f"notice: d({a}, {b}) > {l_value}, the pair is empty", err=True)
 
         # the only consumer of whole complexes: wrapping validates downward closure

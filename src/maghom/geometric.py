@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import GraphError, InternalCheckError, enumerate_walks, sequence_length
+from .graphs import GraphError, InternalCheckError, enumerate_walks
 from .homology import HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
 from .simplicial import relative_chain_complex
@@ -63,7 +63,8 @@ def interior_tuple(key, simplex):
 
 def interior_length(g, key, simplex):
     """Total length of the endpoint-closed tuple of a simplex."""
-    return sequence_length(g, interior_tuple(key, simplex))
+    closed = interior_tuple(key, simplex)
+    return sum(g.distances[x, y] for x, y in zip(closed, closed[1:]))
 
 
 def build_k_pair(g, key):
@@ -198,7 +199,7 @@ def pair_groups(g, kpair, rel, kmax):
     a, b, l = kpair.key
     rel_homology = homology_all(rel, up_to=kmax - 2)
     h0 = rel_homology[0]
-    if g.distance(a, b) == l:
+    if g.distances[a, b] == l:
         # every interior tuple is at least d(a, b) = l long, so K' is empty,
         # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z
         if len(kpair.sub):
@@ -292,7 +293,7 @@ def cross_validate(g, l):
                     return report
             # only a pair within distance l has cells to identify, so only
             # such a pair counts as a chain check
-            if g.distance(a, b) <= l:
+            if g.distances[a, b] <= l:
                 verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))
                 report.chain_checks += 1
     return report

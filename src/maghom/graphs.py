@@ -28,11 +28,12 @@ class Graph:
     """An undirected, simple, connected graph.
 
     Construction validates the input and precomputes the full shortest-path
-    distance table (breadth-first search from every vertex).  Instances are
-    treated as immutable.
+    distance table (breadth-first search from every vertex), stored
+    read-only as ``distances``: ``distances[u, v]`` is d(u, v).  Instances
+    are treated as immutable.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_dist")
+    __slots__ = ("vertices", "edges", "distances", "_index", "_adj")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -74,7 +75,7 @@ class Graph:
             adj[v].sort(key=self._index.__getitem__)
         self._adj = adj
 
-        self._dist = {}
+        dist = {}
         for s in self.vertices:
             level = {s: 0}
             queue = deque([s])
@@ -90,7 +91,8 @@ class Graph:
                     f"disconnected graph: no walk between {s!r} and {missing!r}"
                 )
             for t, d in level.items():
-                self._dist[s, t] = d
+                dist[s, t] = d
+        self.distances = MappingProxyType(dist)
 
     # -- basic queries ----------------------------------------------------
 
@@ -104,15 +106,10 @@ class Graph:
     def distance(self, u, v):
         """Shortest-path distance (number of edges) between two vertices."""
         try:
-            return self._dist[u, v]
+            return self.distances[u, v]
         except KeyError:
             unknown = u if u not in self._index else v
             raise GraphError(f"unknown vertex: {unknown!r}") from None
-
-    @property
-    def distances(self):
-        """The distance table, read-only: ``distances[u, v]`` is d(u, v)."""
-        return MappingProxyType(self._dist)
 
     def neighbors(self, v):
         """Neighbors of v, sorted by the vertex order."""
@@ -133,15 +130,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
-
-
-def sequence_length(g, points):
-    """Total length of a tuple of vertices: the sum of consecutive distances.
-
-    Defined for arbitrary vertex tuples; repeated consecutive entries
-    contribute zero.
-    """
-    return sum(map(g.distance, points[:-1], points[1:]))
 
 
 # -- parsing ---------------------------------------------------------------
@@ -319,13 +307,6 @@ def enumerate_walks(g, a, b, max_steps):
         return []
     dist = g.distances
     memo = {}
-
-    def steps(v, budget):
-        found = memo.get((v, budget))
-        if found is None:
-            found = memo[v, budget] = [y for y in g.neighbors(v) if dist[y, b] < budget]
-        return found
-
     out = []
     prefix = [a]
 
@@ -334,7 +315,10 @@ def enumerate_walks(g, a, b, max_steps):
             out.append(tuple(prefix))
         if budget <= 0:
             return
-        for y in steps(last, budget):
+        steps = memo.get((last, budget))
+        if steps is None:
+            steps = memo[last, budget] = [y for y in g.neighbors(last) if dist[y, b] < budget]
+        for y in steps:
             prefix.append(y)
             extend(y, budget - 1)
             prefix.pop()
@@ -370,12 +354,8 @@ def random_connected_graph(rng, n_max=6):
 # -- symmetry --------------------------------------------------------------
 
 
-def _distance_matrix(g):
-    return [[g._dist[u, v] for v in g.vertices] for u in g.vertices]
-
-
-def automorphism_generators(g, dist=None):
-    """Generators of the isometry group of g, as permutations of vertex indices.
+def automorphism_generators(dist):
+    """Generators of the isometry group of a graph, as permutations of vertex indices.
 
     A permutation p maps vertex i to vertex p[i].  Vertices are first split
     by their sorted distance profile, which every isometry preserves.  Then,
@@ -384,11 +364,9 @@ def automorphism_generators(g, dist=None):
     for one isometry mapping vertex i to each candidate not yet in the orbit
     of i under the generators found so far.  Those generators fix 0..i-1 and
     together reach the whole orbit, so they generate the level's stabiliser
-    and the group itself is never listed.  ``dist`` is the distance matrix
-    of g in vertex order, built here when not given.
+    and the group itself is never listed.  ``dist`` is the graph's distance
+    matrix in vertex order.
     """
-    if dist is None:
-        dist = _distance_matrix(g)
     profile = [sorted(row) for row in dist]
     n = len(dist)
     gens = []
@@ -454,10 +432,10 @@ def pair_orbits(g):
     Every generator is checked to be a distance-preserving bijection before
     any orbit is formed; InternalCheckError is raised otherwise.
     """
-    dist = _distance_matrix(g)
-    n = len(dist)
     names = g.vertices
-    gens = automorphism_generators(g, dist)
+    dist = [[g.distances[u, v] for v in names] for u in names]
+    n = len(dist)
+    gens = automorphism_generators(dist)
     for sigma in gens:
         if sorted(sigma) != list(range(n)):
             raise InternalCheckError(

@@ -20,6 +20,11 @@ from maghom.homology import IntegerMatrix
 from maghom.simplicial import relative_chain_complex
 
 
+def tuple_length(g: Graph, points) -> int:
+    """Sum of the distances between consecutive entries of a vertex tuple."""
+    return sum(g.distance(u, v) for u, v in zip(points, points[1:]))
+
+
 def matrix_from_lists(data, cols=None) -> IntegerMatrix:
     """The sparse matrix of dense rows; ``cols`` is needed when there are none."""
     if cols is None:
@@ -71,7 +76,7 @@ def k_pair_by_definition(g: Graph, key) -> tuple[set, set]:
     sub = set()
     for simplex in total:
         closed = [a] + [v for _, v in simplex] + [b]
-        if sum(g.distance(u, v) for u, v in zip(closed, closed[1:])) <= l - 1:
+        if tuple_length(g, closed) <= l - 1:
             sub.add(simplex)
     return total, sub
 
@@ -144,7 +149,7 @@ def brute_force_magnitude_basis(
         seq = (a, *middle, b)
         if any(seq[i] == seq[i + 1] for i in range(k)):
             continue
-        if sum(g.distance(seq[i], seq[i + 1]) for i in range(k)) == l:
+        if tuple_length(g, seq) == l:
             out.append(seq)
     return sorted(out, key=lambda s: tuple(g.index(v) for v in s))
 

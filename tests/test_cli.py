@@ -263,7 +263,7 @@ def test_compute_internal_check_failure_exits_4(runner, monkeypatch):
 
 def test_compute_non_isometry_exits_4_naming_the_graph(runner, monkeypatch):
     monkeypatch.setattr(
-        maghom.graphs, "automorphism_generators", lambda g, dist=None: [(1, 0, 2, 3, 4)]
+        maghom.graphs, "automorphism_generators", lambda dist: [(1, 0, 2, 3, 4)]
     )
     r = invoke(runner, "compute", "--graph", "path:5", "--l", "3")
     assert r.exit_code == 4
@@ -393,6 +393,32 @@ def test_export_writes_pair_and_off(runner, tmp_path):
     ]
 
 
+# sha256 of every file that export writes, keyed by (graph, pair, stem) at l = 4
+PINNED_EXPORTS = {
+    ("path:5", "v0,v4", "p5"): {
+        "p5.pair.json": "0740a1bf8d986dda41c8f4524f5a4c91ee8902051c6dcdb7958b47952efa78f8",
+        "p5.total.off": "0261948c29891d364ab6a5bd2a3d078732998b883e9d2694246663570b66baf8",
+        "p5.sub.off": "3e5911a056895b33a80f0c2b8a4ffbe28896d4eb287627c837eb156ad5ddd3ce",
+        "p5.deltas.json": "da3613ebcad98bdcb84449c2cfcb894782b5ea3a0a760a04bde92e74ff71939a",
+    },
+    ("sq2", "a,d", "sq2"): {
+        "sq2.pair.json": "758c6ae99c473c825d048c3e807dba44a4dc564959d999f362210552136e5103",
+        "sq2.total.off": "78c854ef316369cc0a501d875e5b88a9f7b497e3c189bf2b4fc7f5615d396e1c",
+        "sq2.sub.off": "9e45d74c16182433ca9d311f5215a0d03fad5270f30d76cdbf918ca021095a98",
+    },
+}
+
+
+def test_export_bytes_are_pinned(runner, tmp_path):
+    for (graph, pair, stem), digests in PINNED_EXPORTS.items():
+        r = invoke(runner, "export", "--graph", graph, "--l", "4", "--pair", pair,
+                   "--out", str(tmp_path / stem))
+        assert r.exit_code == 0, r.output
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.glob(f"{stem}.*")}
+        assert written == digests
+
+
 def test_export_skips_high_dimensional_off(runner, tmp_path):
     stem = tmp_path / "big"
     r = invoke(runner, "export", "--graph", "complete:3", "--l", "6",
@@ -422,6 +448,13 @@ def test_export_usage_errors(runner, tmp_path):
         return r.stderr
 
     assert export(l="2") == "error: method geometric needs l >= 3, got l=2\n"
+    # the length rule of compute and check: ASCII digits, one value
+    for l in ("+4", "1_0", " 4", "\u0664"):
+        assert export(l=l) == f"error: --l expects an integer or a range like 3-5, got {l!r}\n"
+    assert export(l="-1") == "error: --l must be nonnegative\n"
+    for l in ("3-5", "4-4"):
+        assert export(l=l) == f"error: export takes one --l, not a range: {l!r}\n"
+    assert not list(tmp_path.glob("x.*"))
     assert export(pair="a") == """error: --pair expects "u,v", got 'a'\n"""
     assert export(pair="a,zz") == "error: unknown vertex: 'zz'\n"
     assert export(graph=str(tmp_path)) == (

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from maghom import (
     magnitude_homology_geometric,
     random_connected_graph,
 )
+from maghom.cli import main
 from maghom.geometric import chain_map_t, interior_length, pair_groups, verify_chain_map
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
@@ -338,9 +340,9 @@ def test_cross_validate_random_graphs(seed):
     assert report.ok, report.describe()
 
 
-def test_walk_layer_reads_no_pairwise_distance(sq2, monkeypatch):
-    # the walk layer, the descent and the chain-map check read the distance
-    # table once per call, never the per-pair lookup
+def test_walk_layer_reads_no_pairwise_distance(sq2, monkeypatch, tmp_path):
+    # production code indexes the distance table; the validated per-pair
+    # lookup is for library callers and test oracles
     def refuse(self, u, v):
         raise AssertionError("Graph.distance called")
 
@@ -354,3 +356,10 @@ def test_walk_layer_reads_no_pairwise_distance(sq2, monkeypatch):
         rel = relative_chain_complex(kp.labels, kp.cells)
         mag = magnitude_chain_complex(g, key, key.l + 1)
         verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))
+    for method in ("direct", "geometric"):
+        build_table(sq2, 4, method=method)
+    build_table(tree, 6, method="tree")
+    assert cross_validate(sq2, 4).ok
+    args = ["export", "--graph", "path:5", "--l", "4", "--pair", "v0,v4"]
+    r = CliRunner().invoke(main, args + ["--out", str(tmp_path / "p5")])
+    assert r.exit_code == 0, r.output

@@ -12,13 +12,13 @@ from maghom import (
     generate,
     magnitude_homology_direct,
 )
-from maghom.graphs import sequence_length
 from maghom.homology import ZERO_GROUP
 from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from oracles import (
     assert_boundary_squares_to_zero,
     brute_force_magnitude_basis,
     random_graph_from_seed,
+    tuple_length,
 )
 
 
@@ -82,7 +82,7 @@ def test_basis_and_signs_follow_an_unsorted_declaration_order(sq2):
             for seq in bases[k]:
                 faces = [(i, seq[:i] + seq[i + 1:]) for i in range(1, k)]
                 expected.append({index[face]: (-1) ** i for i, face in faces
-                                 if sequence_length(g, face) == l})
+                                 if tuple_length(g, face) == l})
             assert list(complex_.boundary(k).columns) == expected, (key, k)
 
 

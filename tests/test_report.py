@@ -223,12 +223,12 @@ def test_build_table_rejects_a_non_isometry(monkeypatch):
     g = generate("path:5")
     # swapping v0 and v1 moves v0's neighbour v1 to distance 2
     monkeypatch.setattr(
-        maghom.graphs, "automorphism_generators", lambda g, dist=None: [(1, 0, 2, 3, 4)]
+        maghom.graphs, "automorphism_generators", lambda dist: [(1, 0, 2, 3, 4)]
     )
     with pytest.raises(InternalCheckError, match="not an isometry"):
         build_table(g, 3, method="direct")
     monkeypatch.setattr(
-        maghom.graphs, "automorphism_generators", lambda g, dist=None: [(0, 0, 2, 3, 4)]
+        maghom.graphs, "automorphism_generators", lambda dist: [(0, 0, 2, 3, 4)]
     )
     with pytest.raises(InternalCheckError, match="not a bijection"):
         build_table(g, 3, method="direct")

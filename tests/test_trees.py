@@ -15,7 +15,6 @@ from maghom import (
     tree_homology_by_pair,
     tree_magnitude_closed_form,
 )
-from maghom.graphs import sequence_length
 from maghom.homology import ZERO_GROUP, direct_sum, homology_all
 from maghom.magnitude import enumerate_basis
 from maghom.trees import (
@@ -24,7 +23,7 @@ from maghom.trees import (
     decompose_tree_component,
     turning_points,
 )
-from oracles import pair_chain_complex, path_of_sequence, tree_geodesic
+from oracles import pair_chain_complex, path_of_sequence, tree_geodesic, tuple_length
 
 
 def random_tree(seed, n=None):
@@ -90,7 +89,7 @@ def test_decompose_walks_have_exact_length():
     for a, b in itertools.product(g.vertices[:3], repeat=2):
         for c in decompose_tree_component(g, ComponentKey(a, b, 4)):
             assert len(c.walk) - 1 == 4
-            assert sequence_length(g, c.walk) == 4
+            assert tuple_length(g, c.walk) == 4
 
 
 # --- position pairs and their homotopy types -------------------------------------------
