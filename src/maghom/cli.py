@@ -220,7 +220,10 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
             runs = _random_trials(seed, trials, n_max, l_max)
 
         for label, g, l in runs:
-            report = cross_validate(g, l)
+            try:
+                report = cross_validate(g, l)
+            except InternalCheckError as exc:
+                _fail(EXIT_INTERNAL, f"{label} l={l}: {exc}")
             click.echo(f"{label} {report.describe()}")
             if not report.ok:
                 click.echo(f"counterexample: {report.mismatch.describe()}", err=True)
@@ -229,8 +232,6 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
             click.echo(f"{trials}/{trials} trials agree")
     except GraphError as exc:
         _fail(EXIT_USAGE, exc)
-    except InternalCheckError as exc:
-        _fail(EXIT_INTERNAL, exc)
 
 
 @main.command()
@@ -242,9 +243,9 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
 def export(graph_spec, l_spec, pair, out):
     """Export the geometric pair of one component for inspection."""
     try:
+        if not re.fullmatch(r"[0-9]+", l_spec):
+            raise GraphError(f"export --l expects one nonnegative integer, got {l_spec!r}")
         l_value = _parse_l_range(l_spec)[0]
-        if "-" in l_spec:
-            raise GraphError(f"export takes one --l, not a range: {l_spec!r}")
         g = _load_graph(graph_spec)
         a, b = _parse_pair(pair, g)
         _check_out(out)
@@ -288,8 +289,8 @@ def export(graph_spec, l_spec, pair, out):
                     {
                         "walk": list(component.walk),
                         "turning_points": list(component.phi),
-                        "total": complex_to_dict(total, include_all=False),
-                        "sub": complex_to_dict(sub, include_all=False),
+                        "total": complex_to_dict(total),
+                        "sub": complex_to_dict(sub),
                     }
                 )
             texts[Path(f"{out}.deltas.json")] = dump_json(
@@ -302,7 +303,7 @@ def export(graph_spec, l_spec, pair, out):
     except GraphError as exc:
         _fail(EXIT_USAGE, exc)
     except InternalCheckError as exc:
-        _fail(EXIT_INTERNAL, exc)
+        _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
 
 
 if __name__ == "__main__":

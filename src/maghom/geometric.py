@@ -89,7 +89,6 @@ def build_k_pair(g, key):
     """
     a, b, l = key
     _require_length(l)
-    g.index(a), g.index(b)
 
     labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
     total = set()
@@ -201,8 +200,9 @@ def pair_groups(g, kpair, rel, kmax):
     h0 = rel_homology[0]
     if g.distances[a, b] == l:
         # every interior tuple is at least d(a, b) = l long, so K' is empty,
-        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z
-        if len(kpair.sub):
+        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z; the cells
+        # lie in K, so K' is empty exactly when they are all of K
+        if kpair.total != kpair.cells:
             raise InternalCheckError(f"K' of {kpair.key} is not empty although d(a, b) = l")
         h0 = HomologyGroup(max(h0.betti - 1, 0))
     return [h0] + rel_homology[1:]

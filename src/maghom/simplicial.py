@@ -5,7 +5,7 @@ that order also fixes the orientation signs of the boundary operator.  One
 normal form, ``_normal_form``, validates and sorts the simplices for both
 ``SimplicialComplex`` and ``relative_chain_complex``.  The complexes here
 are abstract: labels can be graph vertices, integers, or (position, vertex)
-pairs.
+pairs; the OFF writer takes (position, vertex) labels only.
 """
 
 from __future__ import annotations
@@ -78,9 +78,6 @@ class SimplicialComplex:
 
     # -- queries -----------------------------------------------------------
 
-    def __len__(self):
-        return sum(map(len, self._by_dim))
-
     def __iter__(self):
         for group in self._by_dim:
             yield from group
@@ -92,9 +89,6 @@ class SimplicialComplex:
     def simplices_of_dim(self, n):
         """Simplices of dimension n in canonical (index-tuple) order."""
         return list(self._by_dim[n]) if 0 <= n <= self.dim else []
-
-    def vertex_labels(self):
-        return [s[0] for s in self.simplices_of_dim(0)]
 
     def maximal_simplices(self):
         """Simplices not contained in any larger simplex, canonical order.
@@ -109,7 +103,7 @@ class SimplicialComplex:
         return out
 
     def __repr__(self):
-        return f"SimplicialComplex(dim {self.dim}, {len(self)} simplices)"
+        return f"SimplicialComplex(dim {self.dim}, {sum(map(len, self._by_dim))} simplices)"
 
 class IntegerChainComplex:
     """A nonnegatively graded chain complex of free Z-modules.
@@ -184,9 +178,7 @@ def relative_chain_complex(labels, cells):
     dropping the i-th smallest label; facets that are not cells lie in K'
     and are dropped.  Raises ValueError where ``_normal_form`` does.
     """
-    bases = _normal_form(labels, cells)
-    if not bases:
-        return IntegerChainComplex([[]], [IntegerMatrix(0, 0)])
+    bases = _normal_form(labels, cells) or [[]]
     boundaries = [IntegerMatrix(0, len(bases[0]))]
     for n in range(1, len(bases)):
         boundaries.append(_boundary_matrix(bases[n - 1], bases[n]))
@@ -202,11 +194,11 @@ def _label_to_json(label):
     return label
 
 
-def complex_to_dict(complex_, annotate=None, include_all=True):
+def complex_to_dict(complex_, annotate=None):
     """Structured form of a complex for serialization.
 
-    ``annotate`` maps a simplex to a dict of extra fields merged into its
-    record in the full simplex list.
+    With ``annotate``, a function from a simplex to a dict of extra fields,
+    the form also lists every simplex, each record carrying those fields.
     """
     doc = {
         "format_version": 1,
@@ -216,45 +208,34 @@ def complex_to_dict(complex_, annotate=None, include_all=True):
             [_label_to_json(lab) for lab in s] for s in complex_.maximal_simplices()
         ],
     }
-    if include_all:
+    if annotate is not None:
         records = []
         for s in complex_:
             record = {"labels": [_label_to_json(lab) for lab in s]}
-            if annotate is not None:
-                record.update(annotate(s))
+            record.update(annotate(s))
             records.append(record)
         doc["simplices"] = records
     return doc
 
 
-def _layout_coordinate(label, layer_of):
-    # Layered layout: positioned labels use their position as the x axis
-    # and the vertex layer as y; bare integers sit on the x axis.
-    if isinstance(label, tuple) and len(label) == 2 and isinstance(label[0], int):
-        return (float(label[0]), float(layer_of.get(label[1], 0)), 0.0)
-    if isinstance(label, int):
-        return (float(label), 0.0, 0.0)
-    return (float(layer_of.get(label, 0)), 0.0, 0.0)
-
-
 def complex_to_off(complex_):
-    """Render a complex of dimension <= 3 in OFF format.
+    """Render a complex of dimension <= 3 on (position, vertex) labels in OFF format.
 
-    Vertices get synthetic coordinates from the layered layout.  The face
-    list contains every triangle plus any maximal edge or vertex, so that
-    nothing silently disappears from the rendering.
+    Each vertex is drawn at x = its position and y = the rank of its vertex
+    among the vertices in first-appearance order.  The face list contains
+    every triangle plus any maximal edge or vertex, so that nothing silently
+    disappears from the rendering.
     """
     if complex_.dim > 3:
         raise ValueError(f"OFF export supports dimension <= 3, got {complex_.dim}")
-    verts = complex_.vertex_labels()
+    verts = [s[0] for s in complex_.simplices_of_dim(0)]
     vertex_line = {lab: i for i, lab in enumerate(verts)}
 
     seen_layers = []
-    for lab in verts:
-        key = lab[1] if isinstance(lab, tuple) and len(lab) == 2 else lab
-        if key not in seen_layers:
-            seen_layers.append(key)
-    layer_of = {key: i for i, key in enumerate(seen_layers)}
+    for _, v in verts:
+        if v not in seen_layers:
+            seen_layers.append(v)
+    layer_of = {v: i for i, v in enumerate(seen_layers)}
 
     faces = [s for s in complex_.simplices_of_dim(2)]
     faces.extend(s for s in complex_.maximal_simplices() if len(s) <= 2)
@@ -262,8 +243,8 @@ def complex_to_off(complex_):
 
     lines = ["OFF", f"{len(verts)} {len(faces)} {edge_count}"]
     for lab in verts:
-        x, y, z = _layout_coordinate(lab, layer_of)
-        lines.append(f"{x:g} {y:g} {z:g}  # {lab!r}")
+        pos, v = lab
+        lines.append(f"{pos:g} {layer_of[v]:g} 0  # {lab!r}")
     for s in faces:
         lines.append(" ".join([str(len(s))] + [str(vertex_line[lab]) for lab in s]))
     return "\n".join(lines) + "\n"

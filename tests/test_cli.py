@@ -1,16 +1,19 @@
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import maghom.cli
+import maghom.geometric
 import maghom.graphs
 import maghom.report
 from maghom import ComponentKey, CrossValidationReport, HomologyGroup, generate, sq2_pair_types
 from maghom.geometric import Mismatch
+from maghom.graphs import InternalCheckError
 from maghom.homology import ZERO_GROUP
 from maghom.cli import main
 
@@ -362,6 +365,24 @@ def test_check_mismatch_exits_3(runner, monkeypatch):
         ), args
 
 
+def test_check_internal_failure_exits_4_naming_the_run(runner, monkeypatch):
+    def failing_verify(*args):
+        raise InternalCheckError("boundary sign identity fails at degree 1")
+
+    monkeypatch.setattr(maghom.geometric, "verify_chain_map", failing_verify)
+    # nothing is printed for the failing run, so the message names it
+    for args, message in (
+        (["--trials", "3", "--seed", "5"], r"trial 1/3: n=\d+ e=\d+ l=\d+"),
+        (["--graph", "sq2", "--l", "3"], r"sq2: l=3"),
+    ):
+        r = invoke(runner, "check", *args)
+        assert r.exit_code == 4, args
+        assert r.stdout == "", args
+        assert re.fullmatch(
+            rf"error: {message}: boundary sign identity fails at degree 1\n", r.stderr
+        ), (args, r.stderr)
+
+
 # --- export -------------------------------------------------------------------
 
 
@@ -439,6 +460,20 @@ def test_export_empty_component_notice(runner, tmp_path):
     assert doc["total"]["maximal_simplices"] == []
 
 
+def test_export_internal_failure_exits_4_naming_the_graph(runner, monkeypatch, tmp_path):
+    def failing_build(g, key):
+        raise InternalCheckError(f"K pair check fails for {key}")
+
+    monkeypatch.setattr(maghom.cli, "build_k_pair", failing_build)
+    r = invoke(runner, "export", "--graph", "path:5", "--l", "4", "--pair", "v0,v4",
+               "--out", str(tmp_path / "p5"))
+    assert r.exit_code == 4
+    assert r.stderr == (
+        "error: path:5: K pair check fails for ComponentKey(a='v0', b='v4', l=4)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_usage_errors(runner, tmp_path):
     stem = str(tmp_path / "x")
 
@@ -448,12 +483,10 @@ def test_export_usage_errors(runner, tmp_path):
         return r.stderr
 
     assert export(l="2") == "error: method geometric needs l >= 3, got l=2\n"
-    # the length rule of compute and check: ASCII digits, one value
-    for l in ("+4", "1_0", " 4", "\u0664"):
-        assert export(l=l) == f"error: --l expects an integer or a range like 3-5, got {l!r}\n"
-    assert export(l="-1") == "error: --l must be nonnegative\n"
-    for l in ("3-5", "4-4"):
-        assert export(l=l) == f"error: export takes one --l, not a range: {l!r}\n"
+    # one integer in ASCII digits, and a message that offers no range form
+    for l in ("+4", "1_0", " 4", "\u0664", "-1", "3-5", "4-4"):
+        assert export(l=l) == f"error: export --l expects one nonnegative integer, got {l!r}\n"
+    assert export(l="9" * 5000).startswith("error: --l has more than")
     assert not list(tmp_path.glob("x.*"))
     assert export(pair="a") == """error: --pair expects "u,v", got 'a'\n"""
     assert export(pair="a,zz") == "error: unknown vertex: 'zz'\n"

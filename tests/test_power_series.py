@@ -55,16 +55,22 @@ def test_check_battery_graphs_match_the_series():
 
 def test_sq2_whole_graph_series():
     sq2 = generate("sq2")
-    values = [6, -16, 32, -58, 100, -168, 278, -456, 744, -1210]
-    assert [sum(magnitude_series_coefficients(sq2, l).values()) for l in range(10)] == values
+    values = [6, -16, 32, -58, 100, -168, 278, -456, 744, -1210, 1964]
+    assert [sum(magnitude_series_coefficients(sq2, l).values()) for l in range(11)] == values
     for l, value in enumerate(values[:8]):
         totals = build_table(sq2, l).totals()
         assert sum((-1) ** k * group.betti for k, group in enumerate(totals)) == value
-    # rungs past the two-route battery, on the direct route
-    for l, top in [(8, [76, 900, 1568]), (9, [2, 284, 2180, 3108])]:
-        totals = build_table(sq2, l, method="direct").totals()
+    # rungs past the two-route battery, on the direct route, checked pair by pair
+    for l, top in [
+        (8, [76, 900, 1568]),
+        (9, [2, 284, 2180, 3108]),
+        (10, [20, 924, 5124, 6184]),
+    ]:
+        table = build_table(sq2, l, method="direct")
+        totals = table.totals()
         assert totals == [ZERO_GROUP] * (l + 1 - len(top)) + [HomologyGroup(b) for b in top]
         assert sum((-1) ** k * group.betti for k, group in enumerate(totals)) == values[l]
+        assert_matches_series(sq2, table)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

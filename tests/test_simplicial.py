@@ -50,7 +50,7 @@ def test_construction_rejects_bad_labels():
 
 def test_from_maximal_closes_downward():
     s = full_triangle()
-    assert len(s) == 7  # 3 vertices + 3 edges + 1 face
+    assert len(list(s)) == 7  # 3 vertices + 3 edges + 1 face
     assert ("a", "b") in s
     assert ("a",) in s
     assert ("a", "b", "c") in s
@@ -200,12 +200,24 @@ def test_complex_to_dict_with_annotations():
 
 
 def test_complex_to_off_output():
-    text = complex_to_off(full_triangle())
-    lines = text.splitlines()
-    assert lines[0] == "OFF"
-    counts = lines[1].split()
-    assert counts[0] == "3"  # vertices
-    assert any(line.startswith("3 ") for line in lines[2:])  # one triangle
+    # (position, vertex) labels, as in an exported K pair: x is the
+    # position, y the vertex's rank in first-appearance order
+    labels = [(1, "b"), (1, "a"), (2, "a"), (3, "b"), (3, "c")]
+    s = SimplicialComplex.from_maximal(
+        labels, [[(1, "b"), (2, "a"), (3, "c")], [(1, "a"), (2, "a")], [(3, "b")]]
+    )
+    assert complex_to_off(s) == (
+        "OFF\n"
+        "5 3 4\n"
+        "1 0 0  # (1, 'b')\n"
+        "1 1 0  # (1, 'a')\n"
+        "2 1 0  # (2, 'a')\n"
+        "3 0 0  # (3, 'b')\n"
+        "3 2 0  # (3, 'c')\n"
+        "3 0 2 4\n"  # the triangle, then the maximal vertex and edge
+        "1 3\n"
+        "2 1 2\n"
+    )
 
 
 def test_complex_to_off_rejects_high_dim():
