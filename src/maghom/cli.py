@@ -33,7 +33,7 @@ from .report import (
     report_document,
 )
 from .simplicial import SimplicialComplex, complex_to_dict, complex_to_off
-from .trees import build_delta_pair, decompose_tree_component
+from .trees import build_delta_pair, decompose_tree_component, turning_points
 
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
@@ -46,10 +46,13 @@ def _fail(code, message):
 
 
 def _read_file(spec, missing):
-    """The text of the regular file at ``spec``; GraphError(missing) if none."""
+    """The text of the regular file at ``spec``; GraphError(missing) if none.
+
+    A leading UTF-8 byte-order mark is dropped.
+    """
     try:
         if Path(spec).is_file():
-            return Path(spec).read_text(encoding="utf-8")
+            return Path(spec).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise GraphError(f"cannot read {spec!r}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -283,12 +286,13 @@ def export(graph_spec, l_spec, pair, out):
 
         if g.is_tree():
             records = []
-            for component in decompose_tree_component(g, key):
-                total, sub = build_delta_pair(component, l_value)
+            for walk in decompose_tree_component(g, key):
+                phi = turning_points(walk)
+                total, sub = build_delta_pair(phi, l_value)
                 records.append(
                     {
-                        "walk": list(component.walk),
-                        "turning_points": list(component.phi),
+                        "walk": list(walk),
+                        "turning_points": list(phi),
                         "total": complex_to_dict(total),
                         "sub": complex_to_dict(sub),
                     }

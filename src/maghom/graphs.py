@@ -303,8 +303,6 @@ def enumerate_walks(g, a, b, max_steps):
     (vertex, remaining budget).
     """
     g.index(a), g.index(b)
-    if max_steps < 0:
-        return []
     dist = g.distances
     memo = {}
     out = []

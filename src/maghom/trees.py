@@ -18,8 +18,6 @@ the walks with m = l-1 are exactly the alternating walks along one edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import GraphError, enumerate_walks
 from .homology import ZERO_GROUP, HomologyGroup
 from .magnitude import magnitude_homology_direct
@@ -29,14 +27,6 @@ from .simplicial import SimplicialComplex
 def _require_tree(g):
     if not g.is_tree():
         raise GraphError("method tree needs a tree input")
-
-
-@dataclass(frozen=True)
-class TreePathComponent:
-    """One per-walk summand: the walk and its turning-point positions."""
-
-    walk: tuple
-    phi: tuple
 
 
 def turning_points(walk):
@@ -50,9 +40,9 @@ def turning_points(walk):
 
 
 def decompose_tree_component(g, key):
-    """The per-walk summands of MC_{*,l}(a, b) on a tree.
+    """The walks indexing the per-walk summands of MC_{*,l}(a, b) on a tree.
 
-    One component per walk from a to b of length exactly l, in lexicographic
+    One walk from a to b of length exactly l per summand, in lexicographic
     order; shorter walks carry no sequences of length l and are dropped.
     """
     _require_tree(g)
@@ -60,35 +50,37 @@ def decompose_tree_component(g, key):
     out = []
     for walk in enumerate_walks(g, a, b, l):
         if len(walk) - 1 == l:
-            out.append(TreePathComponent(walk=walk, phi=turning_points(walk)))
+            out.append(walk)
     return out
 
 
-def build_delta_pair(component, l):
+def build_delta_pair(phi, l):
     """The full simplex on positions 1..l-1 and its faces missing a turning point.
 
-    Returned as the pair (total, sub).  The relative basis in degree n is the
-    set of (n+1)-subsets of positions containing every turning point; reading
-    those positions from the walk and closing with the endpoints is exactly
-    the per-walk magnitude basis two degrees up.
+    ``phi`` is the walk's turning-point tuple.  Returned as the pair (total,
+    sub).  The relative basis in degree n is the set of (n+1)-subsets of
+    positions containing every turning point; reading those positions from
+    the walk and closing with the endpoints is exactly the per-walk
+    magnitude basis two degrees up.
     """
     positions = list(range(1, l))
-    required = set(component.phi)
+    required = set(phi)
     total = SimplicialComplex.from_maximal(positions, [positions])
     sub = SimplicialComplex(positions, [s for s in total if not required <= set(s)])
     return total, sub
 
 
-def classify_delta(component, l):
+def classify_delta(phi, l):
     """Homotopy type of the subcomplex: 'empty', 'contractible', or 'sphere'.
 
-    With m turning points out of l-1 positions: m = 0 leaves the subcomplex
-    empty, m = l-1 makes it the boundary sphere of the full simplex (of
-    dimension l-3), and anything in between deformation-retracts to a point.
+    With m = len(phi) turning points out of l-1 positions: m = 0 leaves the
+    subcomplex empty, m = l-1 makes it the boundary sphere of the full
+    simplex (of dimension l-3), and anything in between deformation-retracts
+    to a point.
     Only the sphere case has relative homology in positive degrees: one Z in
     relative degree l-2, hence magnitude degree l.
     """
-    m = len(component.phi)
+    m = len(phi)
     if m == 0:
         return "empty"
     if m == l - 1:
@@ -122,13 +114,13 @@ def tree_homology_by_pair(g, key, kmax=None):
     _require_tree(g)
     if kmax is None:
         kmax = key.l
-    out = list(magnitude_homology_direct(g, key, kmax=min(kmax, 2)))
+    out = magnitude_homology_direct(g, key, kmax=min(kmax, 2))
     if kmax <= 2:
         return out
     spheres = sum(
         1
-        for component in decompose_tree_component(g, key)
-        if classify_delta(component, key.l) == "sphere"
+        for walk in decompose_tree_component(g, key)
+        if classify_delta(turning_points(walk), key.l) == "sphere"
     )
     for k in range(3, kmax + 1):
         if k == key.l and spheres:

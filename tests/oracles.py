@@ -343,6 +343,18 @@ def path_of_sequence(g, seq):
     return tuple(walk)
 
 
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """The Cartesian (box) product of G and H.
+
+    Vertices are the pairs (u, v), labelled "u|v"; (u, v) and (x, y) are
+    adjacent when u = x and v ~ y in H, or v = y and u ~ x in G.
+    """
+    vertices = [f"{u}|{v}" for u in g.vertices for v in h.vertices]
+    edges = [(f"{u}|{v}", f"{u}|{y}") for u in g.vertices for v, y in h.edges]
+    edges += [(f"{u}|{v}", f"{x}|{v}") for u, x in g.edges for v in h.vertices]
+    return Graph(vertices, edges)
+
+
 def brute_force_pair_orbits(g: Graph) -> set[frozenset]:
     """Orbits of ordered pairs under every isometry of g and reversal.
 

@@ -218,6 +218,76 @@ def test_compute_types_must_cover_all_pairs(runner, tmp_path):
     assert "cover" in r.output
 
 
+def test_compute_input_errors_are_named(runner, tmp_path):
+    # each bad input stops with exit 2 and exactly one named error line
+    json_graphs = {
+        "no_vertices": ('{"vertices": [], "edges": []}',
+                        "graph must have at least one vertex"),
+        "unknown": ('{"vertices": ["a", "b"], "edges": [["z", "a"]]}',
+                    "unknown vertex in edge: 'z'"),
+        "numbers": ('{"vertices": ["a", "b"], "edges": [[1, 2]]}',
+                    "malformed edge entry: [1, 2]"),
+        "short": ('{"vertices": ["a", "b"], "edges": [["a"]]}',
+                  "malformed edge entry: ['a']"),
+    }
+    cases = [("sq2:3", "sq2 takes no arguments: 'sq2:3'"),
+             ("random-tree:3:x", "seed must be an integer in 'random-tree:3:x'")]
+    for name, (text, message) in json_graphs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        cases.append((str(path), message))
+    for spec, message in cases:
+        r = invoke(runner, "compute", "--graph", spec, "--l", "3")
+        assert r.exit_code == 2, (spec, r.output)
+        assert isinstance(r.exception, SystemExit), (spec, r.exception)
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n", (spec, r.stderr)
+
+
+def test_input_files_may_start_with_a_byte_order_mark(runner, tmp_path):
+    # a leading UTF-8 BOM is dropped: each file reads as its BOM-free twin
+    bom, plain = tmp_path / "bom", tmp_path / "plain"
+    bom.mkdir()
+    plain.mkdir()
+    inputs = {
+        "g.json": '{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}',
+        "g.txt": "a b\nb c\n",
+        "types.json": json.dumps(sq2_pair_types()),
+    }
+    for name, text in inputs.items():
+        (bom / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+        (plain / name).write_text(text)
+    runs = [
+        ["--graph", "{dir}/g.json", "--l", "2"],
+        ["--graph", "{dir}/g.txt", "--l", "2", "--pair", "a,b"],
+        ["--graph", "{dir}/g.txt", "--l", "2", "--format", "structured"],
+        ["--graph", "sq2", "--l", "4", "--types", "{dir}/types.json"],
+    ]
+    for args in runs:
+        outputs = []
+        for directory in (bom, plain):
+            r = invoke(runner, "compute", *[arg.format(dir=directory) for arg in args])
+            assert r.exit_code == 0, (args, directory, r.output)
+            outputs.append(r.stdout.replace(str(directory), "DIR"))
+        assert outputs[0] == outputs[1], args
+        assert "\ufeff" not in outputs[0], args
+
+
+def test_tree_route_below_degree_three_matches_direct(runner):
+    # with kmax <= 2 the tree route hands every degree to the direct route
+    outputs = {}
+    for method in ("tree", "direct"):
+        args = ["--graph", "random-tree:8:1", "--l", "4", "--kmax", "2", "--method", method]
+        r = invoke(runner, "compute", *args)
+        assert r.exit_code == 0, r.output
+        outputs[method] = [ln for ln in r.stdout.splitlines() if ln.startswith("k=")]
+        r = invoke(runner, "compute", *args, "--format", "structured")
+        assert r.exit_code == 0, r.output
+        outputs[method, "components"] = json.loads(r.stdout)["results"][0]["components"]
+    assert outputs["tree"] == outputs["direct"] == ["k=0      0", "k=1      0", "k=2      0"]
+    assert outputs["tree", "components"] == outputs["direct", "components"]
+
+
 def test_compute_unwritable_out_exits_2(runner, tmp_path):
     # a name the file system refuses is found before the work
     out = str(tmp_path / ("x" * 300))

@@ -220,6 +220,21 @@ def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
         chain_map_t(sq2, key, rel, mag)
 
 
+def test_chain_map_rejects_a_foreign_magnitude_basis(sq2):
+    # the relative complex of (a, d, 4) against the magnitude complex of
+    # (a, c, 4): every relative cell is well formed, but the bases differ
+    key = ComponentKey("a", "d", 4)
+    rel = _relative_complex(sq2, key)
+    mag = magnitude_chain_complex(sq2, ComponentKey("a", "c", 4), 5)
+    message = (
+        "degree 0 basis bijection fails for ComponentKey(a='a', b='d', l=4): "
+        "0 relative simplices vs 1 sequences"
+    )
+    with pytest.raises(InternalCheckError) as excinfo:
+        chain_map_t(sq2, key, rel, mag)
+    assert str(excinfo.value) == message
+
+
 # --- homology via the pair ----------------------------------------------------------
 
 

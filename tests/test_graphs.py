@@ -56,6 +56,8 @@ def test_distance_names_the_unknown_vertex():
         g.distance("v0", "nope")
     with pytest.raises(GraphError, match="unknown vertex: 'x'"):
         g.distance("x", "y")
+    with pytest.raises(GraphError, match="^unknown vertex: 'zz'$"):
+        g.neighbors("zz")
 
 
 def test_parse_edge_list():
@@ -171,6 +173,14 @@ def test_enumerate_walks_sq2_frozen(sq2):
     assert len(ad4) == 4
     ad3 = [w for w in enumerate_walks(sq2, "a", "d", 3) if len(w) == 4]
     assert sorted(ad3) == [("a", "b", "c", "d"), ("a", "f", "e", "d")]
+
+
+def test_enumerate_walks_negative_budget(sq2):
+    # no walk has a negative number of steps, but the vertices are checked first
+    assert enumerate_walks(sq2, "a", "a", -1) == []
+    assert enumerate_walks(sq2, "a", "d", -1) == []
+    with pytest.raises(GraphError, match="^unknown vertex: 'zz'$"):
+        enumerate_walks(sq2, "a", "zz", -1)
 
 
 def test_enumerate_walks_lex_order():

@@ -17,6 +17,7 @@ from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from oracles import (
     assert_boundary_squares_to_zero,
     brute_force_magnitude_basis,
+    cartesian_product,
     random_graph_from_seed,
     tuple_length,
 )
@@ -214,3 +215,43 @@ def test_kmax_defaults_to_length(sq2):
     assert len(groups) == 4
     groups = magnitude_homology_direct(sq2, ComponentKey("a", "a", 3), kmax=2)
     assert len(groups) == 3
+
+
+# --- Kunneth formula for Cartesian products ---------------------------------------
+
+
+def _rank_tables(g, lmax):
+    """rank MH_{k,l}(g) for 0 <= k <= l <= lmax by the direct route, torsion-free."""
+    ranks = []
+    for l in range(lmax + 1):
+        totals = build_table(g, l, l, "direct").totals()
+        assert all(h.torsion == () for h in totals), (g, l)
+        ranks.append([h.betti for h in totals])
+    return ranks
+
+
+@pytest.mark.parametrize(
+    "g_spec, h_spec, lmax, diagonal",
+    [
+        ("complete:3", "path:2", 8, [6, 18, 42, 90, 186, 378, 762, 1530, 3066]),
+        ("path:3", "path:2", 8, list(range(6, 71, 8))),
+        ("cycle:4", "path:2", 7, [8, 24, 48, 80, 120, 168, 224, 288]),
+    ],
+)
+def test_kunneth_formula_for_cartesian_products(g_spec, h_spec, lmax, diagonal):
+    # Hepworth-Willerton: MH(G x H) is MH(G) (x) MH(H), bigraded by k and l.
+    # The factors here are torsion-free, so ranks convolve and no Tor term
+    # appears: rank MH_{k,l}(G x H) = sum of rank MH_{k1,l1}(G) rank
+    # MH_{k2,l2}(H) over k1 + k2 = k and l1 + l2 = l.
+    g, h = generate(g_spec), generate(h_spec)
+    rg, rh = _rank_tables(g, lmax), _rank_tables(h, lmax)
+    product = _rank_tables(cartesian_product(g, h), lmax)
+    for l in range(lmax + 1):
+        expected = [0] * (l + 1)
+        for l1 in range(l + 1):
+            for k1, x in enumerate(rg[l1]):
+                for k2, y in enumerate(rh[l - l1]):
+                    expected[k1 + k2] += x * y
+        assert product[l] == expected, l
+    assert [product[l][l] for l in range(lmax + 1)] == diagonal
+    assert all(product[l][k] == 0 for l in range(lmax + 1) for k in range(l))

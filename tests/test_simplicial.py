@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghom import HomologyGroup
-from maghom.homology import ZERO_GROUP, homology_all
+from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.simplicial import (
+    IntegerChainComplex,
     SimplicialComplex,
     complex_to_dict,
     complex_to_off,
@@ -100,6 +101,13 @@ def test_empty_complex_chain():
     c = chain_complex(SimplicialComplex("ab", []))
     assert c.top_degree == 0
     assert c.dim(0) == 0
+
+
+def test_chain_complex_shape_errors():
+    with pytest.raises(ValueError, match="^need one boundary matrix per degree$"):
+        IntegerChainComplex([["x"]], [])
+    with pytest.raises(ValueError, match="^boundary 1 has shape 0x1, expected 1x1$"):
+        IntegerChainComplex([["x"], ["y"]], [IntegerMatrix(0, 1), IntegerMatrix(0, 1)])
 
 
 # --- relative complexes --------------------------------------------------------

@@ -72,24 +72,21 @@ def test_decompose_rejects_non_trees(sq2):
 
 def test_decompose_path_components():
     g = generate("path:4")
-    comps = decompose_tree_component(g, ComponentKey("v0", "v3", 3))
-    assert len(comps) == 1
-    assert comps[0].walk == ("v0", "v1", "v2", "v3")
-    assert comps[0].phi == ()
-    assert len(comps[0].walk) - 1 == 3
+    walks = decompose_tree_component(g, ComponentKey("v0", "v3", 3))
+    assert walks == [("v0", "v1", "v2", "v3")]
+    assert turning_points(walks[0]) == ()
 
-    comps = decompose_tree_component(g, ComponentKey("v0", "v1", 3))
-    walks = [c.walk for c in comps]
+    walks = decompose_tree_component(g, ComponentKey("v0", "v1", 3))
     assert walks == [("v0", "v1", "v0", "v1"), ("v0", "v1", "v2", "v1")]
-    assert [c.phi for c in comps] == [(1, 2), (2,)]
+    assert [turning_points(w) for w in walks] == [(1, 2), (2,)]
 
 
 def test_decompose_walks_have_exact_length():
     g = random_tree(5, n=7)
     for a, b in itertools.product(g.vertices[:3], repeat=2):
-        for c in decompose_tree_component(g, ComponentKey(a, b, 4)):
-            assert len(c.walk) - 1 == 4
-            assert tuple_length(g, c.walk) == 4
+        for walk in decompose_tree_component(g, ComponentKey(a, b, 4)):
+            assert len(walk) - 1 == 4
+            assert tuple_length(g, walk) == 4
 
 
 # --- position pairs and their homotopy types -------------------------------------------
@@ -97,8 +94,8 @@ def test_decompose_walks_have_exact_length():
 
 def test_delta_pair_shapes():
     g = generate("path:4")
-    comp = decompose_tree_component(g, ComponentKey("v0", "v1", 3))[0]
-    total, sub = build_delta_pair(comp, 3)
+    walk = decompose_tree_component(g, ComponentKey("v0", "v1", 3))[0]
+    total, sub = build_delta_pair(turning_points(walk), 3)
     # Positions 1..2; sub keeps faces missing at least one turning point.
     assert total.labels == (1, 2)
     rel = pair_chain_complex(total, sub)
@@ -108,14 +105,13 @@ def test_delta_pair_shapes():
 
 @pytest.mark.parametrize("l", [3, 4, 5])
 def test_classification_matches_relative_homology(l):
-    # Build synthetic components with every possible turning-point set and
-    # compare the closed-form classification against the homology engine.
+    # Take every possible turning-point set and compare the closed-form
+    # classification against the homology engine.
     positions = range(1, l)
     for m in range(0, l):
         for phi in itertools.combinations(positions, m):
-            comp = _FakeComponent(phi)
-            kind = classify_delta(comp, l)
-            c = pair_chain_complex(*build_delta_pair(comp, l))
+            kind = classify_delta(phi, l)
+            c = pair_chain_complex(*build_delta_pair(phi, l))
             groups = homology_all(c, l - 2) if c.dim(0) or c.top_degree else []
             if kind == "empty":
                 assert m == 0
@@ -130,21 +126,16 @@ def test_classification_matches_relative_homology(l):
                 assert all(h == ZERO_GROUP for h in groups)
 
 
-class _FakeComponent:
-    def __init__(self, phi):
-        self.phi = tuple(phi)
-
-
 def test_sphere_walks_alternate_across_one_edge():
     # A walk is sphere type exactly when every interior position turns, i.e.
     # it bounces back and forth across a single edge.
     g = generate("path:4")
     for l in (3, 4):
         for a, b in itertools.product(g.vertices, repeat=2):
-            for comp in decompose_tree_component(g, ComponentKey(a, b, l)):
-                if classify_delta(comp, l) == "sphere":
-                    assert len(set(comp.walk)) == 2
-                    assert g.distance(comp.walk[0], comp.walk[1]) == 1
+            for walk in decompose_tree_component(g, ComponentKey(a, b, l)):
+                if classify_delta(turning_points(walk), l) == "sphere":
+                    assert len(set(walk)) == 2
+                    assert g.distance(walk[0], walk[1]) == 1
 
 
 # --- partition of the magnitude basis ---------------------------------------------------
@@ -160,14 +151,14 @@ def test_per_walk_partition_of_basis(seed):
     rng = random.Random(seed + 7)
     a, b = rng.choice(g.vertices), rng.choice(g.vertices)
     l = rng.randint(3, 4)
-    comps = decompose_tree_component(g, ComponentKey(a, b, l))
+    walks = decompose_tree_component(g, ComponentKey(a, b, l))
     bases = enumerate_basis(g, ComponentKey(a, b, l), l)
     seen = set()
     for k in range(2, l + 1):
         for seq in bases[k]:
             walk = path_of_sequence(g, seq)
             assert len(walk) - 1 == l
-            assert walk in [c.walk for c in comps]
+            assert walk in walks
             cumulative = 0
             marks = []
             for i in range(1, len(seq) - 1):
@@ -182,9 +173,9 @@ def test_per_walk_partition_of_basis(seed):
         n = k - 2
         expected = sum(
             1
-            for c in comps
+            for w in walks
             for s in itertools.combinations(range(1, l), n + 1)
-            if set(c.phi) <= set(s)
+            if set(turning_points(w)) <= set(s)
         )
         assert len(bases[k]) == expected
 
