@@ -8,7 +8,7 @@ totals for each family member over a length range and prints one row per
 (graph, l) with the off-diagonal degrees that carry homology.
 
 Usage:
-    python scripts/diagonality_survey.py [--l-max 4] [--families path cycle ...]
+    python scripts/diagonality_survey.py [--l-max 4] [--specs path:3 cycle:5 ...]
 """
 
 import argparse

@@ -2,9 +2,9 @@
 
 The package computes the bigraded groups MH_{k,l} of a graph three ways: a
 direct chain-complex route that works for every degree, a geometric route
-through relative simplicial pairs (degrees k >= 2, lengths l >= 3), and a
-closed form for trees.  The routes are kept independent so they can
-cross-validate each other; all linear algebra is exact over the integers.
+through relative simplicial pairs (degrees k >= 2), and a closed form for
+trees.  The routes are kept independent so they can cross-validate each
+other; all linear algebra is exact over the integers.
 ``build_table`` runs one route on one component per symmetry orbit of
 ordered vertex pairs and copies the groups to the rest of the orbit.
 """

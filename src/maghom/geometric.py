@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import GraphError, InternalCheckError, enumerate_walks
+from .graphs import InternalCheckError, enumerate_walks
 from .homology import HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
 from .simplicial import relative_chain_complex
@@ -51,11 +51,6 @@ class KPair:
         return self.total - self.cells
 
 
-def _require_length(l):
-    if l < 3:
-        raise GraphError(f"method geometric needs l >= 3, got l={l}")
-
-
 def interior_tuple(key, simplex):
     """The endpoint-closed vertex tuple of a positioned simplex."""
     return (key.a, *[v for _, v in simplex], key.b)
@@ -70,15 +65,14 @@ def interior_length(g, key, simplex):
 def build_k_pair(g, key):
     """Construct K_l(a,b) and its relative cells K_l(a,b) \\ K'_l(a,b).
 
-    Requires l >= 3 (GraphError otherwise).  Every walk with at most l
-    steps contributes the downward closure of its full positioned interior;
-    the union over walks is K.  The relative cells are enumerated top-down
-    from the interiors of the walks of exactly l steps, which have interior
-    length l by construction.  From a cell of length l, dropping the vertex
-    x_i of the closed tuple keeps the length l exactly when the triangle
-    through it is tight, d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1}),
-    since the drop replaces those two terms by the first; only such faces
-    are generated.  A simplex of K outside K' has interior length l, so
+    Every walk with at most l steps contributes the downward closure of its
+    full positioned interior; the union over walks is K.  The relative cells
+    are enumerated top-down from the nonempty interiors of the walks of
+    exactly l steps, which have interior length l by construction.  From a
+    cell of length l, dropping the vertex x_i of the closed tuple keeps the
+    length l exactly when the triangle through it is tight,
+    d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1}), since the drop
+    replaces those two terms by the first; only such faces are generated.  A simplex of K outside K' has interior length l, so
     every walk whose interior holds it has exactly l steps; dropping a
     vertex never lengthens the closed tuple, so every simplex between the
     two has length l as well.  The descent thus reaches every simplex of K
@@ -88,7 +82,6 @@ def build_k_pair(g, key):
     position order.
     """
     a, b, l = key
-    _require_length(l)
 
     labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
     total = set()
@@ -97,7 +90,8 @@ def build_k_pair(g, key):
         interior = tuple(enumerate(walk[1:-1], 1))
         for size in range(1, len(interior) + 1):
             total.update(combinations(interior, size))
-        if len(walk) - 1 == l:
+        # at l <= 1 the interior is empty, and the empty set is no simplex
+        if len(walk) - 1 == l and interior:
             layer.add(interior)
 
     # one layer per simplex size, largest first; every cell has length l
@@ -190,22 +184,21 @@ def verify_chain_map(key, rel, mag, pairs_by_degree):
 def pair_groups(g, kpair, rel, kmax):
     """MH_{k,l}(a, b) for 2 <= k <= kmax, read off the pair's relative complex.
 
-    ``rel`` is the relative complex of ``kpair``; needs kmax >= 2.  Degrees
-    k >= 3 read H_{k-2} of the pair; k = 2 reads H_0 of the pair when
+    ``rel`` is the relative complex of ``kpair``; kmax < 2 gives no groups.
+    Degrees k >= 3 read H_{k-2} of the pair; k = 2 reads H_0 of the pair when
     d(a, b) < l and reduced H_0 of the total complex when d(a, b) = l.  A
     pair at distance greater than l has no cells and reads zero throughout.
     """
     a, b, l = kpair.key
-    rel_homology = homology_all(rel, up_to=kmax - 2)
-    h0 = rel_homology[0]
-    if g.distances[a, b] == l:
+    groups = homology_all(rel, up_to=kmax - 2)
+    if groups and g.distances[a, b] == l:
         # every interior tuple is at least d(a, b) = l long, so K' is empty,
         # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z; the cells
         # lie in K, so K' is empty exactly when they are all of K
         if kpair.total != kpair.cells:
             raise InternalCheckError(f"K' of {kpair.key} is not empty although d(a, b) = l")
-        h0 = HomologyGroup(max(h0.betti - 1, 0))
-    return [h0] + rel_homology[1:]
+        groups[0] = HomologyGroup(max(groups[0].betti - 1, 0))
+    return groups
 
 
 def magnitude_homology_geometric(g, key, kmax=None):
@@ -214,9 +207,8 @@ def magnitude_homology_geometric(g, key, kmax=None):
     Degrees k >= 3 read H_{k-2} of the pair; k = 2 uses H_0 of the pair when
     d(a, b) < l and reduced H_0 of the total complex when d(a, b) = l;
     degrees 0 and 1 are delegated to the direct route (their chain groups
-    are at most one-dimensional).  Requires l >= 3 (GraphError otherwise).
+    are at most one-dimensional).
     """
-    _require_length(key.l)
     if kmax is None:
         kmax = key.l
     out = magnitude_homology_direct(g, key, kmax=min(1, kmax))
@@ -272,8 +264,7 @@ def cross_validate(g, l):
     identity.  Each component's magnitude complex, K pair and relative
     complex are built once and serve both checks.  Stops at the first
     mismatch and reports it.  Internal invariant failures raise
-    InternalCheckError instead of being reported as mismatches.  Requires
-    l >= 3.
+    InternalCheckError instead of being reported as mismatches.
     """
     report = CrossValidationReport(l=l)
     for a in g.vertices:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import deque
 from types import MappingProxyType
 
@@ -158,8 +159,6 @@ def _parse_structured(text):
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid JSON graph file: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphError("structured graph file must be a JSON object")
     vertices = doc.get("vertices")
     edges = doc.get("edges")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
@@ -253,11 +252,18 @@ def generate(name):
     parts = name.split(":")
     family, args = parts[0], parts[1:]
 
+    def integer(value, what, pattern):
+        # ASCII digits only, as for --l: int() also takes "+3", "1_0", " 3"
+        # and other scripts' digits, and refuses more digits than its limit
+        if re.fullmatch(pattern, value):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise GraphError(f"{what} must be an integer in {name!r}")
+
     def positive(value, what):
-        try:
-            n = int(value)
-        except ValueError:
-            raise GraphError(f"{what} must be an integer in {name!r}") from None
+        n = integer(value, what, r"[0-9]+")
         if n < 1:
             raise GraphError(f"{what} must be positive in {name!r}")
         return n
@@ -270,11 +276,7 @@ def generate(name):
         if len(args) != 2:
             raise GraphError(f"expected random-tree:n:seed, got {name!r}")
         n = positive(args[0], "vertex count")
-        try:
-            seed = int(args[1])
-        except ValueError:
-            raise GraphError(f"seed must be an integer in {name!r}") from None
-        return _gen_random_tree(n, seed)
+        return _gen_random_tree(n, integer(args[1], "seed", r"-?[0-9]+"))
     simple = {"path": _gen_path, "cycle": _gen_cycle, "complete": _gen_complete, "star": _gen_star}
     if family in simple:
         if len(args) != 1:

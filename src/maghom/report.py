@@ -81,7 +81,7 @@ def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
     of its representative's groups.  ``cross_validate``, behind
     ``maghom check``, still solves every component, because it verifies
     the routes.  A whole tree table is checked against the closed form in
-    degrees 3..kmax; a disagreement raises InternalCheckError.
+    degrees 1..kmax; a disagreement raises InternalCheckError.
     """
     if kmax is None:
         kmax = l
@@ -109,7 +109,7 @@ def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
     if method == "tree" and pair is None:
         # the per-walk decomposition must reproduce the closed form
         totals = table.totals()
-        for k in range(3, kmax + 1):
+        for k in range(1, kmax + 1):
             expected = tree_magnitude_closed_form(g, l, k)
             if totals[k] != expected:
                 raise InternalCheckError(
@@ -221,18 +221,20 @@ def dump_json(doc):
 def parse_pair_labeling(text, g):
     """Parse a --types labeling file: JSON mapping "u,v" keys to labels.
 
-    Requires complete coverage of all ordered vertex pairs and known
-    vertices (GraphError otherwise); returns a dict keyed by (a, b) tuples
-    preserving file order.
+    Requires complete coverage of all ordered vertex pairs, known vertices
+    and each pair named once (GraphError otherwise); returns a dict keyed by
+    (a, b) tuples preserving file order.
     """
     try:
-        doc = json.loads(text)
+        # objects as tuples of (key, value) in file order, so that a repeated
+        # key is kept and seen; arrays stay lists
+        doc = json.loads(text, object_pairs_hook=tuple)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid labeling file: {exc}") from None
-    if not isinstance(doc, dict):
+    if not isinstance(doc, tuple):
         raise GraphError("labeling file must be a JSON object")
     labeling = {}
-    for key, label in doc.items():
+    for key, label in doc:
         parts = key.split(",")
         if len(parts) != 2:
             raise GraphError(f'labeling key {key!r} is not of the form "u,v"')
@@ -240,6 +242,8 @@ def parse_pair_labeling(text, g):
         g.index(a), g.index(b)
         if not isinstance(label, str):
             raise GraphError(f"label for {key!r} must be a string")
+        if (a, b) in labeling:
+            raise GraphError(f"labeling names pair ({a}, {b}) twice")
         labeling[(a, b)] = label
     for a in g.vertices:
         for b in g.vertices:

@@ -10,10 +10,11 @@ missing at least one turning point, shifted up by two degrees.
 
 With m turning points that pair is: everything (m = 0, the subcomplex is
 empty), contractible (0 < m < l-1), or the simplex modulo its boundary
-sphere (m = l-1).  Only the sphere case contributes homology in degrees
-k >= 3, one Z in degree k = l.  Summing over all walks: MH_{k,l} of a tree
-is Z^(2 * number of edges) when k = l and zero otherwise (k, l >= 3), since
-the walks with m = l-1 are exactly the alternating walks along one edge.
+sphere (m = l-1).  In degrees k >= 2 only the sphere case contributes
+homology, one Z in degree k = l; the m = 0 walk is the geodesic, whose Z in
+degree 2 reduced H_0 drops.  Summing over all walks: MH_{k,l} of a tree is
+Z^(2 * number of edges) when k = l and zero otherwise (k >= 1), since the
+walks with m = l-1 are exactly the alternating walks along one edge.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def build_delta_pair(phi, l):
     """
     positions = list(range(1, l))
     required = set(phi)
-    total = SimplicialComplex.from_maximal(positions, [positions])
+    # with no positions (l <= 1) the full simplex has no nonempty face
+    total = SimplicialComplex.from_maximal(positions, [positions] if positions else [])
     sub = SimplicialComplex(positions, [s for s in total if not required <= set(s)])
     return total, sub
 
@@ -89,13 +91,13 @@ def classify_delta(phi, l):
 
 
 def tree_magnitude_closed_form(g, l, k):
-    """Whole-tree magnitude homology in closed form, valid for k, l >= 3.
+    """Whole-tree magnitude homology in closed form, valid for k >= 1.
 
     Z^(2 * number of edges) when k = l, zero otherwise.
     """
     _require_tree(g)
-    if l < 3 or k < 3:
-        raise ValueError(f"the closed form covers k, l >= 3, got k={k}, l={l}")
+    if k < 1:
+        raise ValueError(f"the closed form covers k >= 1, got k={k}")
     if k == l:
         return HomologyGroup(2 * g.num_edges, ())
     return ZERO_GROUP
@@ -104,25 +106,22 @@ def tree_magnitude_closed_form(g, l, k):
 def tree_homology_by_pair(g, key, kmax=None):
     """MH_{k,l}(a, b) on a tree for 0 <= k <= kmax via the decomposition.
 
-    Degrees k >= 3 count the sphere-type walk summands (each contributes one
-    Z at k = l); degrees 0..2 sit outside the decomposition's range and are
-    delegated to the direct route.  Requires l >= 3 and a tree; either
-    failing raises GraphError, the length tested first.
+    Degrees k >= 2 count the sphere-type walk summands (each contributes one
+    Z at k = l); degrees 0 and 1 sit outside the decomposition's range and
+    are delegated to the direct route.  Requires a tree (GraphError otherwise).
     """
-    if key.l < 3:
-        raise GraphError(f"method tree needs l >= 3, got l={key.l}")
     _require_tree(g)
     if kmax is None:
         kmax = key.l
-    out = magnitude_homology_direct(g, key, kmax=min(kmax, 2))
-    if kmax <= 2:
+    out = magnitude_homology_direct(g, key, kmax=min(kmax, 1))
+    if kmax < 2:
         return out
     spheres = sum(
         1
         for walk in decompose_tree_component(g, key)
         if classify_delta(turning_points(walk), key.l) == "sphere"
     )
-    for k in range(3, kmax + 1):
+    for k in range(2, kmax + 1):
         if k == key.l and spheres:
             out.append(HomologyGroup(spheres, ()))
         else:

@@ -156,6 +156,8 @@ def test_compute_usage_errors(runner, tmp_path):
     latin1.write_bytes("\u00e9 b\n".encode("latin-1"))
     deep = tmp_path / "deep.json"
     deep.write_text('{"vertices": ' + "[" * 100000)
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"v0,v0": "x", "v0,v1": "y", "v0,v1": "z", "v1,v0": "y", "v1,v1": "x"}')
     not_a_file = "not a builtin generator and not a file"
     cases = [
         (["--graph", "nosuch:3", "--l", "2"], f"{not_a_file}: 'nosuch:3'"),
@@ -170,8 +172,6 @@ def test_compute_usage_errors(runner, tmp_path):
         (["--graph", "sq2", "--l", "4", "--pair", "a"], """--pair expects "u,v", got 'a'"""),
         (["--graph", "sq2", "--l", "4", "--pair", "a,zz"], "unknown vertex: 'zz'"),
         (["--graph", "sq2", "--l", "4", "--method", "tree"], "method tree needs a tree input"),
-        (["--graph", "sq2", "--l", "2", "--method", "geometric"],
-         "method geometric needs l >= 3, got l=2"),
         (["--graph", "sq2", "--l", "4", "--kmax", "-1"], "--kmax must be nonnegative"),
         (["--graph", str(missing), "--l", "2"], f"{not_a_file}: {str(missing)!r}"),
         (["--graph", str(comma_graph), "--l", "2"], "vertex label contains ',': 'a,b'"),
@@ -202,11 +202,28 @@ def test_compute_usage_errors(runner, tmp_path):
         (["--graph", str(deep), "--l", "2"], "invalid JSON graph file: maximum recursion depth"),
         (["--graph", "sq2", "--l", "4", "--types", str(deep)],
          "invalid labeling file: maximum recursion depth"),
+        (["--graph", "path:2", "--l", "1", "--types", str(twice)],
+         "labeling names pair (v0, v1) twice"),
     ]
     for args, message in cases:
         r = runner.invoke(main, ["compute", *args])
         assert r.exit_code == 2, (args, r.output)
         assert message in r.stderr, (args, r.stderr)
+
+
+def test_compute_routes_below_length_three_match_direct(runner):
+    # degrees 0 and 1 come from the direct route at every l, the rest from
+    # each route's own pair or walks
+    for graph, method in (("sq2", "geometric"), ("path:4", "tree")):
+        rows = {}
+        for m in (method, "direct"):
+            r = invoke(runner, "compute", "--graph", graph, "--l", "0-2", "--kmax", "3",
+                       "--method", m)
+            assert r.exit_code == 0, r.output
+            rows[m] = [ln for ln in r.stdout.splitlines() if not ln.startswith("magnitude")]
+        assert rows[method] == rows["direct"]
+    assert rows["tree"][-5:] == ["  k  total", "k=0      0", "k=1      0", "k=2      6",
+                                 "k=3      0"]
 
 
 def test_compute_types_must_cover_all_pairs(runner, tmp_path):
@@ -274,7 +291,7 @@ def test_input_files_may_start_with_a_byte_order_mark(runner, tmp_path):
 
 
 def test_tree_route_below_degree_three_matches_direct(runner):
-    # with kmax <= 2 the tree route hands every degree to the direct route
+    # at kmax = 2 the tree route reads degree 2 from the walks
     outputs = {}
     for method in ("tree", "direct"):
         args = ["--graph", "random-tree:8:1", "--l", "4", "--kmax", "2", "--method", method]
@@ -371,9 +388,17 @@ def test_check_single_graph_length_range(runner):
     assert r.output.count("agree") == 2
 
 
+def test_check_single_graph_below_length_three(runner):
+    r = invoke(runner, "check", "--graph", "sq2", "--l", "0-2")
+    assert r.exit_code == 0, r.output
+    assert r.stdout.splitlines() == [
+        f"sq2: l={l}: 36 components agree ({n} chain-level identities checked)"
+        for l, n in ((0, 6), (1, 22), (2, 34))
+    ]
+
+
 def test_check_usage_errors(runner, tmp_path):
     cases = [
-        (["--graph", "sq2", "--l", "2"], "method geometric needs l >= 3, got l=2"),
         (["--graph", "sq2", "--l", ""], "--l expects an integer or a range like 3-5, got ''"),
         (["--graph", "sq2", "--l", "-1"], "--l must be nonnegative"),
         (["--graph", "sq2", "--l", "5-3"], "empty --l range: '5-3'"),
@@ -520,6 +545,28 @@ def test_export_skips_high_dimensional_off(runner, tmp_path):
     assert not (tmp_path / "big.total.off").exists()
 
 
+def test_export_below_length_three_on_a_tree(runner, tmp_path):
+    # (l, pair, maximal simplices of K, walks with their turning points)
+    cases = [
+        ("0", "v0,v0", [], [(["v0"], [])]),
+        ("1", "v0,v1", [], [(["v0", "v1"], [])]),
+        ("2", "v0,v0", [[[1, "v1"]]], [(["v0", "v1", "v0"], [1])]),
+    ]
+    for l, pair, maximal, walks in cases:
+        stem = tmp_path / f"l{l}"
+        r = invoke(runner, "export", "--graph", "path:3", "--l", l, "--pair", pair,
+                   "--out", str(stem))
+        assert r.exit_code == 0, r.output
+        assert sorted(p.name for p in tmp_path.glob(f"l{l}.*")) == [
+            f"l{l}.deltas.json", f"l{l}.pair.json", f"l{l}.sub.off", f"l{l}.total.off",
+        ]
+        doc = json.loads((tmp_path / f"l{l}.pair.json").read_text())
+        assert doc["total"]["maximal_simplices"] == maximal
+        assert doc["sub"]["maximal_simplices"] == []
+        deltas = json.loads((tmp_path / f"l{l}.deltas.json").read_text())["components"]
+        assert [(rec["walk"], rec["turning_points"]) for rec in deltas] == walks
+
+
 def test_export_empty_component_notice(runner, tmp_path):
     stem = tmp_path / "empty"
     r = invoke(runner, "export", "--graph", "path:6", "--l", "3",
@@ -552,7 +599,6 @@ def test_export_usage_errors(runner, tmp_path):
         assert r.exit_code == 2, r.output
         return r.stderr
 
-    assert export(l="2") == "error: method geometric needs l >= 3, got l=2\n"
     # one integer in ASCII digits, and a message that offers no range form
     for l in ("+4", "1_0", " 4", "\u0664", "-1", "3-5", "4-4"):
         assert export(l=l) == f"error: export --l expects one nonnegative integer, got {l!r}\n"

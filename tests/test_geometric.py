@@ -33,15 +33,24 @@ from oracles import chain_complex, k_pair_by_definition, random_graph_from_seed
 # --- the complex pair ------------------------------------------------------------
 
 
-def test_k_pair_requires_length_three(sq2):
-    # the geometric route owns its length rule; the CLI prints the message
-    message = r"^method geometric needs l >= 3, got l=2$"
-    with pytest.raises(GraphError, match=message):
-        build_k_pair(sq2, ComponentKey("a", "a", 2))
-    # also when degrees 0 and 1 alone, which need no pair, are asked for
-    for kmax in (None, 1):
-        with pytest.raises(GraphError, match=message):
-            magnitude_homology_geometric(sq2, ComponentKey("a", "b", 2), kmax)
+def test_geometric_route_below_length_three_matches_direct(sq2):
+    # degrees 0 and 1 come from the direct route at every l, and degree 2
+    # from the pair; at l <= 1 a walk's interior is empty, so nothing is a cell
+    for l in (0, 1):
+        assert build_k_pair(sq2, ComponentKey("a", "b", l)).cells == frozenset()
+    kp = build_k_pair(sq2, ComponentKey("a", "a", 2))
+    assert sorted(kp.cells) == [((1, "b"),), ((1, "f"),)] and kp.sub == frozenset()
+    for l in (0, 1, 2):
+        for a in sq2.vertices:
+            for b in sq2.vertices:
+                key = ComponentKey(a, b, l)
+                for kmax in (None, 1, 4):
+                    assert magnitude_homology_geometric(sq2, key, kmax) == (
+                        magnitude_homology_direct(sq2, key, kmax)
+                    ), (key, kmax)
+    # below degree 2 the pair has no groups to give
+    kp = build_k_pair(sq2, ComponentKey("a", "b", 1))
+    assert pair_groups(sq2, kp, relative_chain_complex(kp.labels, kp.cells), 1) == []
 
 
 def test_k_pair_sq2_diagonal(sq2):
@@ -350,9 +359,9 @@ def test_cross_validate_reports_mismatch(sq2, monkeypatch):
 @given(seed=st.integers(0, 10**6))
 def test_cross_validate_random_graphs(seed):
     g = random_graph_from_seed(seed, n_max=5)
-    l = random.Random(seed).randint(3, 4)
-    report = cross_validate(g, l)
-    assert report.ok, report.describe()
+    for l in (0, 1, 2, random.Random(seed).randint(3, 4)):
+        report = cross_validate(g, l)
+        assert report.ok, report.describe()
 
 
 def test_walk_layer_reads_no_pairwise_distance(sq2, monkeypatch, tmp_path):

@@ -126,6 +126,13 @@ def test_generate_errors():
                 "random-tree:5", "complete:3:9"]:
         with pytest.raises(GraphError):
             generate(bad)
+    # counts and seeds are ASCII digits, as --l is, not every form int() takes
+    for bad in ["cycle:+3", "path:1_0", "path: 3", "cycle:\u0663"]:
+        with pytest.raises(GraphError, match=r"^vertex count must be an integer in "):
+            generate(bad)
+    with pytest.raises(GraphError, match=r"^seed must be an integer in 'random-tree:5:\+1'$"):
+        generate("random-tree:5:+1")
+    assert generate("random-tree:5:-1").num_vertices == 5
 
 
 def test_is_generator_spec():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -146,6 +147,10 @@ def test_parse_pair_labeling_errors():
         parse_pair_labeling(json.dumps({"v0,v0": 1}), g)
     with pytest.raises(GraphError, match=r"does not cover pair \(v0, v1\)"):
         parse_pair_labeling(json.dumps({"v0,v0": "d"}), g)
+    # a pair named twice, by the same key or by two spellings of it
+    for text in ('{"v0,v1": "y", "v0,v1": "z"}', '{"v0,v1": "y", " v0 , v1 ": "z"}'):
+        with pytest.raises(GraphError, match=r"^labeling names pair \(v0, v1\) twice$"):
+            parse_pair_labeling(text, g)
 
 
 def test_build_table_auto_resolves_the_route(sq2):
@@ -166,7 +171,8 @@ def test_build_table_checks_tree_totals_against_the_closed_form(monkeypatch):
         maghom.report, "tree_magnitude_closed_form", lambda g, l, k: HomologyGroup(999)
     )
     for method in ("tree", "auto"):
-        with pytest.raises(InternalCheckError, match="disagree with the closed form at k=3"):
+        # the check starts at degree 1, the first the closed form covers
+        with pytest.raises(InternalCheckError, match="disagree with the closed form at k=1"):
             build_table(g, 3, method=method)
     # a single pair has no closed form to meet, and other routes are not checked
     build_table(g, 3, method="tree", pair=("v0", "v3"))
@@ -198,6 +204,17 @@ def test_copied_groups_equal_direct_route_calls(g):
         assert list(table.pair_groups) == [(a, b) for a in g.vertices for b in g.vertices]
         for a, b in table.pair_groups:
             assert table.pair_groups[a, b] == route(g, ComponentKey(a, b, l), l), (method, a, b)
+
+
+@pytest.mark.parametrize("g", _copy_test_graphs(), ids=repr)
+def test_every_route_matches_direct_below_length_three(g):
+    # degrees 0 and 1 come from the direct route at every l; degree 2 and up
+    # from each route's own pair or walks
+    for l, kmax in itertools.product((0, 1, 2), (None, 4)):
+        direct = build_table(g, l, kmax, method="direct").pair_groups
+        for method in ("geometric", "tree") if g.is_tree() else ("geometric",):
+            table = build_table(g, l, kmax, method=method)
+            assert table.pair_groups == direct, (method, l, kmax)
 
 
 def test_build_table_runs_the_route_once_per_orbit(sq2, monkeypatch):

@@ -4,6 +4,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
@@ -46,3 +48,15 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
             line.split("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")
         ]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+@pytest.mark.parametrize("name", ["reproduce_sq2", "diagonality_survey"])
+def test_usage_line_names_only_options_the_script_has(name, capsys):
+    module = _load(name)
+    usage = module.__doc__.split("Usage:", 1)[1].strip().splitlines()[0]
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--help"])
+    assert exit_info.value.code == 0
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    flags = set(re.findall(r"--[a-z][a-z-]*", usage))
+    assert flags and flags <= options, flags - options

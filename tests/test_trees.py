@@ -9,6 +9,7 @@ from maghom import (
     ComponentKey,
     GraphError,
     HomologyGroup,
+    build_table,
     generate,
     magnitude_homology_direct,
     magnitude_homology_geometric,
@@ -101,9 +102,13 @@ def test_delta_pair_shapes():
     rel = pair_chain_complex(total, sub)
     assert rel.basis(1) == [(1, 2)]
     assert rel.basis(0) == []
+    # with no positions the full simplex has no nonempty face
+    for l in (0, 1):
+        total, sub = build_delta_pair((), l)
+        assert (total.dim, sub.dim) == (-1, -1)
 
 
-@pytest.mark.parametrize("l", [3, 4, 5])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_classification_matches_relative_homology(l):
     # Take every possible turning-point set and compare the closed-form
     # classification against the homology engine.
@@ -194,20 +199,36 @@ def test_closed_form_values():
 
 def test_closed_form_domain_errors(sq2):
     star = generate("star:4")
-    with pytest.raises(ValueError, match="k, l >= 3"):
-        tree_magnitude_closed_form(star, 2, 3)
-    with pytest.raises(ValueError, match="k, l >= 3"):
-        tree_magnitude_closed_form(star, 3, 2)
+    for l in (0, 3):
+        with pytest.raises(ValueError, match=r"^the closed form covers k >= 1, got k=0$"):
+            tree_magnitude_closed_form(star, l, 0)
     with pytest.raises(ValueError, match="tree"):
         tree_magnitude_closed_form(sq2, 3, 3)
+    # every length is in the domain: at k = l = 1, the ordered adjacent pairs
+    assert tree_magnitude_closed_form(star, 1, 1) == HomologyGroup(6)
+    assert tree_magnitude_closed_form(star, 2, 3) == ZERO_GROUP
+    assert tree_magnitude_closed_form(star, 0, 1) == ZERO_GROUP
+
+
+@pytest.mark.parametrize("spec", ["path:1", "path:2", "path:4", "star:5", "random-tree:6:1"])
+def test_closed_form_matches_direct_totals(spec):
+    g = generate(spec)
+    for l in range(8):
+        totals = build_table(g, l, l + 1, method="direct").totals()
+        for k in range(1, l + 2):
+            assert totals[k] == tree_magnitude_closed_form(g, l, k), (l, k)
 
 
 def test_tree_route_matches_direct_per_pair():
-    g = random_tree(11, n=6)
-    for l in (3, 4):
-        for a, b in itertools.product(g.vertices, repeat=2):
-            key = ComponentKey(a, b, l)
-            assert tree_homology_by_pair(g, key) == magnitude_homology_direct(g, key)
+    # degree 2 and up come from the walks, degrees 0 and 1 from the direct route
+    trees = [generate("path:1"), generate("path:3"), generate("star:4"), random_tree(11, n=6)]
+    for g, l in itertools.product(trees, range(8)):
+        for kmax in sorted({l, l + 1, 3}):
+            for a, b in itertools.product(g.vertices, repeat=2):
+                key = ComponentKey(a, b, l)
+                assert tree_homology_by_pair(g, key, kmax) == (
+                    magnitude_homology_direct(g, key, kmax)
+                ), (g, key, kmax)
 
 
 def test_tree_route_matches_geometric_per_pair():
@@ -233,15 +254,14 @@ def test_tree_totals_equal_closed_form():
     assert totals[5] == tree_magnitude_closed_form(g, 5, 5)
 
 
-def test_tree_route_requires_minimum_length(sq2):
+def test_tree_route_needs_a_tree_at_every_length(sq2):
     g = generate("path:3")
-    with pytest.raises(GraphError, match=r"^method tree needs l >= 3, got l=2$"):
-        tree_homology_by_pair(g, ComponentKey("v0", "v1", 2))
-    # the length is tested before the graph
-    with pytest.raises(GraphError, match=r"^method tree needs l >= 3, got l=2$"):
-        tree_homology_by_pair(sq2, ComponentKey("a", "b", 2))
-    with pytest.raises(GraphError, match=r"^method tree needs a tree input$"):
-        tree_homology_by_pair(sq2, ComponentKey("a", "b", 3))
+    for a, b in itertools.product(g.vertices, repeat=2):
+        key = ComponentKey(a, b, 2)
+        assert tree_homology_by_pair(g, key) == magnitude_homology_direct(g, key)
+    for l in (2, 3):
+        with pytest.raises(GraphError, match=r"^method tree needs a tree input$"):
+            tree_homology_by_pair(sq2, ComponentKey("a", "b", l))
 
 
 # --- geodesic helpers -------------------------------------------------------------------
