@@ -1,11 +1,16 @@
 """Exact integer linear algebra and homology groups.
 
 Everything here works over arbitrary-precision Python integers.  Matrices
-are sparse columns, and Smith normal form eliminates on sparse rows, with a
-column index for the rows to clear and a heap for the next pivot, so no
-pass scans the rows.  Its invariant factors drive betti numbers and
-torsion; the test suite cross-checks them against gcds of minors and
-fraction-free elimination, which share no code with it.
+are sparse columns.  ``homology_all`` first pairs off the unit incidences
+of the whole complex, the elementary reductions of Kaczynski, Mrozek and
+Slusarek (1998), which split off acyclic pieces without changing any
+invariant factor; magnitude complexes are almost entirely acyclic, so
+little is left.  Smith normal form then runs on what is left of each
+boundary, eliminating on sparse rows with a column index for the rows to
+clear and a heap for the next pivot, so no pass scans the rows.  The
+invariant factors drive betti numbers and torsion; the test suite
+cross-checks them against gcds of minors and fraction-free elimination,
+which share no code with either step.
 """
 
 from __future__ import annotations
@@ -217,14 +222,18 @@ def homology_all(complex_, up_to):
     """Integral homology in degrees 0..up_to.
 
     betti_k = dim C_k - rank d_k - rank d_{k+1}; the torsion of H_k is read
-    off the invariant factors of d_{k+1} that exceed 1.  Each boundary's
-    Smith normal form is computed once.  The complex only needs
-    ``top_degree``, ``dim(n)`` and ``boundary(n)``.
+    off the invariant factors of d_{k+1} that exceed 1.  The unit incidences
+    of the whole complex are paired off first (see ``_pair_units``): each
+    pair adds a factor 1 to its boundary's diagonal, and
+    ``smith_normal_form`` sees only what is left of each boundary, once per
+    boundary even when nothing is left.  The complex only needs
+    ``top_degree``, ``dim(n)`` and ``boundary(n)``, and is not modified.
     """
-    top = complex_.top_degree
-    diagonals = {}
-    for k in range(1, min(up_to + 1, top) + 1):
-        diagonals[k] = smith_normal_form(complex_.boundary(k))
+    pairs, remainders = _pair_units(complex_, min(up_to + 1, complex_.top_degree))
+    diagonals = {
+        k: (1,) * pairs[k] + smith_normal_form(remainder)
+        for k, remainder in sorted(remainders.items())
+    }
     out = []
     for k in range(up_to + 1):
         dim_k = complex_.dim(k)
@@ -235,3 +244,77 @@ def homology_all(complex_, up_to):
         torsion = tuple(d for d in diagonals.get(k + 1, ()) if d > 1)
         out.append(HomologyGroup(betti, torsion))
     return out
+
+
+def _pair_units(complex_, hi):
+    """Pair off the unit incidences of d_1..d_hi; the pair counts and remainders.
+
+    Degrees run from hi down to 1.  Each live column c of d_k holding a +-1
+    is paired with the row r of its unit entries that has the fewest
+    entries; column operations clear r from the other columns of d_k, which
+    changes the basis of C_k only in c's coordinate.  Then c leaves d_k and
+    leaves d_{k+1} as a row, and r leaves d_k and leaves d_{k-1} as a
+    column: since d o d = 0, both lines are zero in the new bases, so the
+    complex splits off the acyclic piece c -> r and the invariant factors of
+    the rest do not change.  The result maps k to the number of pairs of d_k
+    and to the matrix left of d_k, on the cells that no pair took.
+    Boundaries are copied before any change.
+    """
+    pairs, kept = {}, {}
+    gone = set()  # cells of C_k paired as rows of d_{k+1}
+    for k in range(hi, 0, -1):
+        d = complex_.boundary(k)
+        columns = list(map(dict, d.columns))
+        for j in gone:
+            columns[j] = None
+        holders = [[] for _ in range(d.rows)]  # row -> live columns holding it
+        for j, column in enumerate(columns):
+            if column:
+                for i in column:
+                    holders[i].append(j)
+        paired_rows, paired_cols = set(), set()
+        for c, column in enumerate(columns):
+            if not column:
+                continue
+            r = None
+            for i, x in column.items():
+                if (x == 1 or x == -1) and (r is None or len(holders[i]) < len(holders[r])):
+                    r, p = i, x
+            if r is None:
+                continue
+            rest = [(i, y) for i, y in column.items() if i != r]
+            for j in holders[r]:
+                if j == c:
+                    continue
+                target = columns[j]
+                q = target.pop(r) * p  # p is its own inverse
+                for i, y in rest:
+                    x = target.get(i)
+                    if x is None:
+                        target[i] = -q * y
+                        holders[i].append(j)
+                    elif x == q * y:
+                        del target[i]
+                        holders[i].remove(j)
+                    else:
+                        target[i] = x - q * y
+            holders[r] = ()
+            for i, _ in rest:
+                holders[i].remove(c)
+            columns[c] = None
+            paired_rows.add(r)
+            paired_cols.add(c)
+        pairs[k] = len(paired_cols)
+        kept[k] = (d.rows, paired_rows, paired_cols, [col for col in columns if col is not None])
+        gone = paired_rows
+    remainders = {}
+    for k, (rows, paired_rows, _, columns) in kept.items():
+        # a row of d_k is gone if it was paired in d_k or as a column of
+        # d_{k-1}; the rows left keep their order, those holding entries first
+        dropped = paired_rows | kept[k - 1][2] if k > 1 else paired_rows
+        held = sorted({i for column in columns for i in column if i not in dropped})
+        index = dict(zip(held, range(len(held))))
+        remainders[k] = IntegerMatrix(rows - len(dropped), len(columns), [
+            {index[i]: x for i, x in column.items() if i in index} for column in columns
+        ])
+    return pairs, remainders

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .homology import IntegerMatrix, homology_all
+from .homology import ZERO_GROUP, IntegerMatrix, homology_all
 from .simplicial import IntegerChainComplex
 
 
@@ -105,11 +105,14 @@ def magnitude_chain_complex(g, key, kmax):
 def magnitude_homology_direct(g, key, kmax=None):
     """MH_{k,l}(a, b) for 0 <= k <= kmax, straight from the chain complex.
 
-    kmax defaults to l (all degrees above l vanish identically).
+    kmax defaults to l.  Every degree above l has no chains, so the complex
+    is built through min(kmax, l) + 1 only, and the degrees above l read
+    zero.
     """
     if kmax is None:
         kmax = max(key.l, 0)
-    # one extra degree so that the top requested homology sees its incoming
+    top = min(kmax, key.l)
+    # one extra degree so that the top computed homology sees its incoming
     # boundary
-    complex_ = magnitude_chain_complex(g, key, kmax + 1)
-    return homology_all(complex_, up_to=kmax)
+    complex_ = magnitude_chain_complex(g, key, top + 1)
+    return homology_all(complex_, up_to=top) + [ZERO_GROUP] * (kmax - top)

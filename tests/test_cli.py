@@ -655,7 +655,7 @@ def test_help_lists_commands(runner):
 # --- benchmark tracer ---------------------------------------------------------
 
 
-def test_benchmark_tracer_finds_every_traced_function():
+def test_benchmark_tracer_finds_every_traced_function(rp2_complex):
     # The traced benchmark wraps maghom functions by name and its counters
     # read matrices and results, so renaming or deleting a function, or
     # changing what a counter reads, must fail here and not only in a traced
@@ -672,6 +672,9 @@ def test_benchmark_tracer_finds_every_traced_function():
         maghom.report.build_table(generate("cycle:4"), 3, method="geometric")
         maghom.report.build_table(generate("path:4"), 3, method="tree")
         maghom.report.build_table(generate("sq2"), 2, method="direct")
+        # the unit pairs leave the three tables nothing to hand to Smith
+        # normal form, but they cannot remove RP^2's 2-torsion entry
+        importlib.import_module("maghom.homology").homology_all(rp2_complex, 2)
     except spans.CoverageError as exc:
         pytest.fail(f"the benchmark tracer lost a function: {exc}")
     finally:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maghom.homology as homology_module
 from maghom import HomologyGroup, build_table, cross_validate, generate
 from maghom.homology import (
     IntegerMatrix,
@@ -305,3 +306,112 @@ def test_betti_matches_rank_oracle_on_random_complexes(seed):
     assert_boundary_squares_to_zero(c)
     for n in range(c.top_degree + 1):
         assert homology_all(c, up_to=n)[n].betti == betti_via_rank_oracle(c, n)
+
+
+# --- unit pairs before Smith normal form ---------------------------------------
+
+
+def _one_boundary_complex(rows):
+    d = matrix_from_lists(rows)
+    return IntegerChainComplex(
+        bases=[[f"v{i}" for i in range(d.rows)], [f"e{j}" for j in range(d.cols)]],
+        boundaries=[IntegerMatrix(0, d.rows), d],
+    )
+
+
+def _snf_arguments(monkeypatch):
+    """Record the dense matrix of every smith_normal_form call homology_all makes."""
+    seen = []
+    real = homology_module.smith_normal_form
+    monkeypatch.setattr(
+        homology_module, "smith_normal_form", lambda a: seen.append(a.to_lists()) or real(a)
+    )
+    return seen
+
+
+def test_column_with_two_unit_entries(monkeypatch):
+    # column 0 holds units in rows 0 and 1; either pairing leaves the 2s of
+    # column 1 in rows that no pair took, which is all Smith normal form sees
+    rows = [[1, 0], [-1, 2], [0, 2]]
+    assert invariant_factors_by_minors(matrix_from_lists(rows)) == (1, 2)
+    seen = _snf_arguments(monkeypatch)
+    groups = homology_all(_one_boundary_complex(rows), 1)
+    assert groups == [HomologyGroup(1, (2,)), ZERO_GROUP]
+    assert seen == [[[2], [2]]]
+
+
+def test_row_cleared_from_several_columns_with_fill_in(monkeypatch):
+    # column 0's only unit is in row 0, so they pair and row 0 is cleared
+    # from columns 1-3: columns 1 and 2 fill in row 1, and column 3, a copy
+    # of column 0, cancels to zero; columns 1 and 2 then pair with their
+    # units in rows 2 and 3, and only row 1 and column 3 are left
+    rows = [[1, 1, -1, 1], [2, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]]
+    seen = _snf_arguments(monkeypatch)
+    complex_ = _one_boundary_complex(rows)
+    groups = homology_all(complex_, 1)
+    assert groups == [HomologyGroup(1), HomologyGroup(1)]
+    assert seen == [[[0]]]
+    assert invariant_factors_by_minors(complex_.boundary(1)) == (1, 1, 1)
+
+
+def _entries(c):
+    return [[dict(col) for col in c.boundary(n).columns] for n in range(c.top_degree + 1)]
+
+
+def test_homology_all_leaves_its_input_unchanged(rp2_complex):
+    complex_ = _one_boundary_complex([[1, 1, -1, 1], [2, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]])
+    for c in (complex_, rp2_complex):
+        before = _entries(c)
+        homology_all(c, c.top_degree)
+        assert _entries(c) == before
+
+
+def _random_chain_complex(rng):
+    """A small complex with d o d = 0 whose entries are not all units.
+
+    Each C_k splits into cells that are hit by d_{k+1}, cells that map onto
+    a multiple of one hit cell of C_{k-1}, and cycles that are not hit;
+    shears of each chain group's basis (a column operation on d_k and the
+    inverse row operation on d_{k+1}) then mix the parts.
+    """
+    top = rng.randint(1, 3)
+    hit = [0] * (top + 2)  # cells of C_k in the image of d_{k+1}
+    sources = [0] * (top + 2)  # cells of C_k mapping onto hit cells of C_{k-1}
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    for k in range(1, top + 1):
+        sources[k] = hit[k - 1] = rng.randint(0, 2)
+    dims = [hit[k] + sources[k] + free[k] for k in range(top + 1)]
+    dense = [[]] + [[[0] * dims[k] for _ in range(dims[k - 1])] for k in range(1, top + 1)]
+    for k in range(1, top + 1):
+        # C_k lists its hit cells, then its sources, then its free cycles
+        for j in range(sources[k]):
+            dense[k][j][hit[k] + j] = rng.choice((1, -1, 1, 2, -3, 4, 6))
+    for k in range(top + 1):
+        for _ in range(6 if dims[k] > 1 else 0):
+            i, j = rng.sample(range(dims[k]), 2)
+            q = rng.randint(-2, 2)
+            # new basis vector e_i + q e_j
+            if k > 0:
+                for row in dense[k]:
+                    row[i] += q * row[j]
+            if k < top:
+                dense[k + 1][j] = [x - q * y for x, y in zip(dense[k + 1][j], dense[k + 1][i])]
+    boundaries = [IntegerMatrix(0, dims[0])] + [
+        matrix_from_lists(dense[k], dims[k]) for k in range(1, top + 1)
+    ]
+    bases = [[f"c{k}_{i}" for i in range(dims[k])] for k in range(top + 1)]
+    return IntegerChainComplex(bases, boundaries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_unit_pairs_keep_every_invariant_factor(seed):
+    c = _random_chain_complex(random.Random(seed))
+    assert_boundary_squares_to_zero(c)
+    top = c.top_degree
+    groups = homology_all(c, top)
+    for k in range(top + 1):
+        d_up = c.boundary(k + 1) if k < top else IntegerMatrix(c.dim(k), 0)
+        assert groups[k].torsion == tuple(f for f in invariant_factors_by_minors(d_up) if f > 1), k
+        rank_in = rank_over_q(c.boundary(k)) if k else 0
+        assert groups[k].betti == c.dim(k) - rank_in - rank_over_q(d_up), k

@@ -11,7 +11,9 @@ from maghom import (
     build_table,
     generate,
     magnitude_homology_direct,
+    render_table,
 )
+import maghom.magnitude as magnitude_module
 from maghom.homology import ZERO_GROUP
 from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from oracles import (
@@ -215,6 +217,26 @@ def test_kmax_defaults_to_length(sq2):
     assert len(groups) == 4
     groups = magnitude_homology_direct(sq2, ComponentKey("a", "a", 3), kmax=2)
     assert len(groups) == 3
+
+
+def test_degrees_above_length_read_zero_without_chains(sq2, monkeypatch):
+    # every degree above l has no chains, so the direct route stops building
+    # at l + 1 however far kmax reaches
+    l = 3
+    short = render_table(build_table(sq2, l, l, "direct")).splitlines()
+    built = []
+    real = magnitude_module.magnitude_chain_complex
+    monkeypatch.setattr(
+        magnitude_module, "magnitude_chain_complex",
+        lambda g, key, kmax: built.append(kmax) or real(g, key, kmax),
+    )
+    long = render_table(build_table(sq2, l, l + 50, "direct")).splitlines()
+    assert set(built) == {l + 1}
+    assert long[0] == short[0].replace(f"kmax={l}", f"kmax={l + 50}")
+    # the grid widens its k column for two-digit degrees, so compare cells
+    cells = [line.split() for line in long[1:]]
+    assert cells[:len(short) - 1] == [line.split() for line in short[1:]]
+    assert cells[len(short) - 1:] == [[f"k={k}", "0"] for k in range(l + 1, l + 51)]
 
 
 # --- Kunneth formula for Cartesian products ---------------------------------------
