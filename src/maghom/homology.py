@@ -258,12 +258,19 @@ def _pair_units(complex_, hi):
     complex splits off the acyclic piece c -> r and the invariant factors of
     the rest do not change.  The result maps k to the number of pairs of d_k
     and to the matrix left of d_k, on the cells that no pair took.
-    Boundaries are copied before any change.
+    Boundaries are copied before any change; a boundary with no entry is
+    neither copied nor indexed.
     """
     pairs, kept = {}, {}
     gone = set()  # cells of C_k paired as rows of d_{k+1}
     for k in range(hi, 0, -1):
         d = complex_.boundary(k)
+        if not any(d.columns):
+            # no entry: nothing to pair, so nothing is copied or indexed
+            pairs[k] = 0
+            kept[k] = (d, gone, set(), set(), None)
+            gone = set()
+            continue
         columns = list(map(dict, d.columns))
         for j in gone:
             columns[j] = None
@@ -305,16 +312,22 @@ def _pair_units(complex_, hi):
             paired_rows.add(r)
             paired_cols.add(c)
         pairs[k] = len(paired_cols)
-        kept[k] = (d.rows, paired_rows, paired_cols, [col for col in columns if col is not None])
+        kept[k] = (d, gone, paired_rows, paired_cols, [col for col in columns if col is not None])
         gone = paired_rows
     remainders = {}
-    for k, (rows, paired_rows, _, columns) in kept.items():
+    for k, (d, gone, paired_rows, _, columns) in kept.items():
         # a row of d_k is gone if it was paired in d_k or as a column of
         # d_{k-1}; the rows left keep their order, those holding entries first
-        dropped = paired_rows | kept[k - 1][2] if k > 1 else paired_rows
+        dropped = paired_rows | kept[k - 1][3] if k > 1 else paired_rows
+        if columns is None:
+            # no entry: d_k is its own remainder unless a pair took a line
+            if dropped or gone:
+                d = IntegerMatrix(d.rows - len(dropped), d.cols - len(gone))
+            remainders[k] = d
+            continue
         held = sorted({i for column in columns for i in column if i not in dropped})
         index = dict(zip(held, range(len(held))))
-        remainders[k] = IntegerMatrix(rows - len(dropped), len(columns), [
+        remainders[k] = IntegerMatrix(d.rows - len(dropped), len(columns), [
             {index[i]: x for i, x in column.items() if i in index} for column in columns
         ])
     return pairs, remainders

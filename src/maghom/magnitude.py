@@ -31,8 +31,10 @@ def enumerate_basis(g, key, kmax):
     Enumeration recurses over next vertices, taking only the steps after
     which the remaining length can be consumed exactly, within the
     remaining step budget, ending at b; those steps are memoized per
-    (vertex, remaining length, budget).  Degrees above l are always empty
-    because every step has length at least 1.
+    (vertex, remaining length, budget), and a vertex's steps are listed
+    only once the recursion reaches it.  With one step left the only
+    option is b itself, read straight from the distance table.  Degrees
+    above l are always empty because every step has length at least 1.
     """
     a, b, l = key
     g.index(a), g.index(b)
@@ -40,19 +42,25 @@ def enumerate_basis(g, key, kmax):
         return [[] for _ in range(max(kmax + 1, 0))]
     per_degree = [[] for _ in range(kmax + 1)]
     dist = g.distances
-    # each vertex's steps (y, d(v, y)) in vertex order, so that the bases
-    # come out sorted
-    steps = {v: [(y, dist[v, y]) for y in g.vertices if y != v] for v in g.vertices}
+    # each reached vertex's steps (y, d(v, y)) in vertex order, so that the
+    # bases come out sorted
+    steps = {}
     memo = {}
 
     def options(v, remaining, budget):
+        if budget == 1:
+            # remaining is positive, so a step of exactly that length leaves v
+            return [(b, remaining)] if dist[v, b] == remaining else []
         state = (v, remaining, budget)
         found = memo.get(state)
         if found is None:
             found = memo[state] = []
-            for y, d in steps[v]:
+            v_steps = steps.get(v)
+            if v_steps is None:
+                v_steps = steps[v] = [(y, dist[v, y]) for y in g.vertices if y != v]
+            for y, d in v_steps:
                 rest = remaining - d
-                if rest == 0 and y == b or rest > 0 and budget > 1 and options(y, rest, budget - 1):
+                if rest == 0 and y == b or rest > 0 and options(y, rest, budget - 1):
                     found.append((y, d))
         return found
 

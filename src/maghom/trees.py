@@ -15,9 +15,16 @@ homology, one Z in degree k = l; the m = 0 walk is the geodesic, whose Z in
 degree 2 reduced H_0 drops.  Summing over all walks: MH_{k,l} of a tree is
 Z^(2 * number of edges) when k = l and zero otherwise (k >= 1), since the
 walks with m = l-1 are exactly the alternating walks along one edge.
+
+A tree is bipartite, so every walk from a to b has d(a, b) steps plus an
+even number: a pair whose distance differs from l in parity has no walk of
+l steps, and none is listed for it.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import eq
 
 from .graphs import GraphError, enumerate_walks
 from .homology import ZERO_GROUP, HomologyGroup
@@ -37,22 +44,23 @@ def turning_points(walk):
     strictly below d(x_{i-1}, x_i) + d(x_i, x_{i+1}); for a walk on a tree
     this happens exactly when x_{i-1} = x_{i+1}, which is what is tested.
     """
-    return tuple(i for i in range(1, len(walk) - 1) if walk[i - 1] == walk[i + 1])
+    return tuple(compress(range(1, len(walk) - 1), map(eq, walk, walk[2:])))
 
 
 def decompose_tree_component(g, key):
     """The walks indexing the per-walk summands of MC_{*,l}(a, b) on a tree.
 
     One walk from a to b of length exactly l per summand, in lexicographic
-    order; shorter walks carry no sequences of length l and are dropped.
+    order; shorter walks carry no sequences of length l and are dropped.  A
+    tree is bipartite, so when d(a, b) and l differ in parity no walk is
+    listed at all.
     """
     _require_tree(g)
     a, b, l = key
-    out = []
-    for walk in enumerate_walks(g, a, b, l):
-        if len(walk) - 1 == l:
-            out.append(walk)
-    return out
+    g.index(a), g.index(b)
+    if (g.distances[a, b] - l) % 2:
+        return []
+    return [walk for walk in enumerate_walks(g, a, b, l) if len(walk) - 1 == l]
 
 
 def build_delta_pair(phi, l):

@@ -137,6 +137,18 @@ def walk_counts_by_steps(g: Graph, a: str, b: str, max_steps: int) -> list[int]:
     return counts
 
 
+def alternating_walk_count(g: Graph, a: str, b: str, l: int) -> int:
+    """Number of a-to-b walks of l >= 1 steps that go back and forth along one edge.
+
+    For odd l the walk is a, b, a, ..., b, so there is one when a ~ b; for
+    even l it is a, x, a, ..., a, one for each neighbour x of a when a = b.
+    Read from the edge list alone.
+    """
+    if l % 2:
+        return sum(1 for u, v in g.edges if {u, v} == {a, b})
+    return sum(1 for edge in g.edges if a in edge) if a == b else 0
+
+
 def brute_force_magnitude_basis(
     g: Graph, a: str, b: str, l: int, k: int
 ) -> list[tuple[str, ...]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -67,6 +68,17 @@ def test_basis_matches_brute_force_random(seed):
     per_degree = enumerate_basis(g, ComponentKey(a, b, l), kmax)
     for k in range(kmax + 1):
         assert per_degree[k] == brute_force_magnitude_basis(g, a, b, l, k)
+
+
+@pytest.mark.parametrize("spec", ["random-tree:14:1", "random-tree:14:3"])
+def test_delegated_degrees_match_brute_force_on_trees(spec):
+    # the tree route hands degrees 0 and 1 to the direct route, which
+    # enumerates through degree 2: the steps of the vertices reached, and
+    # the last step straight to b
+    g = generate(spec)
+    for a, b in itertools.product(g.vertices, repeat=2):
+        bases = enumerate_basis(g, ComponentKey(a, b, 9), 2)
+        assert bases == [brute_force_magnitude_basis(g, a, b, 9, k) for k in range(3)], (a, b)
 
 
 def test_basis_and_signs_follow_an_unsorted_declaration_order(sq2):

@@ -24,7 +24,14 @@ from maghom.trees import (
     decompose_tree_component,
     turning_points,
 )
-from oracles import pair_chain_complex, path_of_sequence, tree_geodesic, tuple_length
+from oracles import (
+    alternating_walk_count,
+    pair_chain_complex,
+    path_of_sequence,
+    tree_geodesic,
+    tuple_length,
+    walk_counts_by_steps,
+)
 
 
 def random_tree(seed, n=None):
@@ -41,6 +48,12 @@ def test_turning_points_on_geodesic():
     assert turning_points(("v0", "v1", "v0")) == (1,)
     assert turning_points(("v0", "v1", "v0", "v1")) == (1, 2)
     assert turning_points(("v0", "v1", "v2", "v1")) == (2,)
+
+
+def test_turning_points_of_short_walks():
+    # one or two vertices leave no interior position
+    assert turning_points(("v0",)) == ()
+    assert turning_points(("v0", "v1")) == ()
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,6 +101,17 @@ def test_decompose_walks_have_exact_length():
         for walk in decompose_tree_component(g, ComponentKey(a, b, 4)):
             assert len(walk) - 1 == 4
             assert tuple_length(g, walk) == 4
+
+
+@pytest.mark.parametrize("seed", [2, 5, 8])
+def test_decompose_counts_match_adjacency_powers(seed):
+    # a pair whose distance differs from l in parity lists no walk; the
+    # others list every walk of l steps; both read against powers of A
+    g = random_tree(seed, n=7)
+    for a, b in itertools.product(g.vertices, repeat=2):
+        counts = walk_counts_by_steps(g, a, b, 7)
+        for l in range(8):
+            assert len(decompose_tree_component(g, ComponentKey(a, b, l))) == counts[l], (a, b, l)
 
 
 # --- position pairs and their homotopy types -------------------------------------------
@@ -236,6 +260,17 @@ def test_tree_route_matches_geometric_per_pair():
     for a, b in itertools.product(g.vertices, repeat=2):
         key = ComponentKey(a, b, 4)
         assert tree_homology_by_pair(g, key) == magnitude_homology_geometric(g, key)
+
+
+@pytest.mark.parametrize("spec", ["random-tree:6:4", "random-tree:7:9", "star:5"])
+def test_sphere_count_is_alternating_walk_count(spec):
+    # per pair, not only summed over the table: MH_{l,l}(a, b) counts the
+    # walks that go back and forth along one edge
+    g = generate(spec)
+    for l in range(2, 9):
+        for a, b in itertools.product(g.vertices, repeat=2):
+            groups = tree_homology_by_pair(g, ComponentKey(a, b, l))
+            assert groups[l] == HomologyGroup(alternating_walk_count(g, a, b, l)), (a, b, l)
 
 
 def test_tree_totals_equal_closed_form():
