@@ -254,7 +254,7 @@ def export(graph_spec, l_spec, pair, out):
         _check_out(out)
         key = ComponentKey(a, b, l_value)
         kpair = build_k_pair(g, key)
-        if g.distances[a, b] > l_value:
+        if g.distances[a][b] > l_value:
             click.echo(f"notice: d({a}, {b}) > {l_value}, the pair is empty", err=True)
 
         # the only consumer of whole complexes: wrapping validates downward closure

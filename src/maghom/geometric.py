@@ -59,7 +59,7 @@ def interior_tuple(key, simplex):
 def interior_length(g, key, simplex):
     """Total length of the endpoint-closed tuple of a simplex."""
     closed = interior_tuple(key, simplex)
-    return sum(g.distances[x, y] for x, y in zip(closed, closed[1:]))
+    return sum(g.distances[x][y] for x, y in zip(closed, closed[1:]))
 
 
 def build_k_pair(g, key):
@@ -105,7 +105,8 @@ def build_k_pair(g, key):
                 closed = interior_tuple(key, cell)
                 for i in range(len(cell)):
                     x, y, z = closed[i:i + 3]
-                    if dist[x, z] == dist[x, y] + dist[y, z]:
+                    row = dist[x]
+                    if row[z] == row[y] + dist[y][z]:
                         faces.add(cell[:i] + cell[i + 1:])
         layer = faces
     return KPair(key=key, labels=labels, total=frozenset(total), cells=frozenset(cells))
@@ -134,7 +135,7 @@ def chain_map_t(g, key, rel, mag):
         images = []
         for simplex in rel_basis:
             seq = interior_tuple(key, simplex)
-            steps = [dist[x, y] for x, y in zip(seq, seq[1:])]
+            steps = [dist[x][y] for x, y in zip(seq, seq[1:])]
             if sum(steps) != key.l:
                 raise InternalCheckError(
                     f"relative simplex {simplex!r} has interior length != l"
@@ -191,7 +192,7 @@ def pair_groups(g, kpair, rel, kmax):
     """
     a, b, l = kpair.key
     groups = homology_all(rel, up_to=kmax - 2)
-    if groups and g.distances[a, b] == l:
+    if groups and g.distances[a][b] == l:
         # every interior tuple is at least d(a, b) = l long, so K' is empty,
         # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z; the cells
         # lie in K, so K' is empty exactly when they are all of K
@@ -284,7 +285,7 @@ def cross_validate(g, l):
                     return report
             # only a pair within distance l has cells to identify, so only
             # such a pair counts as a chain check
-            if g.distances[a, b] <= l:
+            if g.distances[a][b] <= l:
                 verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))
                 report.chain_checks += 1
     return report

@@ -30,8 +30,9 @@ class Graph:
 
     Construction validates the input and precomputes the full shortest-path
     distance table (breadth-first search from every vertex), stored
-    read-only as ``distances``: ``distances[u, v]`` is d(u, v).  Instances
-    are treated as immutable.
+    read-only as ``distances``: one row per vertex, so that
+    ``distances[u][v]`` is d(u, v), with the rows and each row's entries in
+    vertex order.  Instances are treated as immutable.
     """
 
     __slots__ = ("vertices", "edges", "distances", "_index", "_adj")
@@ -76,7 +77,7 @@ class Graph:
             adj[v].sort(key=self._index.__getitem__)
         self._adj = adj
 
-        dist = {}
+        rows = {}
         for s in self.vertices:
             level = {s: 0}
             queue = deque([s])
@@ -91,9 +92,8 @@ class Graph:
                 raise GraphError(
                     f"disconnected graph: no walk between {s!r} and {missing!r}"
                 )
-            for t, d in level.items():
-                dist[s, t] = d
-        self.distances = MappingProxyType(dist)
+            rows[s] = MappingProxyType({t: level[t] for t in self.vertices})
+        self.distances = MappingProxyType(rows)
 
     # -- basic queries ----------------------------------------------------
 
@@ -107,7 +107,7 @@ class Graph:
     def distance(self, u, v):
         """Shortest-path distance (number of edges) between two vertices."""
         try:
-            return self.distances[u, v]
+            return self.distances[u][v]
         except KeyError:
             unknown = u if u not in self._index else v
             raise GraphError(f"unknown vertex: {unknown!r}") from None
@@ -305,7 +305,8 @@ def enumerate_walks(g, a, b, max_steps):
     (vertex, remaining budget).
     """
     g.index(a), g.index(b)
-    dist = g.distances
+    # d(y, b) for every y: distances are symmetric, so b's row
+    to_b = g.distances[b]
     memo = {}
     out = []
     prefix = [a]
@@ -317,13 +318,13 @@ def enumerate_walks(g, a, b, max_steps):
             return
         steps = memo.get((last, budget))
         if steps is None:
-            steps = memo[last, budget] = [y for y in g.neighbors(last) if dist[y, b] < budget]
+            steps = memo[last, budget] = [y for y in g.neighbors(last) if to_b[y] < budget]
         for y in steps:
             prefix.append(y)
             extend(y, budget - 1)
             prefix.pop()
 
-    if dist[a, b] <= max_steps:
+    if to_b[a] <= max_steps:
         extend(a, max_steps)
     return out
 
@@ -433,7 +434,7 @@ def pair_orbits(g):
     any orbit is formed; InternalCheckError is raised otherwise.
     """
     names = g.vertices
-    dist = [[g.distances[u, v] for v in names] for u in names]
+    dist = [list(g.distances[u].values()) for u in names]
     n = len(dist)
     gens = automorphism_generators(dist)
     for sigma in gens:

@@ -42,11 +42,13 @@ class IntegerMatrix:
         if len(self.columns) != cols:
             raise ValueError(f"{len(self.columns)} columns given for a {rows}x{cols} matrix")
         for j, column in enumerate(self.columns):
-            for i, x in column.items():
-                if not 0 <= i < rows:
-                    raise ValueError(f"row index {i} out of range in column {j}")
-                if not x:
-                    raise ValueError(f"zero entry stored at ({i}, {j})")
+            if column and not (0 <= min(column) and max(column) < rows and all(column.values())):
+                # walk the entries only to name the first bad one
+                for i, x in column.items():
+                    if not 0 <= i < rows:
+                        raise ValueError(f"row index {i} out of range in column {j}")
+                    if not x:
+                        raise ValueError(f"zero entry stored at ({i}, {j})")
 
     def to_lists(self):
         """The dense rows, as fresh lists."""

@@ -28,56 +28,63 @@ def enumerate_basis(g, key, kmax):
     """Per-degree bases of MC_{*,l}(a, b) for degrees 0..kmax.
 
     Each degree's basis is sorted lexicographically under the vertex order.
-    Enumeration recurses over next vertices, taking only the steps after
-    which the remaining length can be consumed exactly, within the
-    remaining step budget, ending at b; those steps are memoized per
-    (vertex, remaining length, budget), and a vertex's steps are listed
-    only once the recursion reaches it.  With one step left the only
-    option is b itself, read straight from the distance table.  Degrees
-    above l are always empty because every step has length at least 1.
+    A state (v, r, s) stands for its completions: the tuples that begin
+    with v, end at b, have consecutive entries distinct, total length r and
+    at most s steps.  Every step has length at least 1, so the budget s is
+    capped at r, and states that differ only above the cap are one state.
+    A state's completions are memoized.  They are built, in the order of
+    v's distance row, from those of its child states (y, r - d(v, y), s - 1)
+    as v prefixed to each, so every list is sorted; the cells are the
+    completions of (a, l, kmax), split by length with no second copy.  A
+    state with one step left is answered straight from the distance row:
+    its one completion is (v, b) when d(v, b) = r, and it has none
+    otherwise.  Degrees above l are always empty.
     """
     a, b, l = key
     g.index(a), g.index(b)
     if l < 0 or kmax < 0:
         return [[] for _ in range(max(kmax + 1, 0))]
-    per_degree = [[] for _ in range(kmax + 1)]
     dist = g.distances
-    # each reached vertex's steps (y, d(v, y)) in vertex order, so that the
-    # bases come out sorted
-    steps = {}
+    to_b = dist[b]  # d(v, b) = d(b, v)
     memo = {}
 
-    def options(v, remaining, budget):
-        if budget == 1:
-            # remaining is positive, so a step of exactly that length leaves v
-            return [(b, remaining)] if dist[v, b] == remaining else []
+    def completions(v, remaining, budget):
+        # a state with a budget of at least two steps
         state = (v, remaining, budget)
         found = memo.get(state)
         if found is None:
+            head = (v,)
             found = memo[state] = []
-            v_steps = steps.get(v)
-            if v_steps is None:
-                v_steps = steps[v] = [(y, dist[v, y]) for y in g.vertices if y != v]
-            for y, d in v_steps:
-                rest = remaining - d
-                if rest == 0 and y == b or rest > 0 and options(y, rest, budget - 1):
-                    found.append((y, d))
+            for y, d in dist[v].items():
+                if 0 < d < remaining:
+                    rest = remaining - d
+                    left = budget - 1 if budget <= rest else rest
+                    if left == 1:
+                        # the child state's one completion is (y, b), or none
+                        if to_b[y] == rest:
+                            found.append((v, y, b))
+                    else:
+                        tails = completions(y, rest, left)
+                        if tails:
+                            found += [head + tail for tail in tails]
+                elif d == remaining and y == b:
+                    found.append((v, b))
         return found
 
-    prefix = [a]
-
-    def extend(last, used):
-        k = len(prefix) - 1
-        if last == b and used == l:
-            per_degree[k].append(tuple(prefix))
-        if k == kmax or used >= l:
-            return
-        for y, d in options(last, l - used, kmax - k):
-            prefix.append(y)
-            extend(y, used + d)
-            prefix.pop()
-
-    extend(a, 0)
+    per_degree = [[] for _ in range(kmax + 1)]
+    budget = min(kmax, l)
+    if budget == 0:
+        if l == 0 and a == b:
+            per_degree[0].append((a,))
+    elif budget == 1:
+        if to_b[a] == l:
+            per_degree[1].append((a, b))
+    else:
+        for cell in completions(a, l, budget):
+            per_degree[len(cell) - 1].append(cell)
+        # completions refers to itself, so the memo would otherwise wait for
+        # the cycle collector
+        memo.clear()
     return per_degree
 
 
@@ -85,18 +92,20 @@ def _boundary_from_bases(g, basis_prev, basis_cur):
     # consecutive entries of a tuple differ, so dropping two different
     # interior vertices never gives the same face
     dist = g.distances
-    index = {seq: i for i, seq in enumerate(basis_prev)}
+    index = dict(zip(basis_prev, range(len(basis_prev))))
     columns = []
     for seq in basis_cur:
         column = {}
         sign = -1  # (-1) ** i, from i = 1
-        before = dist[seq[0], seq[1]]
+        row_before = dist[seq[0]]
+        before = row_before[seq[1]]
         for i in range(1, len(seq) - 1):
-            after = dist[seq[i], seq[i + 1]]
-            if dist[seq[i - 1], seq[i + 1]] == before + after:
+            row = dist[seq[i]]
+            after = row[seq[i + 1]]
+            if row_before[seq[i + 1]] == before + after:
                 column[index[seq[:i] + seq[i + 1:]]] = sign
             sign = -sign
-            before = after
+            row_before, before = row, after
         columns.append(column)
     return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
 

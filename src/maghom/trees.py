@@ -58,7 +58,7 @@ def decompose_tree_component(g, key):
     _require_tree(g)
     a, b, l = key
     g.index(a), g.index(b)
-    if (g.distances[a, b] - l) % 2:
+    if (g.distances[a][b] - l) % 2:
         return []
     return [walk for walk in enumerate_walks(g, a, b, l) if len(walk) - 1 == l]
 

@@ -166,6 +166,23 @@ def brute_force_magnitude_basis(
     return sorted(out, key=lambda s: tuple(g.index(v) for v in s))
 
 
+def boundary_by_definition(g: Graph, key, k: int) -> list[dict[int, int]]:
+    """Columns of the degree-k magnitude boundary of one component, by definition.
+
+    Column j belongs to the j-th tuple of the brute-force degree-k basis and
+    rows to the brute-force degree-(k-1) basis.  Each interior vertex x_i is
+    dropped in turn; the face counts, with sign (-1)^i, when its total
+    length is still l.
+    """
+    a, b, l = key
+    rows = {face: n for n, face in enumerate(brute_force_magnitude_basis(g, a, b, l, k - 1))}
+    columns = []
+    for seq in brute_force_magnitude_basis(g, a, b, l, k):
+        faces = [(i, seq[:i] + seq[i + 1:]) for i in range(1, k)]
+        columns.append({rows[face]: (-1) ** i for i, face in faces if tuple_length(g, face) == l})
+    return columns
+
+
 def rank_over_q(matrix: IntegerMatrix) -> int:
     """Row-echelon rank over the rationals with exact Fraction arithmetic."""
     rows = [[Fraction(x) for x in row] for row in matrix.to_lists()]

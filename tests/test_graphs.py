@@ -60,6 +60,21 @@ def test_distance_names_the_unknown_vertex():
         g.neighbors("zz")
 
 
+def test_distance_rows_are_read_only():
+    g = generate("path:3")
+    assert g.distances["v0"]["v2"] == 2
+    assert list(g.distances) == list(g.distances["v1"]) == list(g.vertices)
+    with pytest.raises(TypeError):
+        g.distances["v0"] = {}
+    with pytest.raises(TypeError):
+        g.distances["v0"]["v2"] = 1
+    assert g.distance("v0", "v2") == 2
+    with pytest.raises(GraphError, match="^unknown vertex: 'zz'$"):
+        g.distance("v0", "zz")
+    with pytest.raises(GraphError, match="^unknown vertex: 'zz'$"):
+        g.distance("zz", "v0")
+
+
 def test_parse_edge_list():
     text = "# comment line\na b\nb c\n\nc d\n"
     g = parse_graph(text)
