@@ -39,6 +39,9 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
+# basis and walk enumeration recurse once per step of a chain
+_TOO_LONG = "l is too long: enumeration recurses once per step and hit the recursion limit"
+
 
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
@@ -180,6 +183,8 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
             click.echo(rendered, nl=False)
     except GraphError as exc:
         _fail(EXIT_USAGE, exc)
+    except RecursionError:
+        _fail(EXIT_USAGE, f"{graph_spec} l={l_spec}: {_TOO_LONG}")
     except InternalCheckError as exc:
         _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
 
@@ -225,6 +230,8 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
         for label, g, l in runs:
             try:
                 report = cross_validate(g, l)
+            except RecursionError:
+                _fail(EXIT_USAGE, f"{label} l={l}: {_TOO_LONG}")
             except InternalCheckError as exc:
                 _fail(EXIT_INTERNAL, f"{label} l={l}: {exc}")
             click.echo(f"{label} {report.describe()}")
@@ -306,6 +313,8 @@ def export(graph_spec, l_spec, pair, out):
             click.echo(f"wrote {path}")
     except GraphError as exc:
         _fail(EXIT_USAGE, exc)
+    except RecursionError:
+        _fail(EXIT_USAGE, f"{graph_spec} l={l_spec}: {_TOO_LONG}")
     except InternalCheckError as exc:
         _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
 

@@ -6,17 +6,16 @@ of the whole complex, the elementary reductions of Kaczynski, Mrozek and
 Slusarek (1998), which split off acyclic pieces without changing any
 invariant factor; magnitude complexes are almost entirely acyclic, so
 little is left.  Smith normal form then runs on what is left of each
-boundary, eliminating on sparse rows with a column index for the rows to
-clear and a heap for the next pivot, so no pass scans the rows.  The
-invariant factors drive betti numbers and torsion; the test suite
-cross-checks them against gcds of minors and fraction-free elimination,
-which share no code with either step.
+boundary: the same unit pairing on that one matrix, then a short pivot
+loop on least entries for whatever is left.  The invariant factors drive
+betti numbers and torsion; the test suite cross-checks them against gcds
+of minors and fraction-free elimination, which share no code with either
+step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -66,85 +65,51 @@ def smith_normal_form(a):
     """The invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
     Only the positive diagonal entries of the Smith normal form are
-    returned, so their count is the rank.  The elimination works on sparse
-    rows, numbered by first appearance in the columns, with a column index
-    (column -> rows holding it) kept current on every fill-in and
-    cancellation, so no pass scans the rows.  Each pivot is an entry of
-    least absolute value in the working matrix, taken from the shortest row
-    holding one, ties going to the earliest row; a heap keyed by (least
-    absolute value, row length, row number) yields that row, and an entry
-    is stale once its row has changed.  Row operations clear the pivot
-    column, in row order, and column operations reduce the pivot row, which
-    is the only row they change once its column is clear.  The loop ends: a
-    pass either drops the pivot row or leaves a remainder below the least
-    absolute value, which can fall only finitely often.  The input is not
-    modified.
+    returned, so their count is the rank.  Unit entries are paired off
+    first (see ``_pair_units``), each adding a factor 1.  On what is left,
+    each pass takes an entry p of least absolute value, at (r, c), from the
+    shortest column holding one, ties going to the earlier column, and
+    clears row r from the other columns by column operations; a nonzero
+    remainder there is smaller than |p| and the next pass takes it.  Once
+    row r meets column c alone, a row operation changes c only, so c's
+    other entries are reduced mod p in place; when c holds p alone, |p| is
+    recorded and c is dropped.  A pass either drops a column or leaves an
+    entry smaller than |p|, so the loop ends.  The input is not modified.
 
     >>> smith_normal_form(IntegerMatrix(2, 2, [{0: 2}, {0: 4, 1: 6}]))
     (2, 6)
     """
-    first_seen = {}
-    for j, column in enumerate(a.columns):
-        for i, x in column.items():
-            first_seen.setdefault(i, {})[j] = x
-    if not first_seen:
-        return ()
-    rows = dict(enumerate(first_seen.values()))
-    holders = [set() for _ in range(a.cols)]
-    keys = {}
-    for i, row in rows.items():
-        for j in row:
-            holders[j].add(i)
-        keys[i] = (min(map(abs, row.values())), len(row), i)
-    heap = list(keys.values())
-    heapify(heap)
-
-    diagonal = []
-    while rows:
-        while keys.get(heap[0][2]) != heap[0]:
-            heappop(heap)
-        least, _, r = heap[0]
-        prow = rows[r]
-        c = next(j for j, x in prow.items() if abs(x) == least)
-        p = prow[c]
+    if not any(a.columns):
+        return ()  # what every route hands it
+    (units,), (rest,) = _pair_units([a])
+    columns = [dict(column) for column in rest.columns if column]
+    diagonal = [1] * units
+    while columns:
+        least = min(min(map(abs, column.values())) for column in columns)
+        pivot = min((column for column in columns if least in map(abs, column.values())), key=len)
+        r, p = next((i, x) for i, x in pivot.items() if abs(x) == least)
         remainder = False
-        for i in sorted(holders[c]):
-            if i == r:
-                continue
-            row = rows[i]
-            q = row[c] // p  # nonzero: |row[c]| >= |p|
-            for j, y in prow.items():
-                x = row.get(j)
-                if x is None:
-                    row[j] = -q * y
-                    holders[j].add(i)
-                elif x == q * y:
-                    del row[j]
-                    holders[j].remove(i)
+        for column in columns:
+            if column is not pivot and r in column:
+                q = column[r] // p  # nonzero: |column[r]| >= |p|
+                for i, y in pivot.items():
+                    x = column.get(i, 0) - q * y
+                    if x:
+                        column[i] = x
+                    else:
+                        del column[i]
+                remainder |= r in column
+        if not remainder:
+            for i in [i for i in pivot if i != r]:
+                x = pivot[i] % p
+                if x:
+                    pivot[i] = x
                 else:
-                    row[j] = x - q * y
-            if row:
-                remainder |= c in row
-                key = keys[i] = (min(map(abs, row.values())), len(row), i)
-                heappush(heap, key)
-            else:
-                del rows[i], keys[i]
-        if remainder:
-            continue
-        for j in [j for j in prow if j != c]:
-            x = prow[j] % p
-            if x:
-                prow[j] = x
-            else:
-                del prow[j]
-                holders[j].remove(r)
-        if len(prow) > 1:
-            key = keys[r] = (min(map(abs, prow.values())), len(prow), r)
-            heappush(heap, key)
-            continue
-        diagonal.append(abs(p))
-        holders[c].remove(r)
-        del rows[r], keys[r]
+                    del pivot[i]
+            if len(pivot) == 1:
+                diagonal.append(abs(p))
+                pivot.clear()
+        columns = [column for column in columns if column]
     return _divisibility_chain(diagonal)
 
 
@@ -231,10 +196,11 @@ def homology_all(complex_, up_to):
     boundary even when nothing is left.  The complex only needs
     ``top_degree``, ``dim(n)`` and ``boundary(n)``, and is not modified.
     """
-    pairs, remainders = _pair_units(complex_, min(up_to + 1, complex_.top_degree))
+    hi = min(up_to + 1, complex_.top_degree)
+    pairs, remainders = _pair_units([complex_.boundary(k) for k in range(1, hi + 1)])
     diagonals = {
-        k: (1,) * pairs[k] + smith_normal_form(remainder)
-        for k, remainder in sorted(remainders.items())
+        k: (1,) * units + smith_normal_form(remainder)
+        for k, units, remainder in zip(range(1, hi + 1), pairs, remainders)
     }
     out = []
     for k in range(up_to + 1):
@@ -248,9 +214,10 @@ def homology_all(complex_, up_to):
     return out
 
 
-def _pair_units(complex_, hi):
+def _pair_units(boundaries):
     """Pair off the unit incidences of d_1..d_hi; the pair counts and remainders.
 
+    ``boundaries`` lists d_1..d_hi of a complex, or one matrix alone.
     Degrees run from hi down to 1.  Each live column c of d_k holding a +-1
     is paired with the row r of its unit entries that has the fewest
     entries; column operations clear r from the other columns of d_k, which
@@ -258,19 +225,20 @@ def _pair_units(complex_, hi):
     leaves d_{k+1} as a row, and r leaves d_k and leaves d_{k-1} as a
     column: since d o d = 0, both lines are zero in the new bases, so the
     complex splits off the acyclic piece c -> r and the invariant factors of
-    the rest do not change.  The result maps k to the number of pairs of d_k
-    and to the matrix left of d_k, on the cells that no pair took.
-    Boundaries are copied before any change; a boundary with no entry is
-    neither copied nor indexed.
+    the rest do not change.  On one matrix alone, a pair is a unit pivot:
+    once its row is clear, row operations clear its column and change
+    nothing else.  The result lists, for each d_k in order, the number of
+    pairs of d_k and the matrix left of d_k, on the cells that no pair
+    took.  Boundaries are copied before any change; a boundary with no
+    entry is neither copied nor indexed.
     """
-    pairs, kept = {}, {}
+    kept = [None] * len(boundaries)
     gone = set()  # cells of C_k paired as rows of d_{k+1}
-    for k in range(hi, 0, -1):
-        d = complex_.boundary(k)
+    for k in range(len(boundaries), 0, -1):
+        d = boundaries[k - 1]
         if not any(d.columns):
             # no entry: nothing to pair, so nothing is copied or indexed
-            pairs[k] = 0
-            kept[k] = (d, gone, set(), set(), None)
+            kept[k - 1] = (d, gone, set(), set(), None)
             gone = set()
             continue
         columns = list(map(dict, d.columns))
@@ -313,23 +281,23 @@ def _pair_units(complex_, hi):
             columns[c] = None
             paired_rows.add(r)
             paired_cols.add(c)
-        pairs[k] = len(paired_cols)
-        kept[k] = (d, gone, paired_rows, paired_cols, [col for col in columns if col is not None])
+        columns = [col for col in columns if col is not None]
+        kept[k - 1] = (d, gone, paired_rows, paired_cols, columns)
         gone = paired_rows
-    remainders = {}
-    for k, (d, gone, paired_rows, _, columns) in kept.items():
+    remainders = []
+    for k, (d, gone, paired_rows, _, columns) in enumerate(kept, 1):
         # a row of d_k is gone if it was paired in d_k or as a column of
         # d_{k-1}; the rows left keep their order, those holding entries first
-        dropped = paired_rows | kept[k - 1][3] if k > 1 else paired_rows
+        dropped = paired_rows | kept[k - 2][3] if k > 1 else paired_rows
         if columns is None:
             # no entry: d_k is its own remainder unless a pair took a line
             if dropped or gone:
                 d = IntegerMatrix(d.rows - len(dropped), d.cols - len(gone))
-            remainders[k] = d
+            remainders.append(d)
             continue
         held = sorted({i for column in columns for i in column if i not in dropped})
         index = dict(zip(held, range(len(held))))
-        remainders[k] = IntegerMatrix(d.rows - len(dropped), len(columns), [
+        remainders.append(IntegerMatrix(d.rows - len(dropped), len(columns), [
             {index[i]: x for i, x in column.items() if i in index} for column in columns
-        ])
-    return pairs, remainders
+        ]))
+    return [len(paired_rows) for _, _, paired_rows, _, _ in kept], remainders

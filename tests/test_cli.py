@@ -642,6 +642,34 @@ def test_export_write_failures_exit_2_with_nothing_written(runner, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["p5.total.off"]
 
 
+# --- lengths past the recursion limit -------------------------------------------
+
+
+def test_long_lengths_exit_2_naming_graph_and_l(runner, tmp_path):
+    # basis and walk enumeration recurse once per step, so l = 1200 passes
+    # the recursion limit although path:2 has one cell per pair
+    out = str(tmp_path / "p2")
+    for args, where in (
+        (["compute", "--graph", "path:2", "--l", "1200"], "path:2 l=1200"),
+        (["compute", "--graph", "path:2", "--l", "1200", "--method", "direct"], "path:2 l=1200"),
+        (["compute", "--graph", "cycle:3", "--l", "1200", "--pair", "v0,v1",
+          "--method", "geometric"], "cycle:3 l=1200"),
+        (["check", "--graph", "path:2", "--l", "1200"], "path:2: l=1200"),
+        (["export", "--graph", "path:2", "--l", "1200", "--pair", "v0,v1", "--out", out],
+         "path:2 l=1200"),
+    ):
+        r = invoke(runner, *args)
+        assert r.exit_code == 2, (args, r.exception)
+        assert isinstance(r.exception, SystemExit), args
+        assert r.stdout == "", args
+        assert r.stderr == (
+            f"error: {where}: l is too long: enumeration recurses once per step "
+            "and hit the recursion limit\n"
+        ), args
+        assert "Traceback" not in r.stderr, args
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- entry point ----------------------------------------------------------------
 
 

@@ -67,31 +67,39 @@ def test_matrix_construction_and_shape():
 def test_snf_worked_example():
     # Upper triangular with entries 2,4 / 0,6: invariant factors 2 and 6.
     assert smith_normal_form(matrix_from_lists([[2, 4], [0, 6]])) == (2, 6)
-    # each input drives the elimination through one branch
+    # each input drives the elimination through one branch, as followed by
+    # hand in its comment
     for rows, factors in [
-        ([[2, 3]], (1,)),  # remainder in the pivot row
-        ([[2], [3]], (1,)),  # remainder in the pivot column
-        ([[2, 4], [6, 8]], (2, 4)),  # no unit entry
-        ([[-3, 6], [9, 3]], (3, 21)),  # negative least entry
-        # the remaining inputs drive the pivot heap and the column index,
-        # as followed by hand in their comments
-        # row 1 is a single unit, so it is the first pivot; clearing column 1
-        # from row 0 cancels that entry, and row 0 leaves column 1's index
+        # clearing row 0 from column 1 leaves 3 - 2 = 1 there, a remainder in
+        # the pivot row that pivots the next pass
+        ([[2, 3]], (1,)),
+        # the pivot 2 meets its column alone at once, and reducing the column
+        # mod 2 leaves 1 in row 1, a remainder in the pivot column
+        ([[2], [3]], (1,)),
+        # no unit entry, so unit pairing takes nothing; each pass ends with
+        # its pivot alone in its row and column, with no remainder
+        ([[2, 4], [6, 8]], (2, 4)),
+        # a negative least entry: 6 // -3 clears row 0 exactly, and 9 mod -3
+        # is zero
+        ([[-3, 6], [9, 3]], (3, 21)),
+        # column 1's units are in rows 0 and 1; unit pairing takes row 1,
+        # which holds fewer entries, and the loop sees the 2 alone
         ([[2, 1], [0, -1]], (1, 2)),
-        # the least entry 4 ties in both rows and row 0 is first; 6 // 4
-        # leaves 2 in row 1, a smaller pivot that takes the next pass
+        # the least entry 4 ties in both columns and column 0 is first;
+        # 6 // 4 leaves 2 in row 0 of column 1, a smaller pivot that takes
+        # the next pass and clears row 0 from column 0 exactly
         ([[4, 6], [6, 4]], (2, 10)),
-        # the unit in row 0 clears row 1's column 0 (a cancellation) and
-        # fills in column 1 (a new index entry); row 1's -2 then pivots and
-        # leaves a remainder in row 2, whose -1 then clears the filled-in
-        # entry; column 2 is zero, so the rank is 2
+        # unit pairing takes row 0 with column 0 and clears it from column 1,
+        # filling in -2 in row 1; the loop reduces column 1's 3 mod -2, and
+        # the remainder -1 pivots the next pass; column 2 is zero, so the
+        # rank is 2
         ([[1, 1, 0], [2, 0, 0], [0, 3, 0]], (1, 1)),
-        # the pass on row 0's 2 cancels row 1's column 0 entry and leaves a
-        # remainder 1 in row 2, which pivots in column 0 again: row 1 must
-        # have left that column's index
+        # reducing column 0 mod its pivot 2 cancels row 1's 4 and leaves 1 in
+        # row 2, which pivots the next pass in the same column
         ([[2, 0], [4, 5], [3, 0]], (1, 5)),
-        # the three unit pivots each cancel an entry of row 2 and the first
-        # two fill one in, so its last entry, -4, comes from fill-in alone
+        # unit pairing takes all three units: the first two fill 2 into row 2
+        # of column 2 and the third turns it into -4, so the one entry the
+        # loop sees comes from fill-in alone
         ([[1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 0, 2], [0, 0, 3, 1]], (1, 1, 1, 4)),
     ]:
         a = matrix_from_lists(rows)
@@ -141,11 +149,14 @@ def test_snf_properties(seed):
 @given(seed=st.integers(0, 10**6), rows=st.integers(1, 40), cols=st.integers(1, 40))
 def test_snf_on_sparse_boundary_like_matrices(seed, rows, cols):
     # few entries per column, as in magnitude boundaries (whose entries are
-    # +-1), with +-2 mixed in so that torsion can occur
+    # +-1), with +-2 mixed in so that torsion can occur; or entries from
+    # +-2 and +-3 alone, so that unit pairing takes nothing and the pivot
+    # loop does all the work
     rng = random.Random(seed)
     density = rng.choice((0.03, 0.08, 0.2))
+    values = rng.choice(((-2, -1, 1, 2), (-3, -2, 2, 3)))
     a = IntegerMatrix(rows, cols, [
-        {i: rng.choice((-2, -1, 1, 2)) for i in range(rows) if rng.random() < density}
+        {i: rng.choice(values) for i in range(rows) if rng.random() < density}
         for _ in range(cols)
     ])
     diag = smith_normal_form(a)
@@ -154,6 +165,13 @@ def test_snf_on_sparse_boundary_like_matrices(seed, rows, cols):
     # the first invariant factor is the gcd of all entries
     entries = [x for column in a.columns for x in column.values()]
     assert diag[:1] == ((math.gcd(*entries),) if entries else ())
+    # a matrix and its transpose have the same invariant factors, every one
+    # of them, though the elimination on each runs differently
+    transpose = [{} for _ in range(rows)]
+    for j, column in enumerate(a.columns):
+        for i, x in column.items():
+            transpose[i][j] = x
+    assert smith_normal_form(IntegerMatrix(cols, rows, transpose)) == diag
 
 
 def test_production_code_never_densifies(monkeypatch):
@@ -352,6 +370,16 @@ def test_row_cleared_from_several_columns_with_fill_in(monkeypatch):
     assert groups == [HomologyGroup(1), HomologyGroup(1)]
     assert seen == [[[0]]]
     assert invariant_factors_by_minors(complex_.boundary(1)) == (1, 1, 1)
+
+
+def test_smith_normal_form_sees_no_entry_on_routes(monkeypatch):
+    # unit pairing leaves nothing of the direct route's sq2 complexes or of
+    # the geometric route's cycle:7 pairs, so the pivot loop has no work
+    seen = _snf_arguments(monkeypatch)
+    build_table(generate("sq2"), 7, method="direct")
+    build_table(generate("cycle:7"), 7)
+    assert seen
+    assert not any(any(row) for matrix in seen for row in matrix)
 
 
 def _entries(c):
