@@ -10,6 +10,7 @@ import os
 import random
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -39,11 +40,23 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
-# basis and walk enumeration recurse once per step of a chain
-_TOO_LONG = "l is too long: enumeration recurses once per step and hit the recursion limit"
 
-
-def _fail(code, message):
+@contextmanager
+def _failures(run):
+    """Exit 2 on GraphError or RecursionError, 4 on InternalCheckError; ``run``
+    names the graph and length in the last two messages."""
+    code = EXIT_USAGE
+    try:
+        yield
+        return
+    except GraphError as exc:
+        message = exc
+    except RecursionError:
+        # basis and walk enumeration recurse once per step of a chain
+        message = (f"{run}: l is too long: enumeration recurses once per step"
+                   " and hit the recursion limit")
+    except InternalCheckError as exc:
+        code, message = EXIT_INTERNAL, f"{run}: {exc}"
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
@@ -154,7 +167,7 @@ def main():
               default="table", show_default=True)
 def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
     """Compute magnitude homology groups of a graph."""
-    try:
+    with _failures(f"{graph_spec} l={l_spec}"):
         g = _load_graph(graph_spec)
         l_values = _parse_l_range(l_spec)
         pair = _parse_pair(pair, g) if pair else None
@@ -181,12 +194,6 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
             _write_files({Path(out): rendered})
         else:
             click.echo(rendered, nl=False)
-    except GraphError as exc:
-        _fail(EXIT_USAGE, exc)
-    except RecursionError:
-        _fail(EXIT_USAGE, f"{graph_spec} l={l_spec}: {_TOO_LONG}")
-    except InternalCheckError as exc:
-        _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
 
 
 @main.command()
@@ -203,7 +210,7 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
               help="Largest random length parameter.")
 def check(graph_spec, l_spec, trials, seed, n_max, l_max):
     """Cross-validate the geometric route against the direct route."""
-    try:
+    with _failures("check"):
         if l_spec is not None and graph_spec is None:
             raise GraphError("--l needs --graph; random trials draw l up to --l-max")
         if graph_spec is not None:
@@ -228,20 +235,14 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
             runs = _random_trials(seed, trials, n_max, l_max)
 
         for label, g, l in runs:
-            try:
+            with _failures(f"{label} l={l}"):
                 report = cross_validate(g, l)
-            except RecursionError:
-                _fail(EXIT_USAGE, f"{label} l={l}: {_TOO_LONG}")
-            except InternalCheckError as exc:
-                _fail(EXIT_INTERNAL, f"{label} l={l}: {exc}")
             click.echo(f"{label} {report.describe()}")
             if not report.ok:
                 click.echo(f"counterexample: {report.mismatch.describe()}", err=True)
                 sys.exit(EXIT_MISMATCH)
         if graph_spec is None:
             click.echo(f"{trials}/{trials} trials agree")
-    except GraphError as exc:
-        _fail(EXIT_USAGE, exc)
 
 
 @main.command()
@@ -252,7 +253,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
               help="Output path stem; writes <stem>.pair.json plus OFF files.")
 def export(graph_spec, l_spec, pair, out):
     """Export the geometric pair of one component for inspection."""
-    try:
+    with _failures(f"{graph_spec} l={l_spec}"):
         if not re.fullmatch(r"[0-9]+", l_spec):
             raise GraphError(f"export --l expects one nonnegative integer, got {l_spec!r}")
         l_value = _parse_l_range(l_spec)[0]
@@ -311,12 +312,6 @@ def export(graph_spec, l_spec, pair, out):
         _write_files(texts)
         for path in texts:
             click.echo(f"wrote {path}")
-    except GraphError as exc:
-        _fail(EXIT_USAGE, exc)
-    except RecursionError:
-        _fail(EXIT_USAGE, f"{graph_spec} l={l_spec}: {_TOO_LONG}")
-    except InternalCheckError as exc:
-        _fail(EXIT_INTERNAL, f"{graph_spec}: {exc}")
 
 
 if __name__ == "__main__":

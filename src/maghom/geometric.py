@@ -138,7 +138,7 @@ def chain_map_t(g, key, rel, mag):
             steps = [dist[x][y] for x, y in zip(seq, seq[1:])]
             if sum(steps) != key.l:
                 raise InternalCheckError(
-                    f"relative simplex {simplex!r} has interior length != l"
+                    f"degree {n} relative simplex {simplex!r} of {key} has interior length != l"
                 )
             # positions must equal cumulative distances along the sequence
             expected_pos = 0
@@ -146,7 +146,8 @@ def chain_map_t(g, key, rel, mag):
                 expected_pos += step
                 if pos != expected_pos:
                     raise InternalCheckError(
-                        f"position mismatch in {simplex!r}: {pos} != {expected_pos}"
+                        f"degree {n} position mismatch in {simplex!r} of {key}: "
+                        f"{pos} != {expected_pos}"
                     )
             images.append(seq)
         if sorted(images) != sorted(mag_basis) or len(set(images)) != len(images):

@@ -35,7 +35,7 @@ class Graph:
     vertex order.  Instances are treated as immutable.
     """
 
-    __slots__ = ("vertices", "edges", "distances", "_index", "_adj")
+    __slots__ = ("vertices", "edges", "distances", "_index")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
@@ -73,10 +73,6 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for v in self.vertices:
-            adj[v].sort(key=self._index.__getitem__)
-        self._adj = adj
-
         rows = {}
         for s in self.vertices:
             level = {s: 0}
@@ -113,10 +109,10 @@ class Graph:
             raise GraphError(f"unknown vertex: {unknown!r}") from None
 
     def neighbors(self, v):
-        """Neighbors of v, sorted by the vertex order."""
+        """Neighbors of v, sorted by the vertex order: the entries 1 of v's row."""
         if v not in self._index:
             raise GraphError(f"unknown vertex: {v!r}")
-        return tuple(self._adj[v])
+        return tuple(w for w, d in self.distances[v].items() if d == 1)
 
     @property
     def num_vertices(self):
@@ -301,8 +297,8 @@ def enumerate_walks(g, a, b, max_steps):
     (a, b) entry.  Output is sorted lexicographically under the vertex
     order and is produced by depth-first extension, taking only the
     neighbors from which b is still within the remaining step budget;
-    those steps are read from the distance table and memoized per
-    (vertex, remaining budget).
+    those steps are read from the distance table, the entries 1 of the
+    last vertex's row, and memoized per (vertex, remaining budget).
     """
     g.index(a), g.index(b)
     # d(y, b) for every y: distances are symmetric, so b's row
@@ -318,7 +314,9 @@ def enumerate_walks(g, a, b, max_steps):
             return
         steps = memo.get((last, budget))
         if steps is None:
-            steps = memo[last, budget] = [y for y in g.neighbors(last) if to_b[y] < budget]
+            steps = memo[last, budget] = [
+                y for y, d in g.distances[last].items() if d == 1 and to_b[y] < budget
+            ]
         for y in steps:
             prefix.append(y)
             extend(y, budget - 1)

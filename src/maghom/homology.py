@@ -217,87 +217,80 @@ def homology_all(complex_, up_to):
 def _pair_units(boundaries):
     """Pair off the unit incidences of d_1..d_hi; the pair counts and remainders.
 
-    ``boundaries`` lists d_1..d_hi of a complex, or one matrix alone.
-    Degrees run from hi down to 1.  Each live column c of d_k holding a +-1
+    ``boundaries`` lists d_1..d_hi of a complex, or one matrix alone.  One
+    pass runs from degree hi down to 0; ``taken[k]`` holds the cells of C_k
+    that a pair took.  Each column c of d_k not yet taken and holding a +-1
     is paired with the row r of its unit entries that has the fewest
     entries; column operations clear r from the other columns of d_k, which
     changes the basis of C_k only in c's coordinate.  Then c leaves d_k and
     leaves d_{k+1} as a row, and r leaves d_k and leaves d_{k-1} as a
     column: since d o d = 0, both lines are zero in the new bases, so the
     complex splits off the acyclic piece c -> r and the invariant factors of
-    the rest do not change.  On one matrix alone, a pair is a unit pivot:
-    once its row is clear, row operations clear its column and change
-    nothing else.  The result lists, for each d_k in order, the number of
-    pairs of d_k and the matrix left of d_k, on the cells that no pair
-    took.  Boundaries are copied before any change; a boundary with no
-    entry is neither copied nor indexed.
+    the rest do not change.  On one matrix alone, a pair is a unit pivot.
+    Once d_k is paired, C_k and C_{k+1} are settled, so what is left of
+    d_{k+1} on the cells no pair took is built then, rows in order with
+    those holding entries first, and its working copy dropped.  A boundary
+    with no entry is neither copied nor indexed.
     """
-    kept = [None] * len(boundaries)
-    gone = set()  # cells of C_k paired as rows of d_{k+1}
-    for k in range(len(boundaries), 0, -1):
-        d = boundaries[k - 1]
-        if not any(d.columns):
-            # no entry: nothing to pair, so nothing is copied or indexed
-            kept[k - 1] = (d, gone, set(), set(), None)
-            gone = set()
-            continue
-        columns = list(map(dict, d.columns))
-        for j in gone:
-            columns[j] = None
-        holders = [[] for _ in range(d.rows)]  # row -> live columns holding it
-        for j, column in enumerate(columns):
-            if column:
-                for i in column:
-                    holders[i].append(j)
-        paired_rows, paired_cols = set(), set()
-        for c, column in enumerate(columns):
-            if not column:
-                continue
-            r = None
-            for i, x in column.items():
-                if (x == 1 or x == -1) and (r is None or len(holders[i]) < len(holders[r])):
-                    r, p = i, x
-            if r is None:
-                continue
-            rest = [(i, y) for i, y in column.items() if i != r]
-            for j in holders[r]:
-                if j == c:
-                    continue
-                target = columns[j]
-                q = target.pop(r) * p  # p is its own inverse
-                for i, y in rest:
-                    x = target.get(i)
-                    if x is None:
-                        target[i] = -q * y
+    hi = len(boundaries)
+    taken = [set() for _ in range(hi + 1)]
+    pairs = [0] * hi
+    remainders = [None] * hi
+    above = None  # the working columns of d_{k+1}, None if it has no entry
+    for k in range(hi, -1, -1):
+        columns = None
+        if k and any(boundaries[k - 1].columns):
+            d = boundaries[k - 1]
+            columns = [None if j in taken[k] else dict(col) for j, col in enumerate(d.columns)]
+            holders = [[] for _ in range(d.rows)]  # row -> live columns holding it
+            for j, column in enumerate(columns):
+                if column:
+                    for i in column:
                         holders[i].append(j)
-                    elif x == q * y:
-                        del target[i]
-                        holders[i].remove(j)
-                    else:
-                        target[i] = x - q * y
-            holders[r] = ()
-            for i, _ in rest:
-                holders[i].remove(c)
-            columns[c] = None
-            paired_rows.add(r)
-            paired_cols.add(c)
-        columns = [col for col in columns if col is not None]
-        kept[k - 1] = (d, gone, paired_rows, paired_cols, columns)
-        gone = paired_rows
-    remainders = []
-    for k, (d, gone, paired_rows, _, columns) in enumerate(kept, 1):
-        # a row of d_k is gone if it was paired in d_k or as a column of
-        # d_{k-1}; the rows left keep their order, those holding entries first
-        dropped = paired_rows | kept[k - 2][3] if k > 1 else paired_rows
-        if columns is None:
-            # no entry: d_k is its own remainder unless a pair took a line
-            if dropped or gone:
-                d = IntegerMatrix(d.rows - len(dropped), d.cols - len(gone))
-            remainders.append(d)
-            continue
-        held = sorted({i for column in columns for i in column if i not in dropped})
-        index = dict(zip(held, range(len(held))))
-        remainders.append(IntegerMatrix(d.rows - len(dropped), len(columns), [
-            {index[i]: x for i, x in column.items() if i in index} for column in columns
-        ]))
-    return [len(paired_rows) for _, _, paired_rows, _, _ in kept], remainders
+            for c, column in enumerate(columns):
+                if not column:
+                    continue
+                r = None
+                for i, x in column.items():
+                    if (x == 1 or x == -1) and (r is None or len(holders[i]) < len(holders[r])):
+                        r, p = i, x
+                if r is None:
+                    continue
+                rest = [(i, y) for i, y in column.items() if i != r]
+                for j in holders[r]:
+                    if j == c:
+                        continue
+                    target = columns[j]
+                    q = target.pop(r) * p  # p is its own inverse
+                    for i, y in rest:
+                        x = target.get(i)
+                        if x is None:
+                            target[i] = -q * y
+                            holders[i].append(j)
+                        elif x == q * y:
+                            del target[i]
+                            holders[i].remove(j)
+                        else:
+                            target[i] = x - q * y
+                holders[r] = ()
+                for i, _ in rest:
+                    holders[i].remove(c)
+                columns[c] = None
+                taken[k].add(c)
+                taken[k - 1].add(r)
+                pairs[k - 1] += 1
+        if k < hi:
+            d = boundaries[k]
+            rows, cols = d.rows - len(taken[k]), d.cols - len(taken[k + 1])
+            if above is None:
+                # no entry: d_{k+1} is its own remainder unless a pair took a line
+                remainders[k] = d if (rows, cols) == (d.rows, d.cols) else IntegerMatrix(rows, cols)
+            else:
+                above = [column for column in above if column is not None]
+                held = sorted({i for column in above for i in column} - taken[k])
+                index = dict(zip(held, range(len(held))))
+                remainders[k] = IntegerMatrix(rows, cols, [
+                    {index[i]: x for i, x in column.items() if i in index} for column in above
+                ])
+        above = columns
+    return pairs, remainders

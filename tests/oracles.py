@@ -25,6 +25,15 @@ def tuple_length(g: Graph, points) -> int:
     return sum(g.distance(u, v) for u, v in zip(points, points[1:]))
 
 
+def adjacency(g: Graph) -> dict:
+    """Each vertex's neighbours, read from the edge list."""
+    adj = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def matrix_from_lists(data, cols=None) -> IntegerMatrix:
     """The sparse matrix of dense rows; ``cols`` is needed when there are none."""
     if cols is None:
@@ -64,10 +73,11 @@ def k_pair_by_definition(g: Graph, key) -> tuple[set, set]:
     most l - 1.
     """
     a, b, l = key
+    adj = adjacency(g)
     walks, frontier = [], [(a,)]
     for _ in range(l + 1):
         walks.extend(w for w in frontier if w[-1] == b)
-        frontier = [w + (y,) for w in frontier for y in g.neighbors(w[-1])]
+        frontier = [w + (y,) for w in frontier for y in adj[w[-1]]]
     total = set()
     for walk in walks:
         interior = [(i, walk[i]) for i in range(1, len(walk) - 1)]
@@ -352,15 +362,25 @@ def euler_characteristic(complex_) -> int:
 
 
 def tree_geodesic(g, u, v):
-    """The unique shortest walk between two vertices of a tree."""
+    """The unique shortest walk between two vertices of a tree.
+
+    The tree is searched from v along its edge list; u's walk follows the
+    parent of each vertex back to v.
+    """
     if not g.is_tree():
         raise ValueError("tree_geodesic needs a tree")
+    adj = adjacency(g)
+    parent = {v: None}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                stack.append(y)
     walk = [u]
     while walk[-1] != v:
-        current = walk[-1]
-        target = g.distance(current, v)
-        step = next(y for y in g.neighbors(current) if g.distance(y, v) == target - 1)
-        walk.append(step)
+        walk.append(parent[walk[-1]])
     return tuple(walk)
 
 

@@ -357,7 +357,7 @@ def test_compute_non_isometry_exits_4_naming_the_graph(runner, monkeypatch):
     )
     r = invoke(runner, "compute", "--graph", "path:5", "--l", "3")
     assert r.exit_code == 4
-    assert "error: path:5: automorphism generator is not an isometry" in r.output
+    assert "error: path:5 l=3: automorphism generator is not an isometry" in r.output
 
 
 # --- check --------------------------------------------------------------------
@@ -586,7 +586,7 @@ def test_export_internal_failure_exits_4_naming_the_graph(runner, monkeypatch, t
                "--out", str(tmp_path / "p5"))
     assert r.exit_code == 4
     assert r.stderr == (
-        "error: path:5: K pair check fails for ComponentKey(a='v0', b='v4', l=4)\n"
+        "error: path:5 l=4: K pair check fails for ComponentKey(a='v0', b='v4', l=4)\n"
     )
     assert list(tmp_path.iterdir()) == []
 

@@ -229,6 +229,26 @@ def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
         chain_map_t(sq2, key, rel, mag)
 
 
+def test_chain_map_failures_name_the_component_and_degree():
+    g = generate("path:3")
+    labels = ((1, "v1"), (2, "v1"))
+    for key, cell, message in (
+        # (v0, v1, v2) has length 2 = l, but v1 sits at distance 1, not 2
+        (ComponentKey("v0", "v2", 2), ((2, "v1"),),
+         "degree 0 position mismatch in ((2, 'v1'),) of "
+         "ComponentKey(a='v0', b='v2', l=2): 2 != 1"),
+        # (v0, v1, v2) has length 2 < l
+        (ComponentKey("v0", "v2", 4), ((1, "v1"),),
+         "degree 0 relative simplex ((1, 'v1'),) of "
+         "ComponentKey(a='v0', b='v2', l=4) has interior length != l"),
+    ):
+        rel = relative_chain_complex(labels, {cell})
+        mag = magnitude_chain_complex(g, key, key.l + 1)
+        with pytest.raises(InternalCheckError) as excinfo:
+            chain_map_t(g, key, rel, mag)
+        assert str(excinfo.value) == message
+
+
 def test_chain_map_rejects_a_foreign_magnitude_basis(sq2):
     # the relative complex of (a, d, 4) against the magnitude complex of
     # (a, c, 4): every relative cell is well formed, but the bases differ

@@ -374,12 +374,27 @@ def test_row_cleared_from_several_columns_with_fill_in(monkeypatch):
 
 def test_smith_normal_form_sees_no_entry_on_routes(monkeypatch):
     # unit pairing leaves nothing of the direct route's sq2 complexes or of
-    # the geometric route's cycle:7 pairs, so the pivot loop has no work
+    # the geometric route's cycle:7 pairs, so the pivot loop has no work; the
+    # shapes pin what is left: (calls, sum of rows x cols, nonzero entries,
+    # largest dimension)
     seen = _snf_arguments(monkeypatch)
-    build_table(generate("sq2"), 7, method="direct")
-    build_table(generate("cycle:7"), 7)
-    assert seen
-    assert not any(any(row) for matrix in seen for row in matrix)
+    shapes = []
+    recorded = homology_module.smith_normal_form
+    monkeypatch.setattr(
+        homology_module, "smith_normal_form",
+        lambda a: shapes.append((a.rows, a.cols)) or recorded(a),
+    )
+    for spec, method, expected in (
+        ("sq2", "direct", (64, 52, 0, 46)),
+        ("cycle:7", "auto", (28, 0, 0, 5)),
+    ):
+        seen.clear()
+        shapes.clear()
+        build_table(generate(spec), 7, method=method)
+        nonzeros = sum(1 for matrix in seen for row in matrix for x in row if x)
+        cells = sum(rows * cols for rows, cols in shapes)
+        largest = max(max(shape) for shape in shapes)
+        assert (len(seen), cells, nonzeros, largest) == expected, spec
 
 
 def _entries(c):
