@@ -100,20 +100,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"unknown vertex: {v!r}") from None
 
-    def distance(self, u, v):
-        """Shortest-path distance (number of edges) between two vertices."""
-        try:
-            return self.distances[u][v]
-        except KeyError:
-            unknown = u if u not in self._index else v
-            raise GraphError(f"unknown vertex: {unknown!r}") from None
-
-    def neighbors(self, v):
-        """Neighbors of v, sorted by the vertex order: the entries 1 of v's row."""
-        if v not in self._index:
-            raise GraphError(f"unknown vertex: {v!r}")
-        return tuple(w for w, d in self.distances[v].items() if d == 1)
-
     @property
     def num_vertices(self):
         return len(self.vertices)

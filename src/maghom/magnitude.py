@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .homology import ZERO_GROUP, IntegerMatrix, homology_all
+from .homology import IntegerMatrix, homology_all
 from .simplicial import IntegerChainComplex
 
 
@@ -127,9 +127,8 @@ def magnitude_homology_direct(g, key, kmax=None):
     zero.
     """
     if kmax is None:
-        kmax = max(key.l, 0)
-    top = min(kmax, key.l)
+        kmax = key.l
     # one extra degree so that the top computed homology sees its incoming
     # boundary
-    complex_ = magnitude_chain_complex(g, key, top + 1)
-    return homology_all(complex_, up_to=top) + [ZERO_GROUP] * (kmax - top)
+    complex_ = magnitude_chain_complex(g, key, min(kmax, key.l) + 1)
+    return homology_all(complex_, up_to=kmax)

@@ -2,10 +2,15 @@
 
 Everything here is deliberately naive: brute-force enumeration, textbook
 elimination over Q and over GF(2).  None of it shares code with the package
-internals it is used to check.  The exceptions, ``chain_complex`` and
+internals it is used to check.  From a ``Graph`` only the vertex list, in
+its order, and the edge list are read, with the counts and positions that
+follow from them: the metric is ``metric``'s own breadth-first search,
+never the package's distance table.  The package supplies only the
+``Graph`` and ``IntegerMatrix`` containers and the random graph draw of
+``maghom check``.  The exceptions, ``chain_complex`` and
 ``pair_chain_complex``, are fixture builders and not oracles: they hand the
 simplices of a complex, or of a pair of complexes, to
-``relative_chain_complex``.
+``relative_chain_complex``.  ``tests/test_oracles.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -20,11 +25,6 @@ from maghom.homology import IntegerMatrix
 from maghom.simplicial import relative_chain_complex
 
 
-def tuple_length(g: Graph, points) -> int:
-    """Sum of the distances between consecutive entries of a vertex tuple."""
-    return sum(g.distance(u, v) for u, v in zip(points, points[1:]))
-
-
 def adjacency(g: Graph) -> dict:
     """Each vertex's neighbours, read from the edge list."""
     adj = {v: [] for v in g.vertices}
@@ -32,6 +32,42 @@ def adjacency(g: Graph) -> dict:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+_METRICS: dict = {}
+
+
+def metric(g: Graph) -> dict:
+    """The shortest-path metric as ``metric(g)[u][v]``, from the edge list alone.
+
+    Each row is grown one level at a time from the neighbours of the level
+    before.  Rows are memoized per graph, keyed by its vertices and edges.
+    """
+    key = (g.vertices, g.edges)
+    if key not in _METRICS:
+        adj = adjacency(g)
+        rows = {}
+        for source in g.vertices:
+            row = {source: 0}
+            level, d = [source], 0
+            while level:
+                d += 1
+                reached = []
+                for x in level:
+                    for y in adj[x]:
+                        if y not in row:
+                            row[y] = d
+                            reached.append(y)
+                level = reached
+            rows[source] = row
+        _METRICS[key] = rows
+    return _METRICS[key]
+
+
+def tuple_length(g: Graph, points) -> int:
+    """Sum of the distances between consecutive entries of a vertex tuple."""
+    d = metric(g)
+    return sum(d[u][v] for u, v in zip(points, points[1:]))
 
 
 def matrix_from_lists(data, cols=None) -> IntegerMatrix:
@@ -101,11 +137,12 @@ def magnitude_series_coefficients(g: Graph, l: int) -> dict[tuple[str, str], int
     entries with consecutive entries distinct, which are the magnitude
     chains of degree m, so the coefficient at (a, b) is the Euler
     characteristic sum_k (-1)^k rank MH_{k,l}(a, b).  Only the metric is
-    read; nothing here enumerates tuples.
+    read, and it is ``metric``'s; nothing here enumerates tuples.
     """
     verts = g.vertices
     n = len(verts)
-    dist = [[g.distance(x, y) for y in verts] for x in verts]
+    d = metric(g)
+    dist = [[d[x][y] for y in verts] for x in verts]
     coeffs = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for j in range(1, l + 1):
         c = [[0] * n for _ in range(n)]
@@ -411,11 +448,12 @@ def brute_force_pair_orbits(g: Graph) -> set[frozenset]:
     so it is meant for graphs of at most about 7 vertices.
     """
     verts = g.vertices
+    d = metric(g)
     isometries = [
         dict(zip(verts, image))
         for image in itertools.permutations(verts)
         if all(
-            g.distance(x, y) == g.distance(image[i], image[j])
+            d[x][y] == d[image[i]][image[j]]
             for i, x in enumerate(verts)
             for j, y in enumerate(verts)
         )
@@ -429,3 +467,17 @@ def brute_force_pair_orbits(g: Graph) -> set[frozenset]:
         for a in verts
         for b in verts
     }
+
+
+def wedge(g: Graph, x: str, h: Graph, y: str) -> Graph:
+    """The wedge G v H: G and H side by side, with x in G and y in H made one vertex.
+
+    G's vertices are labelled "L|u" and H's "R|v", except that y is "L|x";
+    G's vertices come first, in their order, then H's without y.
+    """
+    glued = {v: f"R|{v}" for v in h.vertices}
+    glued[y] = f"L|{x}"
+    vertices = [f"L|{u}" for u in g.vertices] + [glued[v] for v in h.vertices if v != y]
+    edges = [(f"L|{u}", f"L|{v}") for u, v in g.edges]
+    edges += [(glued[u], glued[v]) for u, v in h.edges]
+    return Graph(vertices, edges)

@@ -38,9 +38,11 @@ from oracles import (
     dense_product,
     invariant_factors_by_minors,
     matrix_from_lists,
+    metric,
     random_int_matrix,
     rank_over_q,
     rational_rank,
+    tuple_length,
     unimodular_matrix,
 )
 from conftest import PROJECTIVE_PLANE_FACES
@@ -181,7 +183,7 @@ def test_criterion_6_degree_two_branches():
         for spec, a, b, l, expected in equal_cases:
             g = generate(spec)
             key = ComponentKey(a, b, l)
-            assert g.distance(a, b) == l
+            assert metric(g)[a][b] == l
             kp = build_k_pair(g, key)
             assert len(kp.sub) == 0
             geo = magnitude_homology_geometric(g, key)
@@ -196,7 +198,7 @@ def test_criterion_6_degree_two_branches():
         for spec, a, b, l, expected in below_cases:
             g = generate(spec)
             key = ComponentKey(a, b, l)
-            assert g.distance(a, b) < l
+            assert metric(g)[a][b] < l
             kp = build_k_pair(g, key)
             if len(kp.total):
                 assert len(kp.sub) > 0
@@ -220,10 +222,7 @@ def _assert_position_rigidity(g, key, rel):
         for simplex in rel.basis(n):
             seq = (key.a,) + tuple(v for _, v in simplex) + (key.b,)
             positions = [pos for pos, _ in simplex]
-            cumulative, expected = 0, []
-            for i in range(len(seq) - 2):
-                cumulative += g.distance(seq[i], seq[i + 1])
-                expected.append(cumulative)
+            expected = [tuple_length(g, seq[: i + 2]) for i in range(len(seq) - 2)]
             assert positions == expected
 
 

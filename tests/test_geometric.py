@@ -1,14 +1,12 @@
 import random
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maghom.geometric
 from maghom import (
     ComponentKey,
-    Graph,
     GraphError,
     HomologyGroup,
     InternalCheckError,
@@ -16,13 +14,12 @@ from maghom import (
     build_k_pair,
     build_table,
     cross_validate,
-    enumerate_walks,
     generate,
     magnitude_homology_direct,
     magnitude_homology_geometric,
     random_connected_graph,
+    tree_homology_by_pair,
 )
-from maghom.cli import main
 from maghom.geometric import chain_map_t, interior_length, pair_groups, verify_chain_map
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
@@ -274,6 +271,22 @@ def test_geometric_matches_direct_on_sq2(sq2):
             assert magnitude_homology_geometric(sq2, key) == magnitude_homology_direct(sq2, key)
 
 
+@pytest.mark.parametrize("spec, a, b", [("sq2", "a", "d"), ("path:4", "v0", "v1")])
+def test_routes_agree_on_every_length_and_degree_bound(spec, a, b):
+    # kmax defaults to l on every route, so at l = -1 there is no degree;
+    # degrees past l, where there are no chains, read zero on every route
+    g = generate(spec)
+    routes = [magnitude_homology_direct, magnitude_homology_geometric]
+    if g.is_tree():
+        routes.append(tree_homology_by_pair)
+    for l in range(-1, 5):
+        for kmax in (None, 0, 1, l + 3):
+            groups = [route(g, ComponentKey(a, b, l), kmax) for route in routes]
+            assert len(groups[0]) == (l if kmax is None else kmax) + 1, (l, kmax)
+            assert groups[1:] == groups[:-1], (l, kmax)
+            assert all(h == ZERO_GROUP for h in groups[0][l + 1:]), (l, kmax)
+
+
 def test_geometric_low_degrees_delegate(sq2):
     groups = magnitude_homology_geometric(sq2, ComponentKey("a", "b", 3), kmax=1)
     direct = magnitude_homology_direct(sq2, ComponentKey("a", "b", 3), kmax=1)
@@ -383,27 +396,3 @@ def test_cross_validate_random_graphs(seed):
         report = cross_validate(g, l)
         assert report.ok, report.describe()
 
-
-def test_walk_layer_reads_no_pairwise_distance(sq2, monkeypatch, tmp_path):
-    # production code indexes the distance table; the validated per-pair
-    # lookup is for library callers and test oracles
-    def refuse(self, u, v):
-        raise AssertionError("Graph.distance called")
-
-    tree = generate("random-tree:14:1")
-    monkeypatch.setattr(Graph, "distance", refuse)
-    keys = [(sq2, ComponentKey(a, b, l)) for l in (4, 5) for a in sq2.vertices for b in sq2.vertices]
-    keys += [(tree, ComponentKey(a, b, 6)) for a in tree.vertices for b in tree.vertices]
-    for g, key in keys:
-        enumerate_walks(g, key.a, key.b, key.l)
-        kp = build_k_pair(g, key)
-        rel = relative_chain_complex(kp.labels, kp.cells)
-        mag = magnitude_chain_complex(g, key, key.l + 1)
-        verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))
-    for method in ("direct", "geometric"):
-        build_table(sq2, 4, method=method)
-    build_table(tree, 6, method="tree")
-    assert cross_validate(sq2, 4).ok
-    args = ["export", "--graph", "path:5", "--l", "4", "--pair", "v0,v4"]
-    r = CliRunner().invoke(main, args + ["--out", str(tmp_path / "p5")])
-    assert r.exit_code == 0, r.output

@@ -19,18 +19,31 @@ from maghom.graphs import (
     is_generator_spec,
     pair_orbits,
 )
-from oracles import brute_force_pair_orbits, random_graph_from_seed, walk_counts_by_steps
+from oracles import (
+    brute_force_pair_orbits,
+    metric,
+    random_graph_from_seed,
+    walk_counts_by_steps,
+)
+
+
+def diameter(g):
+    return max(max(row.values()) for row in g.distances.values())
+
+
+def neighbors(g, v):
+    return [w for w, d in g.distances[v].items() if d == 1]
 
 
 def test_graph_basics():
     g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert g.num_vertices == 3
     assert g.num_edges == 2
-    assert g.distance("a", "c") == 2
-    assert g.distance("b", "b") == 0
-    assert g.neighbors("b") == ("a", "c")
+    assert g.distances["a"]["c"] == 2
+    assert g.distances["b"]["b"] == 0
+    assert neighbors(g, "b") == ["a", "c"]
     assert g.is_tree()
-    assert max(g.distance(u, v) for u in g.vertices for v in g.vertices) == 2
+    assert diameter(g) == 2
 
 
 def test_graph_validation_errors():
@@ -44,20 +57,6 @@ def test_graph_validation_errors():
         Graph(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(GraphError, match="disconnected"):
         Graph(["a", "b", "c"], [("a", "b")])
-    with pytest.raises(GraphError, match="unknown vertex"):
-        generate("path:3").distance("v0", "nope")
-
-
-def test_distance_names_the_unknown_vertex():
-    g = generate("path:3")
-    with pytest.raises(GraphError, match="unknown vertex: 'nope'"):
-        g.distance("nope", "v0")
-    with pytest.raises(GraphError, match="unknown vertex: 'nope'"):
-        g.distance("v0", "nope")
-    with pytest.raises(GraphError, match="unknown vertex: 'x'"):
-        g.distance("x", "y")
-    with pytest.raises(GraphError, match="^unknown vertex: 'zz'$"):
-        g.neighbors("zz")
 
 
 def test_distance_rows_are_read_only():
@@ -68,11 +67,6 @@ def test_distance_rows_are_read_only():
         g.distances["v0"] = {}
     with pytest.raises(TypeError):
         g.distances["v0"]["v2"] = 1
-    assert g.distance("v0", "v2") == 2
-    with pytest.raises(GraphError, match="^unknown vertex: 'zz'$"):
-        g.distance("v0", "zz")
-    with pytest.raises(GraphError, match="^unknown vertex: 'zz'$"):
-        g.distance("zz", "v0")
 
 
 def test_parse_edge_list():
@@ -95,7 +89,7 @@ def test_parse_structured():
     text = '{"vertices": ["x", "y", "z"], "edges": [["x", "y"], ["y", "z"]]}'
     g = parse_graph(text)
     assert g.vertices == ("x", "y", "z")
-    assert g.distance("x", "z") == 2
+    assert g.distances["x"]["z"] == 2
     with pytest.raises(GraphError):
         parse_graph('{"vertices": ["x"], "edges": "oops"}')
     with pytest.raises(GraphError):
@@ -114,15 +108,15 @@ def test_parse_structured():
 def test_generate_families():
     p = generate("path:4")
     assert p.num_vertices == 4 and p.num_edges == 3
-    assert max(p.distance(u, v) for u in p.vertices for v in p.vertices) == 3
+    assert diameter(p) == 3
     c = generate("cycle:5")
-    assert c.num_vertices == 5 and c.num_edges == 5 and c.distance("v0", "v3") == 2
+    assert c.num_vertices == 5 and c.num_edges == 5 and c.distances["v0"]["v3"] == 2
     k = generate("complete:4")
     assert k.num_edges == 6
-    assert max(k.distance(u, v) for u in k.vertices for v in k.vertices) == 1
+    assert diameter(k) == 1
     s = generate("star:5")
-    assert s.num_edges == 4 and s.neighbors("v0") == ("v1", "v2", "v3", "v4")
-    assert s.distance("v1", "v2") == 2
+    assert s.num_edges == 4 and neighbors(s, "v0") == ["v1", "v2", "v3", "v4"]
+    assert s.distances["v1"]["v2"] == 2
     q = generate("sq2")
     assert q.num_vertices == 6 and q.num_edges == 8
 
@@ -165,8 +159,8 @@ def test_sq2_structure(sq2):
         for e in [("a", "b"), ("a", "f"), ("b", "f"), ("b", "c"),
                   ("f", "e"), ("c", "e"), ("c", "d"), ("e", "d")]
     }
-    assert sq2.distance("a", "d") == 3
-    assert max(sq2.distance(u, v) for u in sq2.vertices for v in sq2.vertices) == 3
+    assert sq2.distances["a"]["d"] == 3
+    assert diameter(sq2) == 3
 
 
 def test_enumerate_walks_includes_zero_step(sq2):
@@ -237,18 +231,35 @@ def test_walk_counts_on_every_pair(spec, l):
         assert all(x < y for x, y in zip(ranks, ranks[1:])), (a, b)
 
 
+def assert_distances_are_the_oracle_metric(g):
+    # the rows and each row's entries in vertex order, and every entry the
+    # oracle's breadth-first search over the edge list
+    assert list(g.distances) == list(g.vertices)
+    assert all(list(row) == list(g.vertices) for row in g.distances.values())
+    assert {u: dict(row) for u, row in g.distances.items()} == metric(g)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["path:1", "path:2", "path:9", "cycle:3", "cycle:10", "cycle:11", "complete:1",
+     "complete:5", "star:2", "star:8", "random-tree:14:1", "random-tree:14:3", "sq2"],
+)
+def test_distances_on_builtin_families(spec):
+    assert_distances_are_the_oracle_metric(generate(spec))
+
+
+def test_distances_on_check_battery_graphs():
+    # the graphs that `maghom check --trials 30 --seed 31337` draws
+    rng = random.Random(31337)
+    for _ in range(30):
+        assert_distances_are_the_oracle_metric(random_connected_graph(rng, n_max=6))
+        rng.randint(3, 5)  # the length check draws after each graph
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_distance_is_a_metric(seed):
-    g = random_graph_from_seed(seed, n_max=6)
-    for u, v in itertools.product(g.vertices, repeat=2):
-        d = g.distance(u, v)
-        assert d == g.distance(v, u)
-        assert (d == 0) == (u == v)
-        for w in g.vertices:
-            assert d <= g.distance(u, w) + g.distance(w, v)
-    for u, v in g.edges:
-        assert g.distance(u, v) == 1
+@given(seed=st.integers(0, 10_000), n_max=st.integers(2, 12))
+def test_distances_on_random_graphs(seed, n_max):
+    assert_distances_are_the_oracle_metric(random_graph_from_seed(seed, n_max=n_max))
 
 
 def test_random_connected_graph_bounds():
@@ -316,12 +327,10 @@ def test_automorphism_generators_are_isometries():
     for spec in ("sq2", "cycle:8", "complete:5", "star:20", "random-tree:14:1"):
         g = generate(spec)
         n = g.num_vertices
-        v = g.vertices
-        dist = [[g.distance(x, y) for y in v] for x in v]
+        d = metric(g)
+        dist = [[d[x][y] for y in g.vertices] for x in g.vertices]
         for sigma in automorphism_generators(dist):
             assert sorted(sigma) == list(range(n))
             assert all(
-                g.distance(v[x], v[y]) == g.distance(v[sigma[x]], v[sigma[y]])
-                for x in range(n)
-                for y in range(n)
+                dist[x][y] == dist[sigma[x]][sigma[y]] for x in range(n) for y in range(n)
             )

@@ -15,7 +15,7 @@ from maghom import (
     render_table,
 )
 import maghom.magnitude as magnitude_module
-from maghom.homology import ZERO_GROUP
+from maghom.homology import ZERO_GROUP, direct_sum
 from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from oracles import (
     assert_boundary_squares_to_zero,
@@ -23,6 +23,8 @@ from oracles import (
     brute_force_magnitude_basis,
     cartesian_product,
     random_graph_from_seed,
+    tuple_length,
+    wedge,
 )
 
 
@@ -47,7 +49,7 @@ def test_basis_sq2_diagonal_component(sq2):
             assert len(seq) == k + 1
             assert seq[0] == "a" and seq[-1] == "a"
             assert all(seq[i] != seq[i + 1] for i in range(k))
-            assert sum(sq2.distance(seq[i], seq[i + 1]) for i in range(k)) == 4
+            assert tuple_length(sq2, seq) == 4
 
 
 def test_basis_matches_brute_force_on_sq2(sq2):
@@ -299,3 +301,21 @@ def test_kunneth_formula_for_cartesian_products(g_spec, h_spec, lmax, diagonal):
         assert product[l] == expected, l
     assert [product[l][l] for l in range(lmax + 1)] == diagonal
     assert all(product[l][k] == 0 for l in range(lmax + 1) for k in range(l))
+
+
+# --- wedge sums ---------------------------------------------------------------------
+
+
+def test_wedge_totals_are_direct_sums():
+    # Hepworth-Willerton: MH_{k,l}(G v H) = MH_{k,l}(G) + MH_{k,l}(H) for
+    # k >= 1, torsion included; in degree 0 the glued vertex counts once
+    sq2, c5, c4, k3 = (generate(spec) for spec in ("sq2", "cycle:5", "cycle:4", "complete:3"))
+    # a chain of three blocks: the triangle in the middle, glued at two vertices
+    chain = wedge(wedge(c4, "v0", k3, "v0"), "R|v1", c5, "v2")
+    for g, blocks, lmax in [(wedge(sq2, "a", c5, "v0"), (sq2, c5), 8), (chain, (c4, k3, c5), 7)]:
+        assert g.num_vertices == sum(h.num_vertices for h in blocks) - len(blocks) + 1
+        for l in range(1, lmax + 1):
+            totals = build_table(g, l, method="direct").totals()
+            parts = [build_table(h, l, method="direct").totals() for h in blocks]
+            for k in range(1, l + 1):
+                assert totals[k] == direct_sum(part[k] for part in parts), (g, l, k)

@@ -2,11 +2,13 @@
 
 For each ordered pair, sum_k (-1)^k rank MH_{k,l}(a, b) is the coefficient
 of q^l in (Z_G(q)^{-1})_{ab} (Leinster, arXiv:1401.4623; Hepworth and
-Willerton, arXiv:1505.04125).  The oracle shares no code with any route or
-with the orbit solving, and the checks run on every pair, so groups copied
-along an orbit are checked as well as solved ones.  The identity sees chain
-and cell counts, orbit copies and the tree route's sphere count; it does not
-see boundary signs or torsion.
+Willerton, arXiv:1505.04125).  The oracle derives the metric from the edge
+list by its own breadth-first search, so it shares no code with any route,
+with the distance table or with the orbit solving.  The checks run on every
+pair, so groups copied along an orbit are checked as well as solved ones.
+The identity sees chain and cell counts, orbit copies, the distance table
+and the tree route's sphere count; it does not see boundary signs or
+torsion.
 """
 
 import random

@@ -25,7 +25,9 @@ from maghom.trees import (
     turning_points,
 )
 from oracles import (
+    adjacency,
     alternating_walk_count,
+    metric,
     pair_chain_complex,
     path_of_sequence,
     tree_geodesic,
@@ -63,15 +65,16 @@ def test_turning_points_are_backtracks_on_trees(seed):
     # equivalent to stepping back to the previous vertex.
     g = random_tree(seed)
     rng = random.Random(seed + 1)
+    adj, d = adjacency(g), metric(g)
     walk = [rng.choice(g.vertices)]
     for _ in range(5):
-        walk.append(rng.choice(g.neighbors(walk[-1])))
+        walk.append(rng.choice(adj[walk[-1]]))
     pts = turning_points(tuple(walk))
     expected = tuple(
         i
         for i in range(1, len(walk) - 1)
-        if g.distance(walk[i - 1], walk[i + 1])
-        < g.distance(walk[i - 1], walk[i]) + g.distance(walk[i], walk[i + 1])
+        if d[walk[i - 1]][walk[i + 1]]
+        < d[walk[i - 1]][walk[i]] + d[walk[i]][walk[i + 1]]
     )
     assert pts == expected
 
@@ -164,7 +167,7 @@ def test_sphere_walks_alternate_across_one_edge():
             for walk in decompose_tree_component(g, ComponentKey(a, b, l)):
                 if classify_delta(turning_points(walk), l) == "sphere":
                     assert len(set(walk)) == 2
-                    assert g.distance(walk[0], walk[1]) == 1
+                    assert metric(g)[walk[0]][walk[1]] == 1
 
 
 # --- partition of the magnitude basis ---------------------------------------------------
@@ -188,11 +191,7 @@ def test_per_walk_partition_of_basis(seed):
             walk = path_of_sequence(g, seq)
             assert len(walk) - 1 == l
             assert walk in walks
-            cumulative = 0
-            marks = []
-            for i in range(1, len(seq) - 1):
-                cumulative += g.distance(seq[i - 1], seq[i])
-                marks.append(cumulative)
+            marks = [tuple_length(g, seq[: i + 1]) for i in range(1, len(seq) - 1)]
             phi = turning_points(walk)
             assert set(phi) <= set(marks)
             token = (walk, tuple(marks))
