@@ -41,6 +41,9 @@ EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
 
+TOO_LONG = "l is too long: enumeration recurses once per step and hit the recursion limit"
+
+
 @contextmanager
 def _failures(run):
     """Exit 2 on GraphError or RecursionError, 4 on InternalCheckError; ``run``
@@ -53,8 +56,7 @@ def _failures(run):
         message = exc
     except RecursionError:
         # basis and walk enumeration recurse once per step of a chain
-        message = (f"{run}: l is too long: enumeration recurses once per step"
-                   " and hit the recursion limit")
+        message = f"{run}: {TOO_LONG}"
     except InternalCheckError as exc:
         code, message = EXIT_INTERNAL, f"{run}: {exc}"
     click.echo(f"error: {message}", err=True)
@@ -115,6 +117,21 @@ def _parse_l_range(text):
     return range(lo, hi + 1)
 
 
+def _refuse_long(run, l, kmax=None):
+    """GraphError naming ``run`` if l or kmax is past the recursion limit.
+
+    Such an l would hit the limit only after lists sized by l (the K pair's
+    labels, one basis per degree) may have exhausted memory, and a table
+    holds one group per degree up to kmax.
+    """
+    limit = sys.getrecursionlimit()
+    if l > limit:
+        raise GraphError(f"{run}: {TOO_LONG}")
+    if kmax is not None and kmax > limit:
+        raise GraphError(f"{run}: --kmax is past the recursion limit ({limit});"
+                         " every degree above l is zero")
+
+
 def _parse_pair(text, g):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
@@ -173,6 +190,7 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
         pair = _parse_pair(pair, g) if pair else None
         if kmax is not None and kmax < 0:
             raise GraphError("--kmax must be nonnegative")
+        _refuse_long(f"{graph_spec} l={l_spec}", l_values[-1], kmax)
         if out is not None:
             _check_out(out)
         labeling = None
@@ -221,6 +239,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
                     raise GraphError(f"{flag} applies to random trials, not to --graph")
             l_values = _parse_l_range(l_spec) if l_spec is not None else (3,)
             g = _load_graph(graph_spec)
+            _refuse_long(f"{graph_spec}: l={l_values[-1]}", l_values[-1])
             runs = ((f"{graph_spec}:", g, l) for l in l_values)
         elif trials < 0:
             raise GraphError("--trials must be nonnegative")
@@ -228,6 +247,10 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
             raise GraphError(f"--n-max must be at least 2, got {n_max}")
         elif l_max < 3:
             raise GraphError(f"--l-max must be at least 3, got {l_max}")
+        elif l_max > sys.getrecursionlimit():
+            raise GraphError(
+                f"--l-max is past the recursion limit ({sys.getrecursionlimit()}), got {l_max}"
+            )
         elif trials == 0:
             click.echo("warning: 0 trials requested, vacuous pass", err=True)
             sys.exit(0)
@@ -260,6 +283,7 @@ def export(graph_spec, l_spec, pair, out):
         g = _load_graph(graph_spec)
         a, b = _parse_pair(pair, g)
         _check_out(out)
+        _refuse_long(f"{graph_spec} l={l_spec}", l_value)
         key = ComponentKey(a, b, l_value)
         kpair = build_k_pair(g, key)
         if g.distances[a][b] > l_value:

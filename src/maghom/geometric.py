@@ -22,7 +22,7 @@ d(a, b) = l (the subcomplex is then empty).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .graphs import InternalCheckError, enumerate_walks
 from .homology import HomologyGroup, homology_all
@@ -118,67 +118,65 @@ def chain_map_t(g, key, rel, mag):
     ``rel`` is the relative complex of the K pair of ``key`` and ``mag`` the
     magnitude complex of ``key`` through degree l + 1.  Checks, degree by
     degree, that closing each relative simplex with the endpoints gives
-    exactly the magnitude basis two degrees up: the steps of each closed
-    tuple, read from the distance table, must sum to l, and their running
-    sums must equal the simplex's positions.  Returns
-    ``pairs_by_degree``: ``pairs_by_degree[n]`` lists the (simplex, sequence)
-    pairs of relative degree n in relative basis order.  Raises
+    exactly the magnitude basis two degrees up: the running sums of the
+    steps of each closed tuple, read from the distance table, must equal the
+    simplex's positions and end at l; every cell must be found in the basis,
+    no index twice, and as many cells as sequences.  Returns
+    ``index_by_degree``: ``index_by_degree[n][j]`` is the index in
+    ``mag.basis(n + 2)`` of the j-th relative cell of degree n.  Raises
     InternalCheckError on any failure.
     """
     # relative simplices use distinct positions from 1..l-1, so the relative
     # complex tops out at degree l-2 and the magnitude complex at degree l
     dist = g.distances
-    pairs_by_degree = []
+    index_by_degree = []
     for n in range(max(key.l - 1, 0)):
-        rel_basis = rel.basis(n)
         mag_basis = mag.basis(n + 2)
-        images = []
-        for simplex in rel_basis:
+        mag_index = dict(zip(mag_basis, range(len(mag_basis))))
+        places = []
+        for simplex in rel.basis(n):
             seq = interior_tuple(key, simplex)
-            steps = [dist[x][y] for x, y in zip(seq, seq[1:])]
-            if sum(steps) != key.l:
+            ends = list(accumulate([dist[x][y] for x, y in zip(seq, seq[1:])]))
+            if ends[-1] != key.l:
                 raise InternalCheckError(
                     f"degree {n} relative simplex {simplex!r} of {key} has interior length != l"
                 )
             # positions must equal cumulative distances along the sequence
-            expected_pos = 0
-            for (pos, _), step in zip(simplex, steps):
-                expected_pos += step
-                if pos != expected_pos:
+            for (pos, _), end in zip(simplex, ends):
+                if pos != end:
                     raise InternalCheckError(
-                        f"degree {n} position mismatch in {simplex!r} of {key}: "
-                        f"{pos} != {expected_pos}"
+                        f"degree {n} position mismatch in {simplex!r} of {key}: {pos} != {end}"
                     )
-            images.append(seq)
-        if sorted(images) != sorted(mag_basis) or len(set(images)) != len(images):
+            places.append(mag_index.get(seq))
+        if None in places or len(set(places)) != len(places) or len(places) != len(mag_basis):
             raise InternalCheckError(
                 f"degree {n} basis bijection fails for {key}: "
-                f"{len(images)} relative simplices vs {len(mag_basis)} sequences"
+                f"{len(places)} relative simplices vs {len(mag_basis)} sequences"
             )
-        pairs_by_degree.append(list(zip(rel_basis, images)))
-    return pairs_by_degree
+        index_by_degree.append(places)
+    return index_by_degree
 
 
-def verify_chain_map(key, rel, mag, pairs_by_degree):
+def verify_chain_map(key, rel, mag, index_by_degree):
     """Check the boundary identity: relative d = -(magnitude d) under t.
 
-    ``pairs_by_degree`` is the basis identification from ``chain_map_t``.
+    ``index_by_degree`` is the basis identification from ``chain_map_t``.
     For every relative degree n >= 1, each relative boundary column has its
-    rows carried through the basis bijection and its signs negated, and must
-    then equal the magnitude column of the matching sequence.  Raises
-    InternalCheckError on failure.
+    rows carried through the identification one degree down and its signs
+    negated, and must then equal the magnitude column at the cell's index.
+    Raises InternalCheckError on failure.
     """
-    for n in range(1, len(pairs_by_degree)):
-        mag_columns = mag.boundary(n + 2).columns
-        mag_index = {seq: i for i, seq in enumerate(mag.basis(n + 2))}
-        mag_index_prev = {seq: i for i, seq in enumerate(mag.basis(n + 1))}
-        row_map = [mag_index_prev[seq] for _, seq in pairs_by_degree[n - 1]]
-        for (simplex, seq), column in zip(pairs_by_degree[n], rel.boundary(n).columns):
-            image = {row_map[r]: -x for r, x in column.items()}
-            if image != mag_columns[mag_index[seq]]:
+    for n in range(1, len(index_by_degree)):
+        rows, mag_columns = index_by_degree[n - 1], mag.boundary(n + 2).columns
+        for j, column in enumerate(rel.boundary(n).columns):
+            target = mag_columns[index_by_degree[n][j]]
+            # rows is injective, so equal sizes and matching entries are equality
+            if len(target) != len(column) or any(
+                target.get(rows[r]) != -x for r, x in column.items()
+            ):
                 raise InternalCheckError(
                     f"boundary sign identity fails at degree {n}, "
-                    f"column of simplex {simplex!r} in component {key}"
+                    f"column of simplex {rel.basis(n)[j]!r} in component {key}"
                 )
     return True
 

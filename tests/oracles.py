@@ -481,3 +481,41 @@ def wedge(g: Graph, x: str, h: Graph, y: str) -> Graph:
     edges = [(f"L|{u}", f"L|{v}") for u, v in g.edges]
     edges += [(glued[u], glued[v]) for u, v in h.edges]
     return Graph(vertices, edges)
+
+
+def blocks(g: Graph) -> list[Graph]:
+    """The biconnected blocks of a connected graph, by Tarjan's depth-first search.
+
+    Each edge is pushed on a stack when the search first crosses it.  Once
+    the subtree below a tree edge (u, v) has no back edge above u, u cuts it
+    off, and the edges pushed since (u, v), with it, are one block.  A block
+    keeps g's vertex order; blocks come in the order they close.  Reads the
+    edge list only.
+    """
+    adj = adjacency(g)
+    order: dict = {}
+    low: dict = {}
+    stack: list = []
+    found = []
+
+    def visit(u, parent):
+        order[u] = low[u] = len(order)
+        for v in adj[u]:
+            if v not in order:
+                stack.append((u, v))
+                visit(v, u)
+                low[u] = min(low[u], low[v])
+                if low[v] >= order[u]:
+                    edges = []
+                    while not edges or edges[-1] != (u, v):
+                        edges.append(stack.pop())
+                    found.append(edges)
+            elif v != parent and order[v] < order[u]:
+                stack.append((u, v))
+                low[u] = min(low[u], order[v])
+
+    visit(g.vertices[0], None)
+    return [
+        Graph([v for v in g.vertices if any(v in edge for edge in edges)], edges)
+        for edges in found
+    ]

@@ -1,7 +1,11 @@
 import hashlib
 import importlib.util
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -667,6 +671,48 @@ def test_long_lengths_exit_2_naming_graph_and_l(runner, tmp_path):
             "and hit the recursion limit\n"
         ), args
         assert "Traceback" not in r.stderr, args
+    assert list(tmp_path.iterdir()) == []
+
+
+def _one_gib_of_address_space():
+    # runs in the child before exec: a request that allocates by l or kmax
+    # then fails at once instead of filling the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # the K pair's label universe holds (l - 1) * n labels
+        (["compute", "--graph", "sq2", "--l", "10000000"], "sq2 l=10000000: "),
+        (["export", "--graph", "sq2", "--l", "10000000", "--pair", "a,d"], "sq2 l=10000000: "),
+        # enumeration and the chain complex hold one basis per degree up to l + 1
+        (["compute", "--graph", "sq2", "--l", "1000000000", "--method", "direct"],
+         "sq2 l=1000000000: "),
+        (["check", "--graph", "sq2", "--l", "1000000000"], "sq2: l=1000000000: "),
+        (["compute", "--graph", "sq2", "--l", "99999999999999999999999"],
+         "sq2 l=99999999999999999999999: "),
+        # a table holds one group per degree up to kmax
+        (["compute", "--graph", "path:3", "--l", "2", "--kmax", "100000000"],
+         "path:3 l=2: --kmax is past the recursion limit (1000); every degree above l is zero"),
+        # random trials draw l up to --l-max
+        (["check", "--trials", "2", "--l-max", "1000000000"],
+         "--l-max is past the recursion limit (1000), got 1000000000"),
+    ],
+)
+def test_long_requests_are_refused_before_allocating(tmp_path, args, message):
+    if message.endswith(": "):
+        message += maghom.cli.TOO_LONG
+    if args[0] == "export":
+        args = [*args, "--out", str(tmp_path / "sq")]
+    src = str(Path(maghom.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    r = subprocess.run(
+        [sys.executable, "-m", "maghom.cli", *args], capture_output=True, text=True,
+        env=env, timeout=60, preexec_fn=_one_gib_of_address_space,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -20,7 +20,13 @@ from maghom import (
     random_connected_graph,
     tree_homology_by_pair,
 )
-from maghom.geometric import chain_map_t, interior_length, pair_groups, verify_chain_map
+from maghom.geometric import (
+    chain_map_t,
+    interior_length,
+    interior_tuple,
+    pair_groups,
+    verify_chain_map,
+)
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
 from maghom.simplicial import SimplicialComplex, relative_chain_complex
@@ -172,10 +178,15 @@ def test_chain_map_on_sq2_components(sq2):
 def test_chain_map_bijection_shapes(sq2):
     key = ComponentKey("a", "a", 4)
     rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
-    pairs_by_degree = chain_map_t(sq2, key, rel, mag)
+    index_by_degree = chain_map_t(sq2, key, rel, mag)
     expected = magnitude_chain_complex(sq2, key, 4)
-    for n, pairs in enumerate(pairs_by_degree):
-        assert len(pairs) == expected.dim(n + 2)
+    assert len(index_by_degree) == key.l - 1
+    for n, places in enumerate(index_by_degree):
+        # a permutation of the magnitude basis two degrees up, sending each
+        # relative cell to its endpoint-closed tuple
+        assert sorted(places) == list(range(expected.dim(n + 2)))
+        basis = mag.basis(n + 2)
+        assert [basis[i] for i in places] == [interior_tuple(key, s) for s in rel.basis(n)]
 
 
 def test_chain_map_detects_corrupted_boundary(sq2):
@@ -255,6 +266,48 @@ def test_chain_map_rejects_a_foreign_magnitude_basis(sq2):
     message = (
         "degree 0 basis bijection fails for ComponentKey(a='a', b='d', l=4): "
         "0 relative simplices vs 1 sequences"
+    )
+    with pytest.raises(InternalCheckError) as excinfo:
+        chain_map_t(sq2, key, rel, mag)
+    assert str(excinfo.value) == message
+
+
+def test_chain_map_detects_swapped_cells(sq2):
+    # two cells of one degree trade places in the identification; at
+    # (a, a, 4) the first two cells of relative degrees 0 and 1 have
+    # different boundary columns, so the swapped map is no chain map
+    key = ComponentKey("a", "a", 4)
+    rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+    for n in (0, 1):
+        index_by_degree = chain_map_t(sq2, key, rel, mag)
+        places = index_by_degree[n]
+        places[0], places[1] = places[1], places[0]
+        with pytest.raises(InternalCheckError, match="boundary sign identity fails"):
+            verify_chain_map(key, rel, mag, index_by_degree)
+    # the first two cells of degree 2 both have zero boundary, and relative
+    # degree 3 is empty at l = 4, so swapping them still gives a chain map
+    index_by_degree = chain_map_t(sq2, key, rel, mag)
+    places = index_by_degree[2]
+    assert not any(rel.boundary(2).columns[:2])
+    places[0], places[1] = places[1], places[0]
+    assert verify_chain_map(key, rel, mag, index_by_degree)
+
+
+@pytest.mark.parametrize("repeat", ["in place", "appended"])
+def test_chain_map_rejects_a_repeated_sequence(sq2, repeat):
+    # the degree-2 magnitude basis names one tuple twice: in place of the
+    # next tuple, which then has no cell, or as one more sequence than cells
+    key = ComponentKey("a", "a", 4)
+    rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+    basis = mag.bases[2]
+    cells = len(basis)
+    if repeat == "in place":
+        basis[1] = basis[0]
+    else:
+        basis.append(basis[0])
+    message = (
+        "degree 0 basis bijection fails for ComponentKey(a='a', b='a', l=4): "
+        f"{cells} relative simplices vs {len(basis)} sequences"
     )
     with pytest.raises(InternalCheckError) as excinfo:
         chain_map_t(sq2, key, rel, mag)

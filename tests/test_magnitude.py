@@ -12,6 +12,7 @@ from maghom import (
     build_table,
     generate,
     magnitude_homology_direct,
+    random_connected_graph,
     render_table,
 )
 import maghom.magnitude as magnitude_module
@@ -19,6 +20,7 @@ from maghom.homology import ZERO_GROUP, direct_sum
 from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from oracles import (
     assert_boundary_squares_to_zero,
+    blocks,
     boundary_by_definition,
     brute_force_magnitude_basis,
     cartesian_product,
@@ -319,3 +321,44 @@ def test_wedge_totals_are_direct_sums():
             parts = [build_table(h, l, method="direct").totals() for h in blocks]
             for k in range(1, l + 1):
                 assert totals[k] == direct_sum(part[k] for part in parts), (g, l, k)
+
+
+def test_block_split_of_wedges_and_trees():
+    sq2, c5, c4, k3 = (generate(spec) for spec in ("sq2", "cycle:5", "cycle:4", "complete:3"))
+    chain = wedge(wedge(c4, "v0", k3, "v0"), "R|v1", c5, "v2")
+    for g, sizes in [
+        (sq2, [6]),
+        (wedge(sq2, "a", c5, "v0"), [6, 5]),
+        (chain, [4, 3, 5]),
+        # every edge of a tree is a block, and the centre of a star is in each
+        (generate("star:4"), [2, 2, 2]),
+        (generate("path:1"), []),
+    ]:
+        parts = blocks(g)
+        assert sorted(h.num_vertices for h in parts) == sorted(sizes), g
+        edges = [frozenset(e) for h in parts for e in h.edges]
+        assert len(edges) == g.num_edges and set(edges) == {frozenset(e) for e in g.edges}
+
+
+def test_totals_are_direct_sums_over_blocks():
+    # Hepworth-Willerton: gluing at a cut vertex adds the totals in every
+    # degree k >= 1, so a graph's totals are the sums over its biconnected
+    # blocks; the graphs are random draws, not built as wedges
+    rng = random.Random(1)
+    kept = shared = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, n_max=7)
+        parts = blocks(g)
+        if len(parts) < 2:
+            continue
+        # the blocks and cut vertices form a tree
+        assert g.num_vertices == sum(h.num_vertices for h in parts) - len(parts) + 1
+        kept += 1
+        shared += any(sum(v in h.vertices for h in parts) >= 3 for v in g.vertices)
+        for l in range(1, 6):
+            totals = build_table(g, l, method="direct").totals()
+            sums = [build_table(h, l, method="direct").totals() for h in parts]
+            for k in range(1, l + 1):
+                assert totals[k] == direct_sum(part[k] for part in sums), (g, l, k)
+    # some draws glue three or more blocks at one vertex
+    assert kept >= 20 and shared >= 3, (kept, shared)
