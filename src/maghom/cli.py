@@ -18,12 +18,14 @@ from click.core import ParameterSource
 
 from .geometric import build_k_pair, cross_validate, interior_length
 from .graphs import (
+    TOO_LONG,
     GraphError,
     InternalCheckError,
     generate,
     is_generator_spec,
     parse_graph,
     random_connected_graph,
+    refuse_long,
 )
 from .magnitude import ComponentKey
 from .report import (
@@ -39,9 +41,6 @@ from .trees import build_delta_pair, decompose_tree_component, turning_points
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
-
-
-TOO_LONG = "l is too long: enumeration recurses once per step and hit the recursion limit"
 
 
 @contextmanager
@@ -117,21 +116,6 @@ def _parse_l_range(text):
     return range(lo, hi + 1)
 
 
-def _refuse_long(run, l, kmax=None):
-    """GraphError naming ``run`` if l or kmax is past the recursion limit.
-
-    Such an l would hit the limit only after lists sized by l (the K pair's
-    labels, one basis per degree) may have exhausted memory, and a table
-    holds one group per degree up to kmax.
-    """
-    limit = sys.getrecursionlimit()
-    if l > limit:
-        raise GraphError(f"{run}: {TOO_LONG}")
-    if kmax is not None and kmax > limit:
-        raise GraphError(f"{run}: --kmax is past the recursion limit ({limit});"
-                         " every degree above l is zero")
-
-
 def _parse_pair(text, g):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
@@ -190,7 +174,7 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
         pair = _parse_pair(pair, g) if pair else None
         if kmax is not None and kmax < 0:
             raise GraphError("--kmax must be nonnegative")
-        _refuse_long(f"{graph_spec} l={l_spec}", l_values[-1], kmax)
+        refuse_long(f"{graph_spec} l={l_spec}", l_values[-1], kmax, "--kmax")
         if out is not None:
             _check_out(out)
         labeling = None
@@ -239,7 +223,7 @@ def check(graph_spec, l_spec, trials, seed, n_max, l_max):
                     raise GraphError(f"{flag} applies to random trials, not to --graph")
             l_values = _parse_l_range(l_spec) if l_spec is not None else (3,)
             g = _load_graph(graph_spec)
-            _refuse_long(f"{graph_spec}: l={l_values[-1]}", l_values[-1])
+            refuse_long(f"{graph_spec}: l={l_values[-1]}", l_values[-1])
             runs = ((f"{graph_spec}:", g, l) for l in l_values)
         elif trials < 0:
             raise GraphError("--trials must be nonnegative")
@@ -283,7 +267,7 @@ def export(graph_spec, l_spec, pair, out):
         g = _load_graph(graph_spec)
         a, b = _parse_pair(pair, g)
         _check_out(out)
-        _refuse_long(f"{graph_spec} l={l_spec}", l_value)
+        refuse_long(f"{graph_spec} l={l_spec}", l_value)
         key = ComponentKey(a, b, l_value)
         kpair = build_k_pair(g, key)
         if g.distances[a][b] > l_value:

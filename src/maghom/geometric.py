@@ -8,7 +8,9 @@ tuple (a, x_{i_1}, ..., x_{i_k}, b) has total length at most l - 1.
 
 Only the relative cells K \\ K' carry chains.  They are enumerated top-down
 from the walks of exactly l steps, so K' is never built as a complex and
-no simplicial complex object is constructed on this route.
+no simplicial complex object is constructed on this route.  K itself is
+built only when read: by export, by the d(a, b) = l branch of degree 2,
+and by tests.
 
 Reading a relative simplex's positioned vertices in position order and
 closing with the endpoints is a degree-preserving bijection onto the
@@ -22,9 +24,10 @@ d(a, b) = l (the subcomplex is then empty).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from functools import cached_property
+from itertools import accumulate, chain, combinations
 
-from .graphs import InternalCheckError, enumerate_walks
+from .graphs import InternalCheckError, enumerate_walks, refuse_long
 from .homology import HomologyGroup, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
 from .simplicial import relative_chain_complex
@@ -34,16 +37,28 @@ from .simplicial import relative_chain_complex
 class KPair:
     """The pair (K_l(a,b), K'_l(a,b)) of one component key, as simplex sets.
 
-    ``total`` is K and ``cells`` is K \\ K', the simplices that carry
-    relative chains.  Both hold positioned simplices: tuples of (position,
-    vertex) labels in position order.  ``labels`` is the label universe in
-    canonical order.
+    ``cells`` is K \\ K', the simplices that carry relative chains, and
+    ``interiors`` the nonempty positioned interiors of the walks of at most
+    l steps, whose downward closures make up K.  Simplices are tuples of
+    (position, vertex) labels in position order.  ``labels`` is the label
+    universe in canonical order.
     """
 
     key: ComponentKey
     labels: tuple
-    total: frozenset
+    interiors: tuple
     cells: frozenset
+
+    @cached_property
+    def total(self):
+        """K, built on first read: every nonempty subset of every interior."""
+        # itertools only: a traced function called here would open a span
+        # while the benchmark's counter, which reads this, holds the clock
+        return frozenset(chain.from_iterable(
+            combinations(interior, size)
+            for interior in self.interiors
+            for size in range(1, len(interior) + 1)
+        ))
 
     @property
     def sub(self):
@@ -63,36 +78,38 @@ def interior_length(g, key, simplex):
 
 
 def build_k_pair(g, key):
-    """Construct K_l(a,b) and its relative cells K_l(a,b) \\ K'_l(a,b).
+    """The relative cells K_l(a,b) \\ K'_l(a,b), and what K is built from.
 
     Every walk with at most l steps contributes the downward closure of its
-    full positioned interior; the union over walks is K.  The relative cells
-    are enumerated top-down from the nonempty interiors of the walks of
-    exactly l steps, which have interior length l by construction.  From a
-    cell of length l, dropping the vertex x_i of the closed tuple keeps the
-    length l exactly when the triangle through it is tight,
-    d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1}), since the drop
-    replaces those two terms by the first; only such faces are generated.  A simplex of K outside K' has interior length l, so
-    every walk whose interior holds it has exactly l steps; dropping a
-    vertex never lengthens the closed tuple, so every simplex between the
-    two has length l as well.  The descent thus reaches every simplex of K
-    outside K' and nothing else.  A pair at distance greater than l yields
-    the empty pair.  Labels are (position, vertex), ordered by position
-    first and vertex order second, so that simplex orientation agrees with
+    full positioned interior; the union over walks is K, which the returned
+    pair builds from the stored interiors only when ``total`` is read.  The
+    relative cells are enumerated top-down from the nonempty interiors of
+    the walks of exactly l steps, which have interior length l by
+    construction.  From a cell of length l, dropping the vertex x_i of the
+    closed tuple keeps the length l exactly when the triangle through it is
+    tight, d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1}), since
+    the drop replaces those two terms by the first; only such faces are
+    generated.  A simplex of K outside K' has interior length l, so every
+    walk whose interior holds it has exactly l steps; dropping a vertex
+    never lengthens the closed tuple, so every simplex between the two has
+    length l as well.  The descent thus reaches every simplex of K outside
+    K' and nothing else.  A pair at distance greater than l yields the
+    empty pair.  Labels are (position, vertex), ordered by position first
+    and vertex order second, so that simplex orientation agrees with
     position order.
     """
     a, b, l = key
 
     labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
-    total = set()
+    interiors = []
     layer = set()
     for walk in enumerate_walks(g, a, b, l):
-        interior = tuple(enumerate(walk[1:-1], 1))
-        for size in range(1, len(interior) + 1):
-            total.update(combinations(interior, size))
         # at l <= 1 the interior is empty, and the empty set is no simplex
-        if len(walk) - 1 == l and interior:
-            layer.add(interior)
+        if len(walk) > 2:
+            interior = tuple(enumerate(walk[1:-1], 1))
+            interiors.append(interior)
+            if len(walk) - 1 == l:
+                layer.add(interior)
 
     # one layer per simplex size, largest first; every cell has length l
     dist = g.distances
@@ -109,7 +126,7 @@ def build_k_pair(g, key):
                     if row[z] == row[y] + dist[y][z]:
                         faces.add(cell[:i] + cell[i + 1:])
         layer = faces
-    return KPair(key=key, labels=labels, total=frozenset(total), cells=frozenset(cells))
+    return KPair(key=key, labels=labels, interiors=tuple(interiors), cells=frozenset(cells))
 
 
 def chain_map_t(g, key, rel, mag):
@@ -193,8 +210,9 @@ def pair_groups(g, kpair, rel, kmax):
     groups = homology_all(rel, up_to=kmax - 2)
     if groups and g.distances[a][b] == l:
         # every interior tuple is at least d(a, b) = l long, so K' is empty,
-        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z; the cells
-        # lie in K, so K' is empty exactly when they are all of K
+        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z; K' is
+        # empty exactly when the cells are all of K, and this is the only
+        # place where computing a table builds K
         if kpair.total != kpair.cells:
             raise InternalCheckError(f"K' of {kpair.key} is not empty although d(a, b) = l")
         groups[0] = HomologyGroup(max(groups[0].betti - 1, 0))
@@ -264,8 +282,10 @@ def cross_validate(g, l):
     identity.  Each component's magnitude complex, K pair and relative
     complex are built once and serve both checks.  Stops at the first
     mismatch and reports it.  Internal invariant failures raise
-    InternalCheckError instead of being reported as mismatches.
+    InternalCheckError instead of being reported as mismatches.  An l past
+    the recursion limit raises GraphError before any work.
     """
+    refuse_long(f"{g!r} l={l}", l)
     report = CrossValidationReport(l=l)
     for a in g.vertices:
         for b in g.vertices:

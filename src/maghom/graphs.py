@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 from collections import deque
 from types import MappingProxyType
 
@@ -272,6 +273,25 @@ def is_generator_spec(name):
 
 
 # -- walk enumeration ------------------------------------------------------
+
+
+TOO_LONG = "l is too long: enumeration recurses once per step and hit the recursion limit"
+
+
+def refuse_long(run, l, kmax=None, kmax_name="kmax"):
+    """GraphError naming ``run`` if l or kmax is past the recursion limit.
+
+    Such an l would hit the limit only after lists sized by l (the K pair's
+    labels, one basis per degree) may have exhausted memory, and a table
+    holds one group per degree up to kmax.  ``kmax_name`` is how the
+    message names kmax.
+    """
+    limit = sys.getrecursionlimit()
+    if l > limit:
+        raise GraphError(f"{run}: {TOO_LONG}")
+    if kmax is not None and kmax > limit:
+        raise GraphError(f"{run}: {kmax_name} is past the recursion limit ({limit});"
+                         " every degree above l is zero")
 
 
 def enumerate_walks(g, a, b, max_steps):

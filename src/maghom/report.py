@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .geometric import magnitude_homology_geometric
-from .graphs import GraphError, InternalCheckError, pair_orbits
+from .graphs import GraphError, InternalCheckError, pair_orbits, refuse_long
 from .homology import direct_sum
 from .magnitude import ComponentKey, magnitude_homology_direct
 from .trees import tree_homology_by_pair, tree_magnitude_closed_form
@@ -81,10 +81,12 @@ def build_table(g, l, kmax=None, method="auto", pair=None, graph_spec=None):
     of its representative's groups.  ``cross_validate``, behind
     ``maghom check``, still solves every component, because it verifies
     the routes.  A whole tree table is checked against the closed form in
-    degrees 1..kmax; a disagreement raises InternalCheckError.
+    degrees 1..kmax; a disagreement raises InternalCheckError.  An l or
+    kmax past the recursion limit raises GraphError before any work.
     """
     if kmax is None:
         kmax = l
+    refuse_long(f"{graph_spec or repr(g)} l={l}", l, kmax)
     if method == "auto":
         method = "direct" if l < 3 else "tree" if g.is_tree() else "geometric"
     # the route functions are looked up here, at call time, so that

@@ -716,6 +716,39 @@ def test_long_requests_are_refused_before_allocating(tmp_path, args, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # the K pair's labels and the walks' positions are sized by l
+        ('build_table(generate("sq2"), 10**7)', "Graph(6 vertices, 8 edges) l=10000000: "),
+        ('build_table(generate("sq2"), 10**7, graph_spec="sq2")', "sq2 l=10000000: "),
+        # one basis per degree up to l + 1, then the K pair
+        ('cross_validate(generate("sq2"), 10**7)', "Graph(6 vertices, 8 edges) l=10000000: "),
+        # one group per degree up to kmax
+        ('build_table(generate("path:3"), 2, kmax=10**8)',
+         "Graph(3 vertices, 2 edges) l=2: kmax is past the recursion limit (1000);"
+         " every degree above l is zero"),
+    ],
+)
+def test_library_long_requests_raise_graph_error(call, message):
+    # library callers get the CLI's rule as a GraphError, before anything
+    # sized by l or kmax is allocated
+    if message.endswith(": "):
+        message += maghom.cli.TOO_LONG
+    code = (
+        "from maghom import GraphError, build_table, cross_validate, generate\n"
+        f"try:\n    {call}\nexcept GraphError as exc:\n    print(exc)\n"
+    )
+    src = str(Path(maghom.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        preexec_fn=_one_gib_of_address_space,
+    )
+    assert (r.returncode, r.stdout, r.stderr) == (0, f"{message}\n", "")
+
+
 # --- entry point ----------------------------------------------------------------
 
 
@@ -738,10 +771,21 @@ def test_benchmark_tracer_finds_every_traced_function(rp2_complex):
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
-    undo = []
-    try:
-        undo = spans.install(tracer)
+
+    def traced(run):
+        tracer = spans.Tracer()
+        undo = []
+        try:
+            undo = spans.install(tracer)
+            run()
+        except spans.CoverageError as exc:
+            pytest.fail(f"the benchmark tracer lost a function: {exc}")
+        finally:
+            spans.uninstall(undo)
+        assert undo
+        return tracer
+
+    def tables():
         # one small table per route, called through a patched binding
         maghom.report.build_table(generate("cycle:4"), 3, method="geometric")
         maghom.report.build_table(generate("path:4"), 3, method="tree")
@@ -749,27 +793,30 @@ def test_benchmark_tracer_finds_every_traced_function(rp2_complex):
         # the unit pairs leave the three tables nothing to hand to Smith
         # normal form, but they cannot remove RP^2's 2-torsion entry
         importlib.import_module("maghom.homology").homology_all(rp2_complex, 2)
-    except spans.CoverageError as exc:
-        pytest.fail(f"the benchmark tracer lost a function: {exc}")
-    finally:
-        spans.uninstall(undo)
-    assert undo
+
+    tracer = traced(tables)
     for name in (
         "homology.snf_calls", "homology.snf_nnz", "magnitude.basis_cells",
         "simplicial.relative_cells", "geometric.simplices", "graphs.walks",
         "trees.summands",
     ):
         assert tracer.counts[name] > 0, name
+    # the counter reads K, which the pair builds on first read: the count is
+    # still K's, and no span opened while the counter held the clock
+    assert tracer.counts["geometric.simplices"] == 12
+    negative = {name: value for name, value in tracer.layer_metrics().items()
+                if name.endswith("_s") and name != "trace.overhead_s" and value < 0}
+    assert not negative
+    # a span opened inside a counter need not make a self time negative on
+    # tables this small; it always adds a call, so the same tables traced
+    # without counters must make the same calls
+    spans.TIMED = tuple((m, f, metric, None) for m, f, metric, _ in spans.TIMED)
+    spans.COUNTED = tuple((m, f, None) for m, f, _ in spans.COUNTED)
+    assert traced(tables).calls == tracer.calls
 
     # cross-validation builds each component's complexes once: cycle:5 at
     # l = 4 has 25 components, all within distance 4
-    tracer = spans.Tracer()
-    undo = []
-    try:
-        undo = spans.install(tracer)
-        maghom.geometric.cross_validate(generate("cycle:5"), 4)
-    finally:
-        spans.uninstall(undo)
+    tracer = traced(lambda: maghom.geometric.cross_validate(generate("cycle:5"), 4))
     for name in (
         "geometric.build_k_pair", "simplicial.relative_chain_complex",
         "magnitude.magnitude_chain_complex", "geometric.chain_map_t",

@@ -154,10 +154,29 @@ def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
         raise AssertionError("SimplicialComplex built on the geometric route")
 
     monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    built = []
+
+    def recording(g, key):
+        built.append(build_k_pair(g, key))
+        return built[-1]
+
+    monkeypatch.setattr(maghom.geometric, "build_k_pair", recording)
     table = build_table(generate("cycle:7"), 5, method="geometric")
     # the direct route's totals, torsion-free
     assert table.totals() == [HomologyGroup(b) for b in (0, 0, 0, 42, 0, 14)]
+    # K is built on first read of ``total``; no pair of cycle:7 has d(a, b) = 5,
+    # so the route reads only the relative cells
+    assert built and not any("total" in vars(kp) for kp in built)
     assert cross_validate(generate("cycle:5"), 4).ok
+    # the degree-2 branch reads K exactly on the pairs at distance l: the
+    # antipodal pairs of the 6-cycle at l = 3
+    built.clear()
+    g = generate("cycle:6")
+    assert cross_validate(g, 3).ok
+    assert len(built) == 36
+    assert {kp.key for kp in built if "total" in vars(kp)} == {
+        ComponentKey(a, b, 3) for a in g.vertices for b in g.vertices if g.distances[a][b] == 3
+    }
 
 
 # --- the chain-level correspondence ------------------------------------------------
@@ -375,8 +394,23 @@ def test_degree_two_branch_rejects_nonempty_sub(monkeypatch):
     kp = build_k_pair(g, key)
     vertex = min(s for s in kp.total if len(s) == 1)
     # K keeps the vertex, the cells lose it, so K' = K minus the cells holds it
-    bad = KPair(key=key, labels=kp.labels, total=kp.total, cells=kp.cells - {vertex})
+    bad = KPair(key=key, labels=kp.labels, interiors=kp.interiors, cells=kp.cells - {vertex})
     assert bad.sub == {vertex}
+    monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
+    with pytest.raises(InternalCheckError, match="not empty"):
+        magnitude_homology_geometric(g, key)
+
+
+def test_degree_two_branch_rejects_a_cell_outside_k(monkeypatch):
+    # The other direction: a cell that no walk interior holds leaves K' empty
+    # but makes the cells more than K, so they are no longer K's chains.
+    g = generate("cycle:6")
+    key = ComponentKey("v0", "v3", 3)
+    kp = build_k_pair(g, key)
+    foreign = ((1, "v3"),)
+    assert foreign not in kp.total
+    bad = KPair(key=key, labels=kp.labels, interiors=kp.interiors, cells=kp.cells | {foreign})
+    assert bad.sub == frozenset()
     monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
     with pytest.raises(InternalCheckError, match="not empty"):
         magnitude_homology_geometric(g, key)
