@@ -300,36 +300,40 @@ def enumerate_walks(g, a, b, max_steps):
     A walk is a vertex tuple whose consecutive entries are adjacent.  The
     zero-step walk ``(a,)`` is included when a == b, so the number of walks
     equals the sum of adjacency-matrix powers A^0 + ... + A^max_steps at the
-    (a, b) entry.  Output is sorted lexicographically under the vertex
-    order and is produced by depth-first extension, taking only the
-    neighbors from which b is still within the remaining step budget;
-    those steps are read from the distance table, the entries 1 of the
-    last vertex's row, and memoized per (vertex, remaining budget).
+    (a, b) entry.  A state (v, s) stands for the walks from v to b with at
+    most s steps, and its list is built once: ``(v,)`` when v == b, then,
+    for each neighbor y of v (the entries 1 of v's distance row, in vertex
+    order) from which b is within s - 1 steps, v prefixed to every walk of
+    (y, s - 1).  Every list is therefore sorted lexicographically under the
+    vertex order, each walk before its extensions.  Only the top state
+    (a, max_steps) reads the states one step below it, so each of those is
+    dropped once read.
     """
     g.index(a), g.index(b)
+    dist = g.distances
     # d(y, b) for every y: distances are symmetric, so b's row
-    to_b = g.distances[b]
+    to_b = dist[b]
     memo = {}
-    out = []
-    prefix = [a]
 
-    def extend(last, budget):
-        if last == b:
-            out.append(tuple(prefix))
-        if budget <= 0:
-            return
-        steps = memo.get((last, budget))
-        if steps is None:
-            steps = memo[last, budget] = [
-                y for y, d in g.distances[last].items() if d == 1 and to_b[y] < budget
-            ]
-        for y in steps:
-            prefix.append(y)
-            extend(y, budget - 1)
-            prefix.pop()
+    def walks(v, budget):
+        found = memo.get((v, budget))
+        if found is None:
+            head = (v,)
+            found = [head] if v == b else []
+            for y, d in dist[v].items():
+                if d == 1 and to_b[y] < budget:
+                    found += [head + tail for tail in walks(y, budget - 1)]
+                    if budget == max_steps:
+                        del memo[y, budget - 1]
+            memo[v, budget] = found
+        return found
 
-    if to_b[a] <= max_steps:
-        extend(a, max_steps)
+    if to_b[a] > max_steps:
+        return []
+    out = walks(a, max_steps)
+    # walks refers to itself, so the memo would otherwise wait for the cycle
+    # collector
+    memo.clear()
     return out
 
 

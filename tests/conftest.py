@@ -2,7 +2,7 @@ import pytest
 
 from maghom import generate
 from maghom.simplicial import SimplicialComplex
-from oracles import chain_complex
+from oracles import chain_complex, face_poset_graph
 
 # Six-vertex closed-surface triangulation with Euler characteristic 1
 # (6 vertices, 15 edges, 10 faces; every edge lies in exactly two faces).
@@ -21,6 +21,19 @@ PROJECTIVE_PLANE_FACES = [
     (3, 5, 6),
 ]
 
+# The hemi-octahedron: the octahedron modulo the antipodal map, a regular
+# cell complex on RP^2 with 3 vertices, 6 edges and 4 triangles.  The
+# vertices x, y, z are the antipodal pairs of axis points; the two edges
+# between two of them are told apart by the sign s * t of an octahedron
+# edge (s x, t y), and the triangle (x, t y, u z) has the edges of signs
+# t, u and t * u.
+HEMI_OCTAHEDRON_CELLS = {
+    "x": (), "y": (), "z": (),
+    **{f"{p}{q}{s}": (p, q) for p, q in ("xy", "xz", "yz") for s in "+-"},
+    **{f"T{t}{u}": (f"xy{t}", f"xz{u}", f"yz{'+' if t == u else '-'}")
+       for t in "+-" for u in "+-"},
+}
+
 
 @pytest.fixture(scope="session")
 def sq2():
@@ -30,3 +43,9 @@ def sq2():
 @pytest.fixture(scope="session")
 def rp2_complex():
     return chain_complex(SimplicialComplex.from_maximal(range(1, 7), PROJECTIVE_PLANE_FACES))
+
+
+@pytest.fixture(scope="session")
+def hemi():
+    # 15 vertices and 31 edges; MH_{3,4}(bottom, top) = Z/2
+    return face_poset_graph(HEMI_OCTAHEDRON_CELLS)

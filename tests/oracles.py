@@ -184,6 +184,21 @@ def walk_counts_by_steps(g: Graph, a: str, b: str, max_steps: int) -> list[int]:
     return counts
 
 
+def walks_by_extension(g: Graph, a: str, b: str, max_steps: int) -> list[tuple]:
+    """Every a-to-b walk with at most max_steps steps, sorted by vertex index.
+
+    The walks from a are extended one step at a time over the edge list's
+    neighbours, with no pruning; those that end at b are kept.
+    """
+    adj = adjacency(g)
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    found, level = [], [(a,)]
+    for _ in range(max_steps + 1):
+        found += [w for w in level if w[-1] == b]
+        level = [w + (y,) for w in level for y in adj[w[-1]]]
+    return sorted(found, key=lambda w: [rank[v] for v in w])
+
+
 def alternating_walk_count(g: Graph, a: str, b: str, l: int) -> int:
     """Number of a-to-b walks of l >= 1 steps that go back and forth along one edge.
 
@@ -439,6 +454,24 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     edges = [(f"{u}|{v}", f"{u}|{y}") for u in g.vertices for v, y in h.edges]
     edges += [(f"{u}|{v}", f"{x}|{v}") for u, x in g.edges for v in h.vertices]
     return Graph(vertices, edges)
+
+
+def face_poset_graph(cells: dict) -> Graph:
+    """The Hasse diagram of a regular cell complex's face poset, with a bottom and a top.
+
+    ``cells`` maps each cell to its facets, in the order the graph lists
+    them; a vertex has none.  The graph's vertices are "bottom", the cells
+    and "top", and its edges are the covering relations: bottom to each
+    vertex, each cell to each of its facets, and each cell that is no
+    cell's facet to top.  Then d(bottom, top) = 4 when every top cell has
+    dimension 2, and MH_{k,4}(bottom, top) is the reduced homology
+    H_{k-2} of the complex (Kaneta-Yoshinaga, arXiv:1803.04247).
+    """
+    faces = {f for facets in cells.values() for f in facets}
+    edges = [("bottom", c) for c, facets in cells.items() if not facets]
+    edges += [(c, f) for c, facets in cells.items() for f in facets]
+    edges += [(c, "top") for c in cells if c not in faces]
+    return Graph(["bottom", *cells, "top"], edges)
 
 
 def brute_force_pair_orbits(g: Graph) -> set[frozenset]:

@@ -1,0 +1,89 @@
+"""Torsion on the routes: face-poset graphs of cell complexes on RP^2.
+
+The graph of a regular cell complex X (``oracles.face_poset_graph``) has
+d(bottom, top) = 4 and MH_{k,4}(bottom, top) = H~_{k-2}(X), so a complex on
+the projective plane puts Z/2 at k = 3.  Every other route fixture is
+torsion-free; these check that a torsion class survives each route, the
+orbit copies, the table and the structured output.
+"""
+
+import itertools
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from conftest import PROJECTIVE_PLANE_FACES
+from maghom import (
+    ComponentKey,
+    HomologyGroup,
+    build_table,
+    cross_validate,
+    magnitude_homology_direct,
+    magnitude_homology_geometric,
+)
+from maghom.cli import main
+from maghom.homology import ZERO_GROUP
+from oracles import face_poset_graph
+
+RP2_AT_4 = [ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, HomologyGroup(0, (2,)), ZERO_GROUP]
+
+
+def simplicial_cells(faces):
+    """Every simplex spanned by the given faces, as a cell with its facets."""
+    simplices = sorted(
+        {s for f in faces for n in range(1, len(f) + 1) for s in itertools.combinations(sorted(f), n)},
+        key=lambda s: (len(s), s),
+    )
+
+    def name(s):
+        return ".".join(map(str, s))
+
+    return {name(s): tuple(name(t) for t in itertools.combinations(s, len(s) - 1)) if len(s) > 1 else ()
+            for s in simplices}
+
+
+@pytest.fixture(scope="module")
+def rp2_graph():
+    # 6 vertices, 15 edges and 10 triangles, with bottom and top
+    return face_poset_graph(simplicial_cells(PROJECTIVE_PLANE_FACES))
+
+
+def test_face_poset_graph_sizes(hemi, rp2_graph):
+    assert (hemi.num_vertices, hemi.num_edges) == (15, 31)
+    assert (rp2_graph.num_vertices, rp2_graph.num_edges) == (33, 76)
+    assert hemi.distances["bottom"]["top"] == rp2_graph.distances["bottom"]["top"] == 4
+
+
+@pytest.mark.parametrize("route", [magnitude_homology_direct, magnitude_homology_geometric])
+@pytest.mark.parametrize("graph", ["hemi", "rp2_graph"])
+def test_projective_plane_torsion_on_both_routes(route, graph, request):
+    g = request.getfixturevalue(graph)
+    assert route(g, ComponentKey("bottom", "top", 4)) == RP2_AT_4
+
+
+@pytest.mark.parametrize("method", ["direct", "geometric"])
+def test_projective_plane_torsion_in_a_pair_table(hemi, method):
+    table = build_table(hemi, 4, method=method, pair=("bottom", "top"))
+    assert table.pair_groups == {("bottom", "top"): RP2_AT_4}
+    assert table.totals() == RP2_AT_4
+
+
+def test_projective_plane_torsion_in_structured_output(hemi, tmp_path):
+    path = tmp_path / "hemi.json"
+    path.write_text(json.dumps({"vertices": list(hemi.vertices), "edges": [list(e) for e in hemi.edges]}))
+    r = CliRunner().invoke(main, ["compute", "--graph", str(path), "--l", "4",
+                                  "--pair", "bottom,top", "--format", "structured"])
+    assert r.exit_code == 0, r.output
+    [result] = json.loads(r.output)["results"]
+    [component] = result["components"]
+    assert (component["a"], component["b"]) == ("bottom", "top")
+    assert [(g["k"], g["betti"], g["torsion"]) for g in component["groups"]] == [
+        (0, 0, []), (1, 0, []), (2, 0, []), (3, 0, [2]), (4, 0, []),
+    ]
+
+
+def test_cross_validate_agrees_on_every_pair_of_the_hemi_octahedron(hemi):
+    report = cross_validate(hemi, 4)
+    assert report.ok, report.describe()
+    assert report.pairs_checked == 225

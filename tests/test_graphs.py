@@ -24,6 +24,7 @@ from oracles import (
     metric,
     random_graph_from_seed,
     walk_counts_by_steps,
+    walks_by_extension,
 )
 
 
@@ -207,21 +208,30 @@ def test_enumerate_walks_lex_order():
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_walk_counts_match_adjacency_powers(seed):
+def test_walks_match_the_extension_oracle_on_random_graphs(seed):
     g = random_graph_from_seed(seed, n_max=5)
     rng = random.Random(seed)
     a = rng.choice(g.vertices)
     b = rng.choice(g.vertices)
-    expected = walk_counts_by_steps(g, a, b, 4)
-    walks = enumerate_walks(g, a, b, 4)
-    by_steps = [sum(1 for w in walks if len(w) == s + 1) for s in range(5)]
-    assert by_steps == expected
+    assert enumerate_walks(g, a, b, 4) == walks_by_extension(g, a, b, 4)
+
+
+@pytest.mark.parametrize(
+    "spec", ["sq2", "cycle:5", "complete:4", "path:4", "random-tree:7:1", "random-tree:8:2"])
+def test_walks_match_the_extension_oracle_on_every_pair(spec):
+    # whole lists, in order, so that a wrong walk of the right length shows;
+    # l = -1 has no walk and l = 0 only the zero-step one
+    g = generate(spec)
+    for a, b in itertools.product(g.vertices, repeat=2):
+        for l in range(-1, 7):
+            assert enumerate_walks(g, a, b, l) == walks_by_extension(g, a, b, l), (a, b, l)
 
 
 @pytest.mark.parametrize("spec, l", [("random-tree:14:1", 9), ("random-tree:14:3", 9), ("sq2", 7)])
 def test_walk_counts_on_every_pair(spec, l):
-    # long enough that the memoized steps are reused across prefixes; each
-    # list is strictly increasing in vertex-index order: sorted, no repeats
+    # long enough that one state's walk list is shared by several states
+    # one step further from b; each list is strictly increasing in
+    # vertex-index order: sorted, no repeats
     g = generate(spec)
     for a, b in itertools.product(g.vertices, repeat=2):
         walks = enumerate_walks(g, a, b, l)
