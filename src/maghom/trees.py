@@ -15,6 +15,8 @@ homology, one Z in degree k = l; the m = 0 walk is the geodesic, whose Z in
 degree 2 reduced H_0 drops.  Summing over all walks: MH_{k,l} of a tree is
 Z^(2 * number of edges) when k = l and zero otherwise (k >= 1), since the
 walks with m = l-1 are exactly the alternating walks along one edge.
+Since only m decides a summand's type, the route counts each walk's turning
+points without listing them and classifies each count that occurs once.
 
 A tree is bipartite, so every walk from a to b has d(a, b) steps plus an
 even number: a pair whose distance differs from l in parity has no walk of
@@ -23,6 +25,7 @@ l steps, and none is listed for it.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress
 from operator import eq
 
@@ -37,14 +40,18 @@ def _require_tree(g):
         raise GraphError("method tree needs a tree input")
 
 
-def turning_points(walk):
-    """Positions where a walk on a tree steps straight back.
+def _steps_back(walk):
+    """Per interior position i of a walk, whether x_{i-1} = x_{i+1}.
 
-    Position i (interior) is a turning point when d(x_{i-1}, x_{i+1}) is
-    strictly below d(x_{i-1}, x_i) + d(x_i, x_{i+1}); for a walk on a tree
-    this happens exactly when x_{i-1} = x_{i+1}, which is what is tested.
+    On a tree that is exactly when d(x_{i-1}, x_{i+1}) is strictly below
+    d(x_{i-1}, x_i) + d(x_i, x_{i+1}), the turning-point condition.
     """
-    return tuple(compress(range(1, len(walk) - 1), map(eq, walk, walk[2:])))
+    return map(eq, walk, walk[2:])
+
+
+def turning_points(walk):
+    """Positions where a walk on a tree steps straight back."""
+    return tuple(compress(range(1, len(walk) - 1), _steps_back(walk)))
 
 
 def decompose_tree_component(g, key):
@@ -115,7 +122,9 @@ def tree_homology_by_pair(g, key, kmax=None):
     """MH_{k,l}(a, b) on a tree for 0 <= k <= kmax via the decomposition.
 
     Degrees k >= 2 count the sphere-type walk summands (each contributes one
-    Z at k = l); degrees 0 and 1 sit outside the decomposition's range and
+    Z at k = l): the walks are tallied by their number of turning points,
+    and ``classify_delta`` runs once per count that occurs, on one walk with
+    that count.  Degrees 0 and 1 sit outside the decomposition's range and
     are delegated to the direct route.  Requires a tree (GraphError otherwise).
     """
     _require_tree(g)
@@ -124,10 +133,13 @@ def tree_homology_by_pair(g, key, kmax=None):
     out = magnitude_homology_direct(g, key, kmax=min(kmax, 1))
     if kmax < 2:
         return out
+    walks = decompose_tree_component(g, key)
+    counts = [sum(_steps_back(walk)) for walk in walks]
+    example = dict(zip(counts, walks))
     spheres = sum(
-        1
-        for walk in decompose_tree_component(g, key)
-        if classify_delta(turning_points(walk), key.l) == "sphere"
+        n
+        for m, n in Counter(counts).items()
+        if classify_delta(turning_points(example[m]), key.l) == "sphere"
     )
     for k in range(2, kmax + 1):
         if k == key.l and spheres:

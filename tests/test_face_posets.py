@@ -19,12 +19,13 @@ from maghom import (
     HomologyGroup,
     build_table,
     cross_validate,
+    generate,
     magnitude_homology_direct,
     magnitude_homology_geometric,
 )
 from maghom.cli import main
-from maghom.homology import ZERO_GROUP
-from oracles import face_poset_graph
+from maghom.homology import ZERO_GROUP, direct_sum
+from oracles import cartesian_product, face_poset_graph
 
 RP2_AT_4 = [ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, HomologyGroup(0, (2,)), ZERO_GROUP]
 
@@ -87,3 +88,30 @@ def test_cross_validate_agrees_on_every_pair_of_the_hemi_octahedron(hemi):
     report = cross_validate(hemi, 4)
     assert report.ok, report.describe()
     assert report.pairs_checked == 225
+
+
+@pytest.mark.parametrize("method", ["direct", "geometric"])
+def test_hemi_octahedron_totals_carry_torsion(hemi, method):
+    # each pair's Z/2 adds up in the table: 2 summands at l = 4 (the
+    # bottom-top pair and its reverse), 8 at l = 5
+    assert build_table(hemi, 4, method=method).totals() == [
+        ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, HomologyGroup(0, (2, 2)), HomologyGroup(584),
+    ]
+    assert build_table(hemi, 5, method=method).totals() == [
+        ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, HomologyGroup(38, (2,) * 8), HomologyGroup(856),
+    ]
+
+
+def test_kunneth_formula_with_a_torsion_factor(hemi):
+    # path:2 has MH_{j,j} = Z^2 in every degree and nothing else, all free,
+    # so no Tor term appears: MH_{k,l}(hemi x path:2) is the sum over j of
+    # MH_{k-j,l-j}(hemi)^2, torsion included
+    product = cartesian_product(hemi, generate("path:2"))
+    factor = [build_table(hemi, l, method="direct").totals() for l in range(6)]
+    for l in range(6):
+        totals = build_table(product, l, method="direct").totals()
+        expected = [direct_sum(factor[l - j][k - j] for j in range(k + 1) for _ in range(2))
+                    for k in range(l + 1)]
+        assert totals == expected, l
+    # at (k, l) = (4, 5): twice the 8 summands of MH_{4,5}(hemi) and the 2 of MH_{3,4}
+    assert totals[4].torsion == (2,) * 20

@@ -397,6 +397,21 @@ def test_smith_normal_form_sees_no_entry_on_routes(monkeypatch):
         assert (len(seen), cells, nonzeros, largest) == expected, spec
 
 
+def test_smith_normal_form_reduces_a_torsion_entry_on_a_route(monkeypatch, hemi):
+    # the hemi-octahedron's face-poset graph leaves the pivot loop one entry
+    # of the direct route's complexes: -2, the Z/2 at k = 3 (l = 4) or k = 4
+    # (l = 5); every other matrix handed over has no entry
+    calls = []
+    real = homology_module.smith_normal_form
+    monkeypatch.setattr(
+        homology_module, "smith_normal_form", lambda a: calls.append((a.to_lists(), real(a))) or calls[-1][1],
+    )
+    for l, expected in ((4, [[-2]]), (5, [[0, 0, 0, -2]])):
+        calls.clear()
+        build_table(hemi, l, method="direct")
+        assert [(matrix, factors) for matrix, factors in calls if factors] == [(expected, (2,))], l
+
+
 def _entries(c):
     return [[dict(col) for col in c.boundary(n).columns] for n in range(c.top_degree + 1)]
 

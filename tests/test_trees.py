@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,22 @@ def test_per_walk_partition_of_basis(seed):
             if set(turning_points(w)) <= set(s)
         )
         assert len(bases[k]) == expected
+
+
+@pytest.mark.parametrize("spec", ["path:5", "star:5", "random-tree:9:2"])
+def test_turning_point_tally_gives_basis_dimensions(spec):
+    # a walk with m turning points carries one degree-(n+2) cell per set of
+    # n+1 marked positions out of l-1 that holds all m of them, so with N_m
+    # the number of walks with m turning points,
+    # dim MC_{n+2,l}(a, b) = sum over m of N_m * C(l-1-m, n+1-m)
+    g = generate(spec)
+    for a, b, l in itertools.product(g.vertices, g.vertices, range(2, 9)):
+        key = ComponentKey(a, b, l)
+        tally = Counter(len(turning_points(w)) for w in decompose_tree_component(g, key))
+        bases = enumerate_basis(g, key, l)
+        for n in range(l - 1):
+            expected = sum(count * math.comb(l - 1 - m, n + 1 - m) for m, count in tally.items() if m <= n + 1)
+            assert len(bases[n + 2]) == expected, (key, n)
 
 
 # --- closed form and per-pair homology ----------------------------------------------------
