@@ -15,8 +15,9 @@ homology, one Z in degree k = l; the m = 0 walk is the geodesic, whose Z in
 degree 2 reduced H_0 drops.  Summing over all walks: MH_{k,l} of a tree is
 Z^(2 * number of edges) when k = l and zero otherwise (k >= 1), since the
 walks with m = l-1 are exactly the alternating walks along one edge.
-Since only m decides a summand's type, the route counts each walk's turning
-points without listing them and classifies each count that occurs once.
+Only those walks carry homology, so the route keeps the walks that turn at
+every interior position and classifies one of them: a component's sphere
+count is its number of kept walks.
 
 A tree is bipartite, so every walk from a to b has d(a, b) steps plus an
 even number: a pair whose distance differs from l in parity has no walk of
@@ -25,7 +26,6 @@ l steps, and none is listed for it.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import compress
 from operator import eq
 
@@ -40,18 +40,14 @@ def _require_tree(g):
         raise GraphError("method tree needs a tree input")
 
 
-def _steps_back(walk):
-    """Per interior position i of a walk, whether x_{i-1} = x_{i+1}.
+def turning_points(walk):
+    """Positions where a walk on a tree steps straight back.
 
-    On a tree that is exactly when d(x_{i-1}, x_{i+1}) is strictly below
+    Those are the interior positions i with x_{i-1} = x_{i+1}.  On a tree
+    that is exactly when d(x_{i-1}, x_{i+1}) is strictly below
     d(x_{i-1}, x_i) + d(x_i, x_{i+1}), the turning-point condition.
     """
-    return map(eq, walk, walk[2:])
-
-
-def turning_points(walk):
-    """Positions where a walk on a tree steps straight back."""
-    return tuple(compress(range(1, len(walk) - 1), _steps_back(walk)))
+    return tuple(compress(range(1, len(walk) - 1), map(eq, walk, walk[2:])))
 
 
 def decompose_tree_component(g, key):
@@ -122,10 +118,12 @@ def tree_homology_by_pair(g, key, kmax=None):
     """MH_{k,l}(a, b) on a tree for 0 <= k <= kmax via the decomposition.
 
     Degrees k >= 2 count the sphere-type walk summands (each contributes one
-    Z at k = l): the walks are tallied by their number of turning points,
-    and ``classify_delta`` runs once per count that occurs, on one walk with
-    that count.  Degrees 0 and 1 sit outside the decomposition's range and
-    are delegated to the direct route.  Requires a tree (GraphError otherwise).
+    Z at k = l).  Only a walk that turns at every interior position can be
+    one: ``walk[:-2] == walk[2:]`` says x_{i-1} = x_{i+1} for each interior
+    i, so m = l-1.  Those walks are kept, and ``classify_delta`` runs once,
+    on the first of them; at l <= 1 that walk has no interior and classifies
+    as empty.  Degrees 0 and 1 sit outside the decomposition's range and are
+    delegated to the direct route.  Requires a tree (GraphError otherwise).
     """
     _require_tree(g)
     if kmax is None:
@@ -133,14 +131,11 @@ def tree_homology_by_pair(g, key, kmax=None):
     out = magnitude_homology_direct(g, key, kmax=min(kmax, 1))
     if kmax < 2:
         return out
-    walks = decompose_tree_component(g, key)
-    counts = [sum(_steps_back(walk)) for walk in walks]
-    example = dict(zip(counts, walks))
-    spheres = sum(
-        n
-        for m, n in Counter(counts).items()
-        if classify_delta(turning_points(example[m]), key.l) == "sphere"
-    )
+    turning = [walk for walk in decompose_tree_component(g, key) if walk[:-2] == walk[2:]]
+    if turning and classify_delta(turning_points(turning[0]), key.l) == "sphere":
+        spheres = len(turning)
+    else:
+        spheres = 0
     for k in range(2, kmax + 1):
         if k == key.l and spheres:
             out.append(HomologyGroup(spheres, ()))

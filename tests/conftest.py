@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from maghom import generate
@@ -49,3 +51,23 @@ def rp2_complex():
 def hemi():
     # 15 vertices and 31 edges; MH_{3,4}(bottom, top) = Z/2
     return face_poset_graph(HEMI_OCTAHEDRON_CELLS)
+
+
+def simplicial_cells(faces):
+    """Every simplex spanned by the given faces, as a cell with its facets."""
+    simplices = sorted(
+        {s for f in faces for n in range(1, len(f) + 1) for s in itertools.combinations(sorted(f), n)},
+        key=lambda s: (len(s), s),
+    )
+
+    def name(s):
+        return ".".join(map(str, s))
+
+    return {name(s): tuple(name(t) for t in itertools.combinations(s, len(s) - 1)) if len(s) > 1 else ()
+            for s in simplices}
+
+
+@pytest.fixture(scope="session")
+def rp2_graph():
+    # 6 vertices, 15 edges and 10 triangles, with bottom and top
+    return face_poset_graph(simplicial_cells(PROJECTIVE_PLANE_FACES))

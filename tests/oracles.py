@@ -287,6 +287,46 @@ def betti_via_rank_oracle(complex_, n: int) -> int:
     return dim - rank_over_q(complex_.boundary(n)) - rank_over_q(complex_.boundary(n + 1))
 
 
+def geodesic_interval_betti(g: Graph, a: str, b: str) -> tuple[dict, dict]:
+    """Reduced Betti numbers of the order complex of the open interval (a, b).
+
+    The interval holds the vertices other than a and b on a geodesic from a
+    to b, with x <= y when d(a, x) + d(x, y) + d(y, b) = d(a, b).  Its
+    chains x_1 < ... < x_r are the (r-1)-simplices, and the empty chain is
+    the one cell of degree -1, so an empty interval (d(a, b) = 1) has
+    reduced H_{-1} of rank 1.  Returns ({n: Betti number over Q},
+    {n: Betti number over GF(2)}) for n = -1 .. d(a, b) - 2, from
+    ``rank_over_q`` and ``rank_over_gf2`` of the boundaries (the face
+    without x_i has sign (-1)^i).  When d(a, b) = l >= 1 these are the ranks
+    of MH_{n+2,l}(a, b) (Kaneta-Yoshinaga, arXiv:1803.04247).
+    """
+    d = metric(g)
+    l = d[a][b]
+    inside = [x for x in g.vertices if x not in (a, b) and d[a][x] + d[x][b] == l]
+    # a chain lists its elements in order, each one strictly further from a
+    chains = [[()]]
+    while chains[-1]:
+        chains.append([
+            c + (y,)
+            for c in chains[-1]
+            for y in inside
+            if not c or (c[-1] != y and d[a][c[-1]] + d[c[-1]][y] + d[y][b] == l)
+        ])
+    # chains[l] is empty: a chain has at most one element per distance from a
+    boundaries = []
+    for faces, cells in zip(chains, chains[1:]):
+        rows = {face: i for i, face in enumerate(faces)}
+        columns = [{rows[c[:i] + c[i + 1:]]: (-1) ** i for i in range(len(c))} for c in cells]
+        boundaries.append(IntegerMatrix(len(faces), len(cells), columns))
+    rational, mod2 = {}, {}
+    for betti, rank in ((rational, rank_over_q), (mod2, rank_over_gf2)):
+        # ranks[r] is the rank of the boundary out of the chains of r elements
+        ranks = [0] + [rank(m) for m in boundaries]
+        for r in range(l):
+            betti[r - 1] = len(chains[r]) - ranks[r] - ranks[r + 1]
+    return rational, mod2
+
+
 def random_int_matrix(rng: random.Random, max_dim: int = 5, max_entry: int = 9) -> IntegerMatrix:
     rows = rng.randint(1, max_dim)
     cols = rng.randint(1, max_dim)

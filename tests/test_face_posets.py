@@ -7,13 +7,11 @@ torsion-free; these check that a torsion class survives each route, the
 orbit copies, the table and the structured output.
 """
 
-import itertools
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import PROJECTIVE_PLANE_FACES
 from maghom import (
     ComponentKey,
     HomologyGroup,
@@ -25,29 +23,9 @@ from maghom import (
 )
 from maghom.cli import main
 from maghom.homology import ZERO_GROUP, direct_sum
-from oracles import cartesian_product, face_poset_graph
+from oracles import cartesian_product
 
 RP2_AT_4 = [ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, HomologyGroup(0, (2,)), ZERO_GROUP]
-
-
-def simplicial_cells(faces):
-    """Every simplex spanned by the given faces, as a cell with its facets."""
-    simplices = sorted(
-        {s for f in faces for n in range(1, len(f) + 1) for s in itertools.combinations(sorted(f), n)},
-        key=lambda s: (len(s), s),
-    )
-
-    def name(s):
-        return ".".join(map(str, s))
-
-    return {name(s): tuple(name(t) for t in itertools.combinations(s, len(s) - 1)) if len(s) > 1 else ()
-            for s in simplices}
-
-
-@pytest.fixture(scope="module")
-def rp2_graph():
-    # 6 vertices, 15 edges and 10 triangles, with bottom and top
-    return face_poset_graph(simplicial_cells(PROJECTIVE_PLANE_FACES))
 
 
 def test_face_poset_graph_sizes(hemi, rp2_graph):

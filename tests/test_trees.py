@@ -219,11 +219,29 @@ def test_turning_point_tally_gives_basis_dimensions(spec):
     g = generate(spec)
     for a, b, l in itertools.product(g.vertices, g.vertices, range(2, 9)):
         key = ComponentKey(a, b, l)
-        tally = Counter(len(turning_points(w)) for w in decompose_tree_component(g, key))
+        walks = decompose_tree_component(g, key)
+        tally = Counter(len(turning_points(w)) for w in walks)
+        for walk in walks:
+            # the route's slice rule: every interior position turns
+            assert (walk[:-2] == walk[2:]) == (len(turning_points(walk)) == l - 1), walk
         bases = enumerate_basis(g, key, l)
         for n in range(l - 1):
             expected = sum(count * math.comb(l - 1 - m, n + 1 - m) for m, count in tally.items() if m <= n + 1)
             assert len(bases[n + 2]) == expected, (key, n)
+
+
+def test_tree_route_classifies_once_per_sphere_component(monkeypatch):
+    # only the walks that turn at every interior position are classified,
+    # and only the first of them: one call per component that has any
+    calls = []
+
+    def counting(phi, l):
+        calls.append(len(phi))
+        return classify_delta(phi, l)
+
+    monkeypatch.setattr("maghom.trees.classify_delta", counting)
+    build_table(generate("random-tree:14:1"), 9, method="tree")
+    assert calls == [8] * 9
 
 
 # --- closed form and per-pair homology ----------------------------------------------------
