@@ -1,15 +1,15 @@
-"""Exact integer linear algebra and homology groups.
+"""Exact integer linear algebra, chain complexes and their homology groups.
 
 Everything here works over arbitrary-precision Python integers.  Matrices
-are sparse columns.  ``homology_all`` first pairs off the unit incidences
-of the whole complex, the elementary reductions of Kaczynski, Mrozek and
-Slusarek (1998), which split off acyclic pieces without changing any
-invariant factor; magnitude complexes are almost entirely acyclic, so
-little is left.  Smith normal form then runs on what is left of each
-boundary: the same unit pairing on that one matrix, then a short pivot
-loop on least entries for whatever is left.  The invariant factors drive
-betti numbers and torsion; the test suite cross-checks them against gcds
-of minors and fraction-free elimination, which share no code with either
+are sparse columns, and every route hands its ``IntegerChainComplex`` to
+``homology_all``.  That first pairs off the unit incidences of the whole
+complex, the elementary reductions of Kaczynski, Mrozek and Slusarek
+(1998), which split off acyclic pieces without changing any invariant
+factor; magnitude complexes are almost entirely acyclic, so little is
+left.  Smith normal form then runs on what is left of each boundary: a
+short pivot loop on least entries.  The invariant factors drive betti
+numbers and torsion; the test suite cross-checks them against gcds of
+minors and fraction-free elimination, which share no code with either
 step.
 """
 
@@ -65,25 +65,23 @@ def smith_normal_form(a):
     """The invariant factors d_1 | d_2 | ... | d_r of an integer matrix.
 
     Only the positive diagonal entries of the Smith normal form are
-    returned, so their count is the rank.  Unit entries are paired off
-    first (see ``_pair_units``), each adding a factor 1.  On what is left,
-    each pass takes an entry p of least absolute value, at (r, c), from the
-    shortest column holding one, ties going to the earlier column, and
-    clears row r from the other columns by column operations; a nonzero
-    remainder there is smaller than |p| and the next pass takes it.  Once
-    row r meets column c alone, a row operation changes c only, so c's
-    other entries are reduced mod p in place; when c holds p alone, |p| is
-    recorded and c is dropped.  A pass either drops a column or leaves an
-    entry smaller than |p|, so the loop ends.  The input is not modified.
+    returned, so their count is the rank.  Each pass takes an entry p of
+    least absolute value, at (r, c), from the shortest column holding one,
+    ties going to the earlier column, and clears row r from the other
+    columns by column operations; a nonzero remainder there is smaller than
+    |p| and the next pass takes it.  Once row r meets column c alone, a row
+    operation changes c only, so c's other entries are reduced mod p in
+    place; when c holds p alone, |p| is recorded and c is dropped.  A pass
+    either drops a column or leaves an entry smaller than |p|, so the loop
+    ends.  The input is not modified.
 
     >>> smith_normal_form(IntegerMatrix(2, 2, [{0: 2}, {0: 4, 1: 6}]))
     (2, 6)
     """
     if not any(a.columns):
         return ()  # what every route hands it
-    (units,), (rest,) = _pair_units([a])
-    columns = [dict(column) for column in rest.columns if column]
-    diagonal = [1] * units
+    columns = [dict(column) for column in a.columns if column]
+    diagonal = []
     while columns:
         least = min(min(map(abs, column.values())) for column in columns)
         pivot = min((column for column in columns if least in map(abs, column.values())), key=len)
@@ -185,6 +183,54 @@ def direct_sum(groups):
 # -- homology of chain complexes ---------------------------------------------
 
 
+class IntegerChainComplex:
+    """A nonnegatively graded chain complex of free Z-modules.
+
+    ``bases[n]`` lists the degree-n basis labels; ``boundaries[n]`` is the
+    matrix of d_n : C_n -> C_{n-1} (a 0 x dim_0 matrix at degree 0).  Degrees
+    beyond the stored top are zero.
+    """
+
+    __slots__ = ("bases", "boundaries")
+
+    def __init__(self, bases, boundaries):
+        self.bases = [list(b) for b in bases]
+        self.boundaries = list(boundaries)
+        if len(self.bases) != len(self.boundaries):
+            raise ValueError("need one boundary matrix per degree")
+        for n, mat in enumerate(self.boundaries):
+            expect_rows = len(self.bases[n - 1]) if n > 0 else 0
+            if mat.rows != expect_rows or mat.cols != len(self.bases[n]):
+                raise ValueError(
+                    f"boundary {n} has shape {mat.rows}x{mat.cols}, "
+                    f"expected {expect_rows}x{len(self.bases[n])}"
+                )
+
+    @property
+    def top_degree(self):
+        return len(self.bases) - 1
+
+    def dim(self, n):
+        if 0 <= n <= self.top_degree:
+            return len(self.bases[n])
+        return 0
+
+    def basis(self, n):
+        if 0 <= n <= self.top_degree:
+            return list(self.bases[n])
+        return []
+
+    def boundary(self, n):
+        """The matrix of d_n, a correctly shaped zero matrix beyond the top."""
+        if 0 <= n <= self.top_degree:
+            return self.boundaries[n]
+        return IntegerMatrix(self.dim(n - 1), self.dim(n))
+
+    def __repr__(self):
+        dims = [self.dim(n) for n in range(self.top_degree + 1)]
+        return f"IntegerChainComplex(dims {dims})"
+
+
 def homology_all(complex_, up_to):
     """Integral homology in degrees 0..up_to.
 
@@ -217,20 +263,19 @@ def homology_all(complex_, up_to):
 def _pair_units(boundaries):
     """Pair off the unit incidences of d_1..d_hi; the pair counts and remainders.
 
-    ``boundaries`` lists d_1..d_hi of a complex, or one matrix alone.  One
-    pass runs from degree hi down to 0; ``taken[k]`` holds the cells of C_k
-    that a pair took.  Each column c of d_k not yet taken and holding a +-1
-    is paired with the row r of its unit entries that has the fewest
-    entries; column operations clear r from the other columns of d_k, which
-    changes the basis of C_k only in c's coordinate.  Then c leaves d_k and
-    leaves d_{k+1} as a row, and r leaves d_k and leaves d_{k-1} as a
-    column: since d o d = 0, both lines are zero in the new bases, so the
-    complex splits off the acyclic piece c -> r and the invariant factors of
-    the rest do not change.  On one matrix alone, a pair is a unit pivot.
-    Once d_k is paired, C_k and C_{k+1} are settled, so what is left of
-    d_{k+1} on the cells no pair took is built then, rows in order with
-    those holding entries first, and its working copy dropped.  A boundary
-    with no entry is neither copied nor indexed.
+    ``boundaries`` lists d_1..d_hi of a complex.  One pass runs from degree
+    hi down to 0; ``taken[k]`` holds the cells of C_k that a pair took.
+    Each column c of d_k not yet taken and holding a +-1 is paired with the
+    row r of its unit entries that has the fewest entries; column
+    operations clear r from the other columns of d_k, which changes the
+    basis of C_k only in c's coordinate.  Then c leaves d_k and leaves
+    d_{k+1} as a row, and r leaves d_k and leaves d_{k-1} as a column:
+    since d o d = 0, both lines are zero in the new bases, so the complex
+    splits off the acyclic piece c -> r and the invariant factors of the
+    rest do not change.  Once d_k is paired, C_k and C_{k+1} are settled, so
+    what is left of d_{k+1} on the cells no pair took is built then, rows
+    in order with those holding entries first, and its working copy
+    dropped.  A boundary with no entry is neither copied nor indexed.
     """
     hi = len(boundaries)
     taken = [set() for _ in range(hi + 1)]

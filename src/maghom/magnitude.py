@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .homology import IntegerMatrix, homology_all
-from .simplicial import IntegerChainComplex
+from .homology import IntegerChainComplex, IntegerMatrix, homology_all
 
 
 class ComponentKey(NamedTuple):

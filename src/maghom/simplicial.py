@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .homology import IntegerMatrix
+from .homology import IntegerChainComplex, IntegerMatrix
 
 
 def _normal_form(labels, simplices):
@@ -104,53 +104,6 @@ class SimplicialComplex:
 
     def __repr__(self):
         return f"SimplicialComplex(dim {self.dim}, {sum(map(len, self._by_dim))} simplices)"
-
-class IntegerChainComplex:
-    """A nonnegatively graded chain complex of free Z-modules.
-
-    ``bases[n]`` lists the degree-n basis labels; ``boundaries[n]`` is the
-    matrix of d_n : C_n -> C_{n-1} (a 0 x dim_0 matrix at degree 0).  Degrees
-    beyond the stored top are zero.
-    """
-
-    __slots__ = ("bases", "boundaries")
-
-    def __init__(self, bases, boundaries):
-        self.bases = [list(b) for b in bases]
-        self.boundaries = list(boundaries)
-        if len(self.bases) != len(self.boundaries):
-            raise ValueError("need one boundary matrix per degree")
-        for n, mat in enumerate(self.boundaries):
-            expect_rows = len(self.bases[n - 1]) if n > 0 else 0
-            if mat.rows != expect_rows or mat.cols != len(self.bases[n]):
-                raise ValueError(
-                    f"boundary {n} has shape {mat.rows}x{mat.cols}, "
-                    f"expected {expect_rows}x{len(self.bases[n])}"
-                )
-
-    @property
-    def top_degree(self):
-        return len(self.bases) - 1
-
-    def dim(self, n):
-        if 0 <= n <= self.top_degree:
-            return len(self.bases[n])
-        return 0
-
-    def basis(self, n):
-        if 0 <= n <= self.top_degree:
-            return list(self.bases[n])
-        return []
-
-    def boundary(self, n):
-        """The matrix of d_n, a correctly shaped zero matrix beyond the top."""
-        if 0 <= n <= self.top_degree:
-            return self.boundaries[n]
-        return IntegerMatrix(self.dim(n - 1), self.dim(n))
-
-    def __repr__(self):
-        dims = [self.dim(n) for n in range(self.top_degree + 1)]
-        return f"IntegerChainComplex(dims {dims})"
 
 
 def _boundary_matrix(basis_prev, basis_cur):

@@ -25,13 +25,15 @@ from maghom import (
     sq2_pair_types,
     tree_magnitude_closed_form,
 )
-from maghom.homology import IntegerMatrix, ZERO_GROUP, homology_all, smith_normal_form
-from maghom.magnitude import magnitude_chain_complex
-from maghom.simplicial import (
+from maghom.homology import (
     IntegerChainComplex,
-    SimplicialComplex,
-    relative_chain_complex,
+    IntegerMatrix,
+    ZERO_GROUP,
+    homology_all,
+    smith_normal_form,
 )
+from maghom.magnitude import magnitude_chain_complex
+from maghom.simplicial import SimplicialComplex, relative_chain_complex
 from oracles import (
     assert_boundary_squares_to_zero,
     chain_complex,

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 import maghom.homology as homology_module
 from maghom import HomologyGroup, build_table, cross_validate, generate
 from maghom.homology import (
+    IntegerChainComplex,
     IntegerMatrix,
     ZERO_GROUP,
     direct_sum,
     homology_all,
     smith_normal_form,
 )
-from maghom.simplicial import IntegerChainComplex, SimplicialComplex
+from maghom.simplicial import SimplicialComplex
 from oracles import (
     assert_boundary_squares_to_zero,
     betti_via_rank_oracle,
@@ -76,30 +77,31 @@ def test_snf_worked_example():
         # the pivot 2 meets its column alone at once, and reducing the column
         # mod 2 leaves 1 in row 1, a remainder in the pivot column
         ([[2], [3]], (1,)),
-        # no unit entry, so unit pairing takes nothing; each pass ends with
-        # its pivot alone in its row and column, with no remainder
+        # no unit entry; each pass ends with its pivot alone in its row and
+        # column, with no remainder
         ([[2, 4], [6, 8]], (2, 4)),
         # a negative least entry: 6 // -3 clears row 0 exactly, and 9 mod -3
         # is zero
         ([[-3, 6], [9, 3]], (3, 21)),
-        # column 1's units are in rows 0 and 1; unit pairing takes row 1,
-        # which holds fewer entries, and the loop sees the 2 alone
+        # column 1 holds units in rows 0 and 1, and the loop pivots on the
+        # first; clearing row 0 from column 0 moves its 2 into row 1, where
+        # the next pass takes it alone
         ([[2, 1], [0, -1]], (1, 2)),
         # the least entry 4 ties in both columns and column 0 is first;
         # 6 // 4 leaves 2 in row 0 of column 1, a smaller pivot that takes
         # the next pass and clears row 0 from column 0 exactly
         ([[4, 6], [6, 4]], (2, 10)),
-        # unit pairing takes row 0 with column 0 and clears it from column 1,
-        # filling in -2 in row 1; the loop reduces column 1's 3 mod -2, and
-        # the remainder -1 pivots the next pass; column 2 is zero, so the
-        # rank is 2
+        # the 1 in row 0 ties in columns 0 and 1 and column 0 pivots;
+        # clearing row 0 from column 1 fills in -2 in row 1; the next pass
+        # reduces column 1's 3 mod -2, and the remainder -1 pivots the pass
+        # after; column 2 is zero, so the rank is 2
         ([[1, 1, 0], [2, 0, 0], [0, 3, 0]], (1, 1)),
         # reducing column 0 mod its pivot 2 cancels row 1's 4 and leaves 1 in
         # row 2, which pivots the next pass in the same column
         ([[2, 0], [4, 5], [3, 0]], (1, 5)),
-        # unit pairing takes all three units: the first two fill 2 into row 2
-        # of column 2 and the third turns it into -4, so the one entry the
-        # loop sees comes from fill-in alone
+        # the first three passes pivot on units: the first two fill 2 into
+        # row 2 of column 2 and the third turns it into -4, so the last
+        # pivot comes from fill-in alone
         ([[1, 1, 0, 0], [0, 1, 1, 0], [2, 0, 0, 2], [0, 0, 3, 1]], (1, 1, 1, 4)),
     ]:
         a = matrix_from_lists(rows)
@@ -119,6 +121,17 @@ def test_snf_edge_shapes():
     assert smith_normal_form(IntegerMatrix(3, 2)) == ()
     assert smith_normal_form(IntegerMatrix(0, 4)) == ()
     assert smith_normal_form(_identity(3)) == (1, 1, 1)
+    # unimodular inputs: every invariant factor is 1, and the count is the
+    # rank
+    rng = random.Random(29)
+    a = matrix_from_lists(unimodular_matrix(rng, 5))
+    assert smith_normal_form(a) == (1,) * 5 == invariant_factors_by_minors(a)
+    rows = list(range(40))
+    rng.shuffle(rows)
+    signed_permutation = IntegerMatrix(40, 40, [{i: rng.choice((-1, 1))} for i in rows])
+    unimodular = matrix_from_lists(unimodular_matrix(rng, 12))
+    for a, n in [(signed_permutation, 40), (unimodular, 12)]:
+        assert smith_normal_form(a) == (1,) * n and rank_over_q(a) == n
     assert smith_normal_form(matrix_from_lists([[-6]])) == (6,)
     a = matrix_from_lists([[1, 1], [0, 0], [1, 1]])  # a zero row
     assert smith_normal_form(a) == (1,) == invariant_factors_by_minors(a)
@@ -150,8 +163,8 @@ def test_snf_properties(seed):
 def test_snf_on_sparse_boundary_like_matrices(seed, rows, cols):
     # few entries per column, as in magnitude boundaries (whose entries are
     # +-1), with +-2 mixed in so that torsion can occur; or entries from
-    # +-2 and +-3 alone, so that unit pairing takes nothing and the pivot
-    # loop does all the work
+    # +-2 and +-3 alone, so that no entry is a unit until elimination
+    # makes one
     rng = random.Random(seed)
     density = rng.choice((0.03, 0.08, 0.2))
     values = rng.choice(((-2, -1, 1, 2), (-3, -2, 2, 3)))

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from maghom import (
     random_connected_graph,
     render_table,
 )
+import maghom.homology as homology_module
 import maghom.magnitude as magnitude_module
 from maghom.homology import ZERO_GROUP, direct_sum
 from maghom.magnitude import enumerate_basis, magnitude_chain_complex
@@ -362,3 +365,26 @@ def test_totals_are_direct_sums_over_blocks():
                 assert totals[k] == direct_sum(part[k] for part in sums), (g, l, k)
     # some draws glue three or more blocks at one vertex
     assert kept >= 20 and shared >= 3, (kept, shared)
+
+
+# --- layering ------------------------------------------------------------------
+
+
+def _package_imports(module):
+    """The maghom modules that a module's source imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import names a module of the package, or the package
+            prefix = "maghom." if node.level else ""
+            found.add(prefix + node.module if node.module else "maghom")
+    return {name for name in found if name.split(".")[0] == "maghom"}
+
+
+def test_the_direct_route_depends_on_the_reduction_module_alone():
+    # the reduction engine and its complex type sit below every route, and
+    # the direct route, which checks the others, builds on nothing else
+    assert _package_imports(homology_module) == set()
+    assert _package_imports(magnitude_module) == {"maghom.homology"}

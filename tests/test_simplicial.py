@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghom import HomologyGroup
-from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
+from maghom.homology import ZERO_GROUP, IntegerChainComplex, IntegerMatrix, homology_all
 from maghom.simplicial import (
-    IntegerChainComplex,
     SimplicialComplex,
     complex_to_dict,
     complex_to_off,
