@@ -23,18 +23,16 @@ d(a, b) = l (the subcomplex is then empty).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
 
 from .graphs import InternalCheckError, enumerate_walks, refuse_long
-from .homology import HomologyGroup, homology_all
+from .homology import HomologyGroup, _FrozenValue, _Value, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
 from .simplicial import relative_chain_complex
 
 
-@dataclass(frozen=True)
-class KPair:
+class KPair(_FrozenValue):
     """The pair (K_l(a,b), K'_l(a,b)) of one component key, as simplex sets.
 
     ``cells`` is K \\ K', the simplices that carry relative chains, and
@@ -44,10 +42,11 @@ class KPair:
     universe in canonical order.
     """
 
-    key: ComponentKey
-    labels: tuple
-    interiors: tuple
-    cells: frozenset
+    def __init__(self, key, labels, interiors, cells):
+        self.__dict__.update(key=key, labels=labels, interiors=interiors, cells=cells)
+
+    def _fields(self):
+        return (self.key, self.labels, self.interiors, self.cells)
 
     @cached_property
     def total(self):
@@ -240,12 +239,14 @@ def magnitude_homology_geometric(g, key, kmax=None):
 # -- cross-validation ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    key: ComponentKey
-    k: int
-    direct: object
-    geometric: object
+class Mismatch(_FrozenValue):
+    """The first disagreement of a cross-validation: both groups in degree k."""
+
+    def __init__(self, key, k, direct, geometric):
+        self.__dict__.update(key=key, k=k, direct=direct, geometric=geometric)
+
+    def _fields(self):
+        return (self.key, self.k, self.direct, self.geometric)
 
     def describe(self):
         return (
@@ -254,12 +255,17 @@ class Mismatch:
         )
 
 
-@dataclass
-class CrossValidationReport:
-    l: int
-    pairs_checked: int = 0
-    chain_checks: int = 0
-    mismatch: Mismatch | None = None
+class CrossValidationReport(_Value):
+    """What ``cross_validate`` checked at one l, and its first mismatch."""
+
+    def __init__(self, l, pairs_checked=0, chain_checks=0, mismatch=None):
+        self.l = l
+        self.pairs_checked = pairs_checked
+        self.chain_checks = chain_checks
+        self.mismatch = mismatch
+
+    def _fields(self):
+        return (self.l, self.pairs_checked, self.chain_checks, self.mismatch)
 
     @property
     def ok(self):

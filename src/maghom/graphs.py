@@ -9,7 +9,6 @@ package deterministic for a given input.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import sys
@@ -138,6 +137,10 @@ def parse_graph(text):
 
 
 def _parse_structured(text):
+    # json is imported where JSON is read or written, not by the package:
+    # its import compiles regexes that no compute or check command needs
+    import json
+
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

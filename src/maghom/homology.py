@@ -15,7 +15,6 @@ step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -125,8 +124,32 @@ def _divisibility_chain(diagonal):
 # -- finitely generated abelian groups --------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class _Value:
+    """A record compared by value: two instances of one class are equal when
+    their ``_fields()`` tuples are.  Defining ``__eq__`` alone leaves the
+    class unhashable, as a mutable record should be."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+
+class _FrozenValue(_Value):
+    """An immutable record: its fields are set once, by ``__init__`` through
+    ``__dict__``, and it hashes by ``_fields()``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class HomologyGroup(_FrozenValue):
     """A finitely generated abelian group Z^betti + sum of Z/d_i.
 
     Torsion is kept in invariant-factor form: each entry exceeds 1 and
@@ -136,17 +159,21 @@ class HomologyGroup:
     'Z^2 + Z/2 + Z/4'
     """
 
-    betti: int
-    torsion: tuple = ()
-
-    def __post_init__(self):
-        if self.betti < 0:
+    def __init__(self, betti, torsion=()):
+        if betti < 0:
             raise ValueError("negative betti number")
-        for i, d in enumerate(self.torsion):
+        for i, d in enumerate(torsion):
             if d <= 1:
                 raise ValueError("torsion entries must exceed 1")
-            if i and d % self.torsion[i - 1]:
+            if i and d % torsion[i - 1]:
                 raise ValueError("torsion entries must form a divisibility chain")
+        self.__dict__.update(betti=betti, torsion=torsion)
+
+    def _fields(self):
+        return (self.betti, self.torsion)
+
+    def __repr__(self):
+        return f"HomologyGroup(betti={self.betti!r}, torsion={self.torsion!r})"
 
     def describe(self):
         parts = []

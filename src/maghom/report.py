@@ -8,20 +8,16 @@ reruns are byte-identical.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 from .geometric import magnitude_homology_geometric
 from .graphs import GraphError, InternalCheckError, pair_orbits, refuse_long
-from .homology import direct_sum
+from .homology import _Value, direct_sum
 from .magnitude import ComponentKey, magnitude_homology_direct
 from .trees import tree_homology_by_pair, tree_magnitude_closed_form
 
 FORMAT_VERSION = 1
 
 
-@dataclass
-class MagnitudeTable:
+class MagnitudeTable(_Value):
     """Magnitude homology of one graph at one length, all ordered pairs.
 
     ``pair_groups`` maps each pair, in row-major order, to its groups in
@@ -29,12 +25,17 @@ class MagnitudeTable:
     label, in first-appearance order, to the direct sums over its pairs.
     """
 
-    graph_spec: str
-    l: int
-    kmax: int
-    method: str
-    pair_groups: dict = field(default_factory=dict)
-    type_groups: dict | None = None
+    def __init__(self, graph_spec, l, kmax, method, pair_groups=None, type_groups=None):
+        self.graph_spec = graph_spec
+        self.l = l
+        self.kmax = kmax
+        self.method = method
+        self.pair_groups = {} if pair_groups is None else pair_groups
+        self.type_groups = type_groups
+
+    def _fields(self):
+        return (self.graph_spec, self.l, self.kmax, self.method,
+                self.pair_groups, self.type_groups)
 
     def totals(self):
         """Componentwise direct sum over all pairs, one group per degree."""
@@ -217,6 +218,8 @@ def report_document(tables, graph_spec, g, method):
 
 def dump_json(doc):
     """Deterministic JSON serialization (stable key order, trailing newline)."""
+    import json
+
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -227,6 +230,8 @@ def parse_pair_labeling(text, g):
     and each pair named once (GraphError otherwise); returns a dict keyed by
     (a, b) tuples preserving file order.
     """
+    import json
+
     try:
         # objects as tuples of (key, value) in file order, so that a repeated
         # key is kept and seen; arrays stay lists

@@ -759,6 +759,34 @@ def test_help_lists_commands(runner):
         assert cmd in r.output
 
 
+def test_import_and_compute_load_no_dataclasses_or_json():
+    # every command runs in a fresh interpreter, so what importing maghom
+    # loads is paid by every command; the snapshot is taken after click, so
+    # that a click release loading either module does not fail this test
+    code = (
+        "import sys\n"
+        "import click\n"
+        "before = set(sys.modules)\n"
+        "import maghom.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'dataclasses', 'json'}))\n"
+        "maghom.cli.main.main(args=['compute', '--graph', 'cycle:4', '--l', '3'],\n"
+        "                     prog_name='maghom', standalone_mode=False)\n"
+        "print('json' in sys.modules and 'json' not in before)\n"
+    )
+    src = str(Path(maghom.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1].startswith("magnitude homology  graph=cycle:4  l=3")
+    assert lines[-1] == "False"
+
+
 # --- benchmark tracer ---------------------------------------------------------
 
 

@@ -21,6 +21,8 @@ from maghom import (
     tree_homology_by_pair,
 )
 from maghom.geometric import (
+    CrossValidationReport,
+    Mismatch,
     chain_map_t,
     interior_length,
     interior_tuple,
@@ -69,6 +71,20 @@ def test_k_pair_sq2_diagonal(sq2):
     for pos, v in total.labels:
         assert 1 <= pos <= 3
         assert v in sq2.vertices
+
+
+def test_k_pair_is_an_immutable_value(sq2):
+    kp = build_k_pair(sq2, ComponentKey("a", "d", 4))
+    same = build_k_pair(sq2, ComponentKey("a", "d", 4))
+    assert kp == same and hash(kp) == hash(same) and len({kp, same}) == 1
+    assert kp != build_k_pair(sq2, ComponentKey("a", "d", 3))
+    with pytest.raises(AttributeError):
+        kp.cells = frozenset()
+    # K is built once, on first read, and kept
+    assert kp.total is kp.total
+    assert kp == same  # a cached K takes no part in equality
+    copy = KPair(key=kp.key, labels=kp.labels, interiors=kp.interiors, cells=kp.cells)
+    assert copy == kp and copy.total == kp.total
 
 
 def test_k_pair_endpoint_distance_equal_length():
@@ -473,6 +489,25 @@ def test_cross_validate_reports_mismatch(sq2, monkeypatch):
     assert (mism.key.a, mism.key.b) == ("a", "a")
     assert mism.geometric != mism.direct
     assert "MISMATCH" in report.describe()
+
+
+def test_mismatch_and_report_values():
+    key = ComponentKey("x", "y", 3)
+    mism = Mismatch(key=key, k=2, direct=HomologyGroup(1), geometric=ZERO_GROUP)
+    assert mism == Mismatch(key, 2, HomologyGroup(1), ZERO_GROUP)
+    assert hash(mism) == hash(Mismatch(key, 2, HomologyGroup(1), ZERO_GROUP))
+    assert mism != Mismatch(key, 3, HomologyGroup(1), ZERO_GROUP)
+    with pytest.raises(AttributeError):
+        mism.k = 3
+    report = CrossValidationReport(l=3, pairs_checked=1, chain_checks=0, mismatch=mism)
+    assert report == CrossValidationReport(3, 1, 0, mism) and not report.ok
+    assert CrossValidationReport(l=3) == CrossValidationReport(3, 0, 0, None)
+    assert CrossValidationReport(l=3).ok
+    report.chain_checks += 1
+    report.mismatch = None
+    assert report.ok and report == CrossValidationReport(3, 1, 1)
+    with pytest.raises(TypeError):
+        hash(report)
 
 
 @settings(max_examples=20, deadline=None)

@@ -251,6 +251,22 @@ def test_homology_group_describe():
     assert HomologyGroup(3).short() == "3"
 
 
+def test_homology_group_is_an_immutable_value():
+    g = HomologyGroup(betti=2, torsion=(2, 4))
+    assert g == HomologyGroup(2, (2, 4)) and g != HomologyGroup(2, (4,))
+    assert g != (2, (2, 4))
+    assert hash(g) == hash(HomologyGroup(2, (2, 4)))
+    assert {g, HomologyGroup(2, (2, 4)), ZERO_GROUP} == {g, HomologyGroup(0)}
+    assert HomologyGroup(3) in {HomologyGroup(betti=3)}
+    with pytest.raises(AttributeError):
+        g.betti = 3
+    with pytest.raises(AttributeError):
+        del g.torsion
+    assert (g.betti, g.torsion) == (2, (2, 4))
+    assert repr(g) == "HomologyGroup(betti=2, torsion=(2, 4))"
+    assert repr(ZERO_GROUP) == "HomologyGroup(betti=0, torsion=())"
+
+
 def test_direct_sum_renormalizes_torsion():
     # Z/2 + Z/3 is cyclic of order 6; the invariant-factor form must merge.
     s = direct_sum([HomologyGroup(0, (2,)), HomologyGroup(0, (3,))])

@@ -23,7 +23,8 @@ from maghom import (
     sq2_pair_types,
     tree_homology_by_pair,
 )
-from maghom.report import table_to_dict
+from maghom.homology import ZERO_GROUP
+from maghom.report import MagnitudeTable, table_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,20 @@ def test_single_pair_table():
     t = build_table(g, 4, 4, "direct", pair=("a", "d"), graph_spec="sq2")
     assert list(t.pair_groups) == [("a", "d")]
     assert [h.betti for h in t.totals()] == [0, 0, 0, 2, 0]
+
+
+def test_tables_are_values_with_their_own_pair_groups():
+    first = MagnitudeTable(graph_spec="sq2", l=4, kmax=4, method="direct")
+    second = MagnitudeTable("sq2", 4, 4, "direct")
+    assert first.pair_groups == {} and first.type_groups is None
+    assert first == second and first.pair_groups is not second.pair_groups
+    first.pair_groups["a", "a"] = [ZERO_GROUP]
+    assert second.pair_groups == {} and first != second
+    second.pair_groups["a", "a"] = [HomologyGroup(0)]
+    assert first == second
+    assert first != MagnitudeTable("sq2", 4, 4, "geometric", {("a", "a"): [ZERO_GROUP]})
+    with pytest.raises(TypeError):
+        hash(first)
 
 
 def test_apply_types_groups_pairs(sq2_table):
