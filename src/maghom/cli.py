@@ -6,15 +6,13 @@ between computation routes, 4 internal consistency failure.
 
 from __future__ import annotations
 
+import argparse
 import os
 import random
 import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import click
-from click.core import ParameterSource
 
 from .geometric import build_k_pair, cross_validate, interior_length
 from .graphs import (
@@ -58,7 +56,7 @@ def _failures(run):
         message = f"{run}: {TOO_LONG}"
     except InternalCheckError as exc:
         code, message = EXIT_INTERNAL, f"{run}: {exc}"
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -145,27 +143,6 @@ def _random_trials(seed, trials, n_max, l_max):
         yield f"trial {trial}/{trials}: n={g.num_vertices} e={g.num_edges}", g, l
 
 
-@click.group()
-def main():
-    """Integer magnitude homology of finite connected graphs."""
-
-
-@main.command()
-@click.option("--graph", "graph_spec", required=True,
-              help="Builtin generator spec (sq2, path:n, cycle:n, complete:n, "
-                   "star:n, random-tree:n:seed) or a graph file path.")
-@click.option("--l", "l_spec", required=True,
-              help="Length parameter: an integer or a range like 3-5.")
-@click.option("--kmax", type=int, default=None,
-              help="Highest homology degree to report (default: l).")
-@click.option("--method", type=click.Choice(["auto", "geometric", "direct", "tree"]),
-              default="auto", show_default=True)
-@click.option("--pair", default=None, help='Restrict to one ordered pair "u,v".')
-@click.option("--types", "types_path", type=click.Path(), default=None,
-              help="JSON labeling file grouping pairs into symmetry types.")
-@click.option("--out", default=None, help="Write output to this file instead of stdout.")
-@click.option("--format", "fmt", type=click.Choice(["table", "structured"]),
-              default="table", show_default=True)
 def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
     """Compute magnitude homology groups of a graph."""
     with _failures(f"{graph_spec} l={l_spec}"):
@@ -195,69 +172,60 @@ def compute(graph_spec, l_spec, kmax, method, pair, types_path, out, fmt):
         if out:
             _write_files({Path(out): rendered})
         else:
-            click.echo(rendered, nl=False)
+            sys.stdout.write(rendered)
 
 
-@main.command()
-@click.option("--graph", "graph_spec", default=None,
-              help="Check one specific graph instead of random ones.")
-@click.option("--l", "l_spec", default=None,
-              help="Length or range like 3-5 for --graph (default: 3); "
-                   "random trials draw l up to --l-max.")
-@click.option("--trials", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-max", type=int, default=6, show_default=True,
-              help="Largest random graph size.")
-@click.option("--l-max", type=int, default=5, show_default=True,
-              help="Largest random length parameter.")
-def check(graph_spec, l_spec, trials, seed, n_max, l_max):
+# the random-trial options of check; each parses to None unless given, so
+# that --graph refuses even an explicit default
+_TRIAL_DEFAULTS = {"trials": 20, "seed": 0, "n_max": 6, "l_max": 5}
+
+
+def check(graph_spec, l_spec, **trial_options):
     """Cross-validate the geometric route against the direct route."""
     with _failures("check"):
         if l_spec is not None and graph_spec is None:
             raise GraphError("--l needs --graph; random trials draw l up to --l-max")
         if graph_spec is not None:
-            ctx = click.get_current_context()
-            for name in ("trials", "seed", "n_max", "l_max"):
-                if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            for name in _TRIAL_DEFAULTS:
+                if trial_options[name] is not None:
                     flag = "--" + name.replace("_", "-")
                     raise GraphError(f"{flag} applies to random trials, not to --graph")
             l_values = _parse_l_range(l_spec) if l_spec is not None else (3,)
             g = _load_graph(graph_spec)
             refuse_long(f"{graph_spec}: l={l_values[-1]}", l_values[-1])
             runs = ((f"{graph_spec}:", g, l) for l in l_values)
-        elif trials < 0:
-            raise GraphError("--trials must be nonnegative")
-        elif n_max < 2:
-            raise GraphError(f"--n-max must be at least 2, got {n_max}")
-        elif l_max < 3:
-            raise GraphError(f"--l-max must be at least 3, got {l_max}")
-        elif l_max > sys.getrecursionlimit():
-            raise GraphError(
-                f"--l-max is past the recursion limit ({sys.getrecursionlimit()}), got {l_max}"
-            )
-        elif trials == 0:
-            click.echo("warning: 0 trials requested, vacuous pass", err=True)
-            sys.exit(0)
         else:
+            trials, seed, n_max, l_max = (
+                default if trial_options[name] is None else trial_options[name]
+                for name, default in _TRIAL_DEFAULTS.items()
+            )
+            if trials < 0:
+                raise GraphError("--trials must be nonnegative")
+            if n_max < 2:
+                raise GraphError(f"--n-max must be at least 2, got {n_max}")
+            if l_max < 3:
+                raise GraphError(f"--l-max must be at least 3, got {l_max}")
+            if l_max > sys.getrecursionlimit():
+                raise GraphError(
+                    f"--l-max is past the recursion limit ({sys.getrecursionlimit()}), got {l_max}"
+                )
+            if trials == 0:
+                print("warning: 0 trials requested, vacuous pass", file=sys.stderr)
+                sys.exit(0)
             runs = _random_trials(seed, trials, n_max, l_max)
 
         for label, g, l in runs:
             with _failures(f"{label} l={l}"):
                 report = cross_validate(g, l)
-            click.echo(f"{label} {report.describe()}")
+            # flushed, so that a piped check shows each run as it ends
+            print(f"{label} {report.describe()}", flush=True)
             if not report.ok:
-                click.echo(f"counterexample: {report.mismatch.describe()}", err=True)
+                print(f"counterexample: {report.mismatch.describe()}", file=sys.stderr)
                 sys.exit(EXIT_MISMATCH)
         if graph_spec is None:
-            click.echo(f"{trials}/{trials} trials agree")
+            print(f"{trials}/{trials} trials agree")
 
 
-@main.command()
-@click.option("--graph", "graph_spec", required=True)
-@click.option("--l", "l_spec", required=True, help="Length parameter: one integer.")
-@click.option("--pair", required=True, help='Ordered pair "u,v".')
-@click.option("--out", required=True,
-              help="Output path stem; writes <stem>.pair.json plus OFF files.")
 def export(graph_spec, l_spec, pair, out):
     """Export the geometric pair of one component for inspection."""
     with _failures(f"{graph_spec} l={l_spec}"):
@@ -271,7 +239,7 @@ def export(graph_spec, l_spec, pair, out):
         key = ComponentKey(a, b, l_value)
         kpair = build_k_pair(g, key)
         if g.distances[a][b] > l_value:
-            click.echo(f"notice: d({a}, {b}) > {l_value}, the pair is empty", err=True)
+            print(f"notice: d({a}, {b}) > {l_value}, the pair is empty", file=sys.stderr)
 
         # the only consumer of whole complexes: wrapping validates downward closure
         total = SimplicialComplex(kpair.labels, kpair.total)
@@ -293,9 +261,9 @@ def export(graph_spec, l_spec, pair, out):
         texts = {Path(f"{out}.pair.json"): dump_json(doc)}
         for name, complex_ in (("total", total), ("sub", sub)):
             if complex_.dim > 3:
-                click.echo(
+                print(
                     f"notice: {name} complex has dimension {complex_.dim} > 3, "
-                    f"skipping OFF export", err=True,
+                    f"skipping OFF export", file=sys.stderr,
                 )
                 continue
             texts[Path(f"{out}.{name}.off")] = complex_to_off(complex_)
@@ -319,7 +287,96 @@ def export(graph_spec, l_spec, pair, out):
 
         _write_files(texts)
         for path in texts:
-            click.echo(f"wrote {path}")
+            print(f"wrote {path}")
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="maghom", description="Integer magnitude homology of finite connected graphs.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, run, summary):
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    graph_help = ("Builtin generator spec (sq2, path:n, cycle:n, complete:n, star:n, "
+                  "random-tree:n:seed) or a graph file path.")
+    option = command("compute", compute, "Compute magnitude homology groups of a graph.")
+    option("--graph", dest="graph_spec", metavar="SPEC", required=True, help=graph_help)
+    option("--l", dest="l_spec", metavar="L", required=True,
+           help="Length parameter: an integer or a range like 3-5.")
+    option("--kmax", type=int, metavar="K", help="Highest homology degree to report (default: l).")
+    option("--method", choices=["auto", "geometric", "direct", "tree"], default="auto",
+           help="Route that computes the groups (default: auto).")
+    option("--pair", metavar="U,V", help='Restrict to one ordered pair "u,v".')
+    option("--types", dest="types_path", metavar="FILE",
+           help="JSON labeling file grouping pairs into symmetry types.")
+    option("--out", metavar="FILE", help="Write output to this file instead of stdout.")
+    option("--format", dest="fmt", choices=["table", "structured"], default="table",
+           help="Output format (default: table).")
+
+    option = command("check", check, "Cross-validate the geometric route against the direct route.")
+    option("--graph", dest="graph_spec", metavar="SPEC",
+           help="Check one specific graph instead of random ones.")
+    option("--l", dest="l_spec", metavar="L",
+           help="Length or range like 3-5 for --graph (default: 3); "
+                "random trials draw l up to --l-max.")
+    option("--trials", type=int, metavar="N",
+           help=f"Number of random graphs (default: {_TRIAL_DEFAULTS['trials']}).")
+    option("--seed", type=int, metavar="N",
+           help=f"Seed of the random graphs (default: {_TRIAL_DEFAULTS['seed']}).")
+    option("--n-max", type=int, metavar="N",
+           help=f"Largest random graph size (default: {_TRIAL_DEFAULTS['n_max']}).")
+    option("--l-max", type=int, metavar="L",
+           help=f"Largest random length parameter (default: {_TRIAL_DEFAULTS['l_max']}).")
+
+    option = command("export", export, "Export the geometric pair of one component for inspection.")
+    option("--graph", dest="graph_spec", metavar="SPEC", required=True, help=graph_help)
+    option("--l", dest="l_spec", metavar="L", required=True, help="Length parameter: one integer.")
+    option("--pair", metavar="U,V", required=True, help='Ordered pair "u,v".')
+    option("--out", metavar="STEM", required=True,
+           help="Output path stem; writes <stem>.pair.json plus OFF files.")
+    return parser
+
+
+# built once, at import: building it runs argparse's gettext lookups, which
+# import locale, and that cost belongs to start-up rather than to the command
+_PARSER = _build_parser()
+
+
+def _attach_values(argv):
+    """argv with "--option value" as "--option=value" where value begins with "-".
+
+    Every maghom option takes one value, but argparse reads a value that
+    begins with "-" (``--l -1-3``, ``--pair -a,b``) as another option, so it
+    would never reach the check that names what is wrong with it.
+    """
+    attached = []
+    for token in argv:
+        if (token.startswith("-") and attached and attached[-1] != "--help"
+                and re.fullmatch(r"--[a-z-]+", attached[-1])):
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return attached
+
+
+def main(args=None, prog_name=None):
+    """Run one maghom command on ``args`` (default: ``sys.argv[1:]``).
+
+    Exits 2 on a usage error; ``prog_name`` is accepted and ignored, the
+    program is always named maghom.
+    """
+    options = vars(_PARSER.parse_args(_attach_values(sys.argv[1:] if args is None else args)))
+    options.pop("run")(**options)
+
+
+# bench/worker.py calls main.main(args=..., prog_name=...), the form click's
+# entry point had
+main.main = main
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import itertools
+import traceback
 
 import pytest
 
 from maghom import generate
+from maghom.cli import main
 from maghom.simplicial import SimplicialComplex
 from oracles import chain_complex, face_poset_graph
 
@@ -35,6 +39,25 @@ HEMI_OCTAHEDRON_CELLS = {
     **{f"T{t}{u}": (f"xy{t}", f"xz{u}", f"yz{'+' if t == u else '-'}")
        for t in "+-" for u in "+-"},
 }
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of one maghom command run in this process.
+
+    An exception that ends the command ends it as the interpreter would: a
+    traceback on stderr and exit code 1.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="session")

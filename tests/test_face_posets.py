@@ -10,7 +10,6 @@ orbit copies, the table and the structured output.
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from maghom import (
     ComponentKey,
@@ -21,8 +20,8 @@ from maghom import (
     magnitude_homology_direct,
     magnitude_homology_geometric,
 )
-from maghom.cli import main
 from maghom.homology import ZERO_GROUP, direct_sum
+from conftest import run_cli
 from oracles import cartesian_product
 
 RP2_AT_4 = [ZERO_GROUP, ZERO_GROUP, ZERO_GROUP, HomologyGroup(0, (2,)), ZERO_GROUP]
@@ -51,10 +50,10 @@ def test_projective_plane_torsion_in_a_pair_table(hemi, method):
 def test_projective_plane_torsion_in_structured_output(hemi, tmp_path):
     path = tmp_path / "hemi.json"
     path.write_text(json.dumps({"vertices": list(hemi.vertices), "edges": [list(e) for e in hemi.edges]}))
-    r = CliRunner().invoke(main, ["compute", "--graph", str(path), "--l", "4",
-                                  "--pair", "bottom,top", "--format", "structured"])
-    assert r.exit_code == 0, r.output
-    [result] = json.loads(r.output)["results"]
+    code, out, err = run_cli("compute", "--graph", str(path), "--l", "4",
+                             "--pair", "bottom,top", "--format", "structured")
+    assert code == 0, err
+    [result] = json.loads(out)["results"]
     [component] = result["components"]
     assert (component["a"], component["b"]) == ("bottom", "top")
     assert [(g["k"], g["betti"], g["torsion"]) for g in component["groups"]] == [
