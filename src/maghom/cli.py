@@ -20,6 +20,7 @@ from .graphs import (
     GraphError,
     InternalCheckError,
     generate,
+    integer,
     is_generator_spec,
     parse_graph,
     random_connected_graph,
@@ -103,11 +104,11 @@ def _parse_l_range(text):
     match = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", text)
     if match is None:
         raise GraphError(f"--l expects an integer or a range like 3-5, got {text!r}")
-    # int() refuses more digits than the interpreter's limit (0: no limit)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and len(text) > limit:
-        raise GraphError(f"--l has more than {limit} digits")
-    lo, hi = int(match[1]), int(match[2] or match[1])
+    try:
+        lo, hi = integer(match[1]), integer(match[2] or match[1])
+    except ValueError:
+        # the digits are well formed, so there are more than int() reads
+        raise GraphError(f"--l has more than {sys.get_int_max_str_digits()} digits") from None
     if hi < lo:
         raise GraphError(f"empty --l range: {text!r}")
     # a range, not a tuple: a huge --l range costs nothing before it runs
@@ -296,11 +297,17 @@ def _build_parser():
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    stand_ins = {}  # each command's "--option=" for every option it requires
 
     def command(name, run, summary):
         sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
         sub.set_defaults(run=run)
-        return sub.add_argument
+
+        def option(flag, **kwargs):
+            if kwargs.get("required"):
+                stand_ins.setdefault(name, []).append(f"{flag}=")
+            sub.add_argument(flag, **kwargs)
+        return option
 
     graph_help = ("Builtin generator spec (sq2, path:n, cycle:n, complete:n, star:n, "
                   "random-tree:n:seed) or a graph file path.")
@@ -308,7 +315,8 @@ def _build_parser():
     option("--graph", dest="graph_spec", metavar="SPEC", required=True, help=graph_help)
     option("--l", dest="l_spec", metavar="L", required=True,
            help="Length parameter: an integer or a range like 3-5.")
-    option("--kmax", type=int, metavar="K", help="Highest homology degree to report (default: l).")
+    option("--kmax", type=integer, metavar="K",
+           help="Highest homology degree to report (default: l).")
     option("--method", choices=["auto", "geometric", "direct", "tree"], default="auto",
            help="Route that computes the groups (default: auto).")
     option("--pair", metavar="U,V", help='Restrict to one ordered pair "u,v".')
@@ -324,13 +332,13 @@ def _build_parser():
     option("--l", dest="l_spec", metavar="L",
            help="Length or range like 3-5 for --graph (default: 3); "
                 "random trials draw l up to --l-max.")
-    option("--trials", type=int, metavar="N",
+    option("--trials", type=integer, metavar="N",
            help=f"Number of random graphs (default: {_TRIAL_DEFAULTS['trials']}).")
-    option("--seed", type=int, metavar="N",
+    option("--seed", type=integer, metavar="N",
            help=f"Seed of the random graphs (default: {_TRIAL_DEFAULTS['seed']}).")
-    option("--n-max", type=int, metavar="N",
+    option("--n-max", type=integer, metavar="N",
            help=f"Largest random graph size (default: {_TRIAL_DEFAULTS['n_max']}).")
-    option("--l-max", type=int, metavar="L",
+    option("--l-max", type=integer, metavar="L",
            help=f"Largest random length parameter (default: {_TRIAL_DEFAULTS['l_max']}).")
 
     option = command("export", export, "Export the geometric pair of one component for inspection.")
@@ -339,12 +347,12 @@ def _build_parser():
     option("--pair", metavar="U,V", required=True, help='Ordered pair "u,v".')
     option("--out", metavar="STEM", required=True,
            help="Output path stem; writes <stem>.pair.json plus OFF files.")
-    return parser
+    return parser, stand_ins
 
 
 # built once, at import: building it runs argparse's gettext lookups, which
 # import locale, and that cost belongs to start-up rather than to the command
-_PARSER = _build_parser()
+_PARSER, _STAND_INS = _build_parser()
 
 
 def _attach_values(argv):
@@ -370,7 +378,15 @@ def main(args=None, prog_name=None):
     Exits 2 on a usage error; ``prog_name`` is accepted and ignored, the
     program is always named maghom.
     """
-    options = vars(_PARSER.parse_args(_attach_values(sys.argv[1:] if args is None else args)))
+    argv = _attach_values(sys.argv[1:] if args is None else args)
+    # argparse checks for missing options before it reports unknown ones, so
+    # a misspelt --gra would read as a missing --graph: a first parse, with
+    # every required option given after the command name, names them first
+    stand_ins = _STAND_INS.get(argv[0], []) if argv else []
+    unknown = _PARSER.parse_known_args(argv[:1] + stand_ins + argv[1:])[1]
+    if unknown:
+        _PARSER.error(f"unrecognized arguments: {' '.join(unknown)}")
+    options = vars(_PARSER.parse_args(argv))
     options.pop("run")(**options)
 
 

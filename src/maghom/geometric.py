@@ -24,45 +24,46 @@ d(a, b) = l (the subcomplex is then empty).
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate
 
 from .graphs import InternalCheckError, enumerate_walks, refuse_long
 from .homology import HomologyGroup, _FrozenValue, _Value, homology_all
 from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
-from .simplicial import relative_chain_complex
+from .simplicial import downward_closure, relative_chain_complex
 
 
 class KPair(_FrozenValue):
     """The pair (K_l(a,b), K'_l(a,b)) of one component key, as simplex sets.
 
     ``cells`` is K \\ K', the simplices that carry relative chains, and
-    ``interiors`` the nonempty positioned interiors of the walks of at most
-    l steps, whose downward closures make up K.  Simplices are tuples of
-    (position, vertex) labels in position order.  ``labels`` is the label
-    universe in canonical order.
+    ``walks`` the walks from a to b of at most l steps, whose positioned
+    interiors close downward to K.  Simplices are tuples of (position,
+    vertex) labels in position order.  ``labels`` is the label universe in
+    canonical order.
     """
 
-    def __init__(self, key, labels, interiors, cells):
-        self.__dict__.update(key=key, labels=labels, interiors=interiors, cells=cells)
+    def __init__(self, key, labels, walks, cells):
+        self.__dict__.update(key=key, labels=labels, walks=walks, cells=cells)
 
     def _fields(self):
-        return (self.key, self.labels, self.interiors, self.cells)
+        return (self.key, self.labels, self.walks, self.cells)
 
     @cached_property
     def total(self):
         """K, built on first read: every nonempty subset of every interior."""
-        # itertools only: a traced function called here would open a span
-        # while the benchmark's counter, which reads this, holds the clock
-        return frozenset(chain.from_iterable(
-            combinations(interior, size)
-            for interior in self.interiors
-            for size in range(1, len(interior) + 1)
-        ))
+        # no traced function is called here: it would open a span while the
+        # benchmark's counter, which reads this, holds the clock
+        return downward_closure(map(positioned_interior, self.walks))
 
     @property
     def sub(self):
         """K' as the simplices of K that are not relative cells."""
         return self.total - self.cells
+
+
+def positioned_interior(walk):
+    """The interior vertices of a walk, each labelled by its step number."""
+    return tuple(enumerate(walk[1:-1], 1))
 
 
 def interior_tuple(key, simplex):
@@ -77,11 +78,11 @@ def interior_length(g, key, simplex):
 
 
 def build_k_pair(g, key):
-    """The relative cells K_l(a,b) \\ K'_l(a,b), and what K is built from.
+    """The relative cells K_l(a,b) \\ K'_l(a,b), and the walks K is built from.
 
     Every walk with at most l steps contributes the downward closure of its
     full positioned interior; the union over walks is K, which the returned
-    pair builds from the stored interiors only when ``total`` is read.  The
+    pair builds from the stored walks only when ``total`` is read.  The
     relative cells are enumerated top-down from the nonempty interiors of
     the walks of exactly l steps, which have interior length l by
     construction.  From a cell of length l, dropping the vertex x_i of the
@@ -100,15 +101,9 @@ def build_k_pair(g, key):
     a, b, l = key
 
     labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
-    interiors = []
-    layer = set()
-    for walk in enumerate_walks(g, a, b, l):
-        # at l <= 1 the interior is empty, and the empty set is no simplex
-        if len(walk) > 2:
-            interior = tuple(enumerate(walk[1:-1], 1))
-            interiors.append(interior)
-            if len(walk) - 1 == l:
-                layer.add(interior)
+    walks = tuple(enumerate_walks(g, a, b, l))
+    # at l <= 1 the interior is empty, and the empty set is no simplex
+    layer = {positioned_interior(walk) for walk in walks if len(walk) == l + 1 > 2}
 
     # one layer per simplex size, largest first; every cell has length l
     dist = g.distances
@@ -125,7 +120,7 @@ def build_k_pair(g, key):
                     if row[z] == row[y] + dist[y][z]:
                         faces.add(cell[:i] + cell[i + 1:])
         layer = faces
-    return KPair(key=key, labels=labels, interiors=tuple(interiors), cells=frozenset(cells))
+    return KPair(key=key, labels=labels, walks=walks, cells=frozenset(cells))
 
 
 def chain_map_t(g, key, rel, mag):

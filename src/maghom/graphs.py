@@ -183,35 +183,24 @@ def _parse_edge_list(text):
 # -- builtin generators ----------------------------------------------------
 
 
-def _gen_path(n):
+def _numbered_graph(n, pairs):
+    """The graph on v0..v{n-1} with an edge (v{i}, v{j}) for each pair (i, j)."""
     verts = [f"v{i}" for i in range(n)]
-    return Graph(verts, [(verts[i], verts[i + 1]) for i in range(n - 1)])
+    return Graph(verts, [(verts[i], verts[j]) for i, j in pairs])
 
 
-def _gen_cycle(n):
-    if n < 3:
-        raise GraphError(f"cycle needs at least 3 vertices, got {n}")
-    verts = [f"v{i}" for i in range(n)]
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    return Graph(verts, edges)
+def _random_tree_pairs(rng, n):
+    """A random spanning tree on 0..n-1: each i > 0 joined to one of 0..i-1."""
+    return [(rng.randrange(i), i) for i in range(1, n)]
 
 
-def _gen_complete(n):
-    verts = [f"v{i}" for i in range(n)]
-    edges = [(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)]
-    return Graph(verts, edges)
-
-
-def _gen_star(n):
-    verts = [f"v{i}" for i in range(n)]
-    return Graph(verts, [(verts[0], verts[i]) for i in range(1, n)])
-
-
-def _gen_random_tree(n, seed):
-    rng = random.Random(seed)
-    verts = [f"v{i}" for i in range(n)]
-    edges = [(verts[rng.randrange(i)], verts[i]) for i in range(1, n)]
-    return Graph(verts, edges)
+# the edges of each numbered family on n vertices, as pairs of vertex numbers
+_NUMBERED_FAMILIES = {
+    "path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "cycle": lambda n: [(i, (i + 1) % n) for i in range(n)],
+    "complete": lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)],
+    "star": lambda n: [(0, i) for i in range(1, n)],
+}
 
 
 def _gen_sq2():
@@ -229,6 +218,17 @@ def _gen_sq2():
 GENERATOR_FAMILIES = ("path", "cycle", "complete", "star", "random-tree", "sq2")
 
 
+def integer(text):
+    """The integer ``text`` writes in ASCII digits, with an optional leading "-".
+
+    int() alone also takes "+3", "1_0", " 3" and digits of other scripts.
+    Raises ValueError on any other form, and on more digits than int() reads.
+    """
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def generate(name):
     """Build a graph from a builtin generator spec.
 
@@ -238,18 +238,15 @@ def generate(name):
     parts = name.split(":")
     family, args = parts[0], parts[1:]
 
-    def integer(value, what, pattern):
-        # ASCII digits only, as for --l: int() also takes "+3", "1_0", " 3"
-        # and other scripts' digits, and refuses more digits than its limit
-        if re.fullmatch(pattern, value):
-            try:
-                return int(value)
-            except ValueError:
-                pass
-        raise GraphError(f"{what} must be an integer in {name!r}")
+    def number(value, what):
+        try:
+            return integer(value)
+        except ValueError:
+            raise GraphError(f"{what} must be an integer in {name!r}") from None
 
     def positive(value, what):
-        n = integer(value, what, r"[0-9]+")
+        # a count is written without a sign: "-2" is no count, not a negative one
+        n = number("" if value.startswith("-") else value, what)
         if n < 1:
             raise GraphError(f"{what} must be positive in {name!r}")
         return n
@@ -262,12 +259,14 @@ def generate(name):
         if len(args) != 2:
             raise GraphError(f"expected random-tree:n:seed, got {name!r}")
         n = positive(args[0], "vertex count")
-        return _gen_random_tree(n, integer(args[1], "seed", r"-?[0-9]+"))
-    simple = {"path": _gen_path, "cycle": _gen_cycle, "complete": _gen_complete, "star": _gen_star}
-    if family in simple:
+        return _numbered_graph(n, _random_tree_pairs(random.Random(number(args[1], "seed")), n))
+    if family in _NUMBERED_FAMILIES:
         if len(args) != 1:
             raise GraphError(f"expected {family}:n, got {name!r}")
-        return simple[family](positive(args[0], "vertex count"))
+        n = positive(args[0], "vertex count")
+        if family == "cycle" and n < 3:
+            raise GraphError(f"cycle needs at least 3 vertices, got {n}")
+        return _numbered_graph(n, _NUMBERED_FAMILIES[family](n))
     raise GraphError(f"unknown generator: {name!r}")
 
 
@@ -347,20 +346,12 @@ def random_connected_graph(rng, n_max=6):
     """A random connected graph on 2..n_max vertices, drawn from ``rng``: a
     random spanning tree plus each other edge with probability 0.3."""
     n = rng.randint(2, n_max)
-    verts = [f"v{i}" for i in range(n)]
-    edges = []
-    present = set()
-    for i in range(1, n):
-        j = rng.randrange(i)
-        edges.append((verts[j], verts[i]))
-        present.add(frozenset((verts[j], verts[i])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = frozenset((verts[i], verts[j]))
-            if key not in present and rng.random() < 0.3:
-                edges.append((verts[i], verts[j]))
-                present.add(key)
-    return Graph(verts, edges)
+    tree = _random_tree_pairs(rng, n)
+    # a tree pair (j, i) has j < i, as every pair below does
+    present = set(tree)
+    extra = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if (i, j) not in present and rng.random() < 0.3]
+    return _numbered_graph(n, tree + extra)
 
 
 # -- symmetry --------------------------------------------------------------

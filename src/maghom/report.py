@@ -37,12 +37,14 @@ class MagnitudeTable(_Value):
         return (self.graph_spec, self.l, self.kmax, self.method,
                 self.pair_groups, self.type_groups)
 
+    def _sum_by_degree(self, pairs):
+        """The direct sum of the groups of ``pairs`` in each degree 0..kmax."""
+        return [direct_sum(self.pair_groups[pair][k] for pair in pairs)
+                for k in range(self.kmax + 1)]
+
     def totals(self):
         """Componentwise direct sum over all pairs, one group per degree."""
-        return [
-            direct_sum(groups[k] for groups in self.pair_groups.values())
-            for k in range(self.kmax + 1)
-        ]
+        return self._sum_by_degree(self.pair_groups)
 
     def apply_types(self, labeling):
         """Group pairs by a labeling dict mapping (a, b) tuples to labels.
@@ -56,14 +58,7 @@ class MagnitudeTable(_Value):
             raise GraphError(f"labeling does not cover pair ({missing[0]}, {missing[1]})")
         labels = dict.fromkeys(labeling[key] for key in labeling if key in self.pair_groups)
         self.type_groups = {
-            label: [
-                direct_sum(
-                    groups[k]
-                    for key, groups in self.pair_groups.items()
-                    if labeling[key] == label
-                )
-                for k in range(self.kmax + 1)
-            ]
+            label: self._sum_by_degree([key for key in self.pair_groups if labeling[key] == label])
             for label in labels
         }
 

@@ -10,9 +10,15 @@ pairs; the OFF writer takes (position, vertex) labels only.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .homology import IntegerChainComplex, IntegerMatrix
+
+
+def downward_closure(simplices):
+    """Every nonempty face of the given simplices, each in its simplex's label order."""
+    return frozenset(face for simplex in simplices for size in range(1, len(simplex) + 1)
+                     for face in combinations(simplex, size))
 
 
 def _normal_form(labels, simplices):
@@ -69,12 +75,7 @@ class SimplicialComplex:
     @classmethod
     def from_maximal(cls, labels, maximal):
         """Build the downward closure of the given simplices."""
-        closure = set()
-        for group in _normal_form(labels, maximal):
-            for simplex in group:
-                for r in range(1, len(simplex) + 1):
-                    closure.update(combinations(simplex, r))
-        return cls(labels, closure)
+        return cls(labels, downward_closure(chain.from_iterable(_normal_form(labels, maximal))))
 
     # -- queries -----------------------------------------------------------
 

@@ -170,6 +170,10 @@ def test_compute_usage_errors(tmp_path, monkeypatch):
         (["--graph", "sq2", "--l", "4", "--pair", "a,zz"], "unknown vertex: 'zz'"),
         (["--graph", "sq2", "--l", "4", "--method", "tree"], "method tree needs a tree input"),
         (["--graph", "sq2", "--l", "4", "--kmax", "-1"], "--kmax must be nonnegative"),
+        # --kmax takes ASCII digits and a leading "-" only, as --l does
+        *[(["--graph", "path:3", "--l", "2", "--kmax", kmax],
+           f"argument --kmax: invalid integer value: {kmax!r}")
+          for kmax in ("1_0", "+2", " 4 ", "\u0664", "9" * 5000)],
         (["--graph", str(missing), "--l", "2"], f"{not_a_file}: {str(missing)!r}"),
         (["--graph", str(comma_graph), "--l", "2"], "vertex label contains ',': 'a,b'"),
         (["--graph", str(space_graph), "--l", "2"],
@@ -183,8 +187,9 @@ def test_compute_usage_errors(tmp_path, monkeypatch):
         (["--graph", "sq2", "--l", "4", "--types", str(tmp_path / "no.json")],
          f"labeling file not found: {str(tmp_path / 'no.json')!r}"),
         (["--graph", "sq2"], "the following arguments are required: --l"),
-        # an option is named in full, never abbreviated
-        (["--gra", "sq2", "--l", "2"], "the following arguments are required: --graph"),
+        # an option is named in full, never abbreviated, and an unknown one
+        # is named before a missing one
+        (["--gra", "sq2", "--l", "2"], "unrecognized arguments: --gra sq2"),
         (["--graph", "sq2", "--l", "2", "--form", "structured"],
          "unrecognized arguments: --form structured"),
         # a directory, or a name that cannot be opened, is no input file
@@ -443,6 +448,12 @@ def test_check_usage_errors(tmp_path):
         code, out, err = run_cli("check", *args)
         assert code == 2, (args, err)
         assert f"error: {message}\n" == err, (args, err)
+    # the integer options take ASCII digits and a leading "-" only, as --l does
+    for option in ("--trials", "--seed", "--n-max", "--l-max"):
+        for value in ("1_0", "+3", " 4 ", "\u0663"):
+            code, out, err = run_cli("check", option, value)
+            assert (code, out) == (2, ""), (option, value)
+            assert f"argument {option}: invalid integer value: {value!r}" in err, err
     # an option is named in full, never abbreviated
     code, out, err = run_cli("check", "--tri", "3")
     assert (code, out) == (2, "")
@@ -639,7 +650,7 @@ def test_export_usage_errors(tmp_path):
     # an option is named in full, never abbreviated
     code, out, err = run_cli("export", "--graph", "sq2", "--l", "4", "--pai", "a,b", "--out", stem)
     assert (code, out) == (2, "")
-    assert "the following arguments are required: --pair" in err
+    assert "unrecognized arguments: --pai a,b" in err
 
 
 def test_export_write_failures_exit_2_with_nothing_written(tmp_path):

@@ -83,7 +83,7 @@ def test_k_pair_is_an_immutable_value(sq2):
     # K is built once, on first read, and kept
     assert kp.total is kp.total
     assert kp == same  # a cached K takes no part in equality
-    copy = KPair(key=kp.key, labels=kp.labels, interiors=kp.interiors, cells=kp.cells)
+    copy = KPair(key=kp.key, labels=kp.labels, walks=kp.walks, cells=kp.cells)
     assert copy == kp and copy.total == kp.total
 
 
@@ -410,7 +410,7 @@ def test_degree_two_branch_rejects_nonempty_sub(monkeypatch):
     kp = build_k_pair(g, key)
     vertex = min(s for s in kp.total if len(s) == 1)
     # K keeps the vertex, the cells lose it, so K' = K minus the cells holds it
-    bad = KPair(key=key, labels=kp.labels, interiors=kp.interiors, cells=kp.cells - {vertex})
+    bad = KPair(key=key, labels=kp.labels, walks=kp.walks, cells=kp.cells - {vertex})
     assert bad.sub == {vertex}
     monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
     with pytest.raises(InternalCheckError, match="not empty"):
@@ -425,7 +425,7 @@ def test_degree_two_branch_rejects_a_cell_outside_k(monkeypatch):
     kp = build_k_pair(g, key)
     foreign = ((1, "v3"),)
     assert foreign not in kp.total
-    bad = KPair(key=key, labels=kp.labels, interiors=kp.interiors, cells=kp.cells | {foreign})
+    bad = KPair(key=key, labels=kp.labels, walks=kp.walks, cells=kp.cells | {foreign})
     assert bad.sub == frozenset()
     monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
     with pytest.raises(InternalCheckError, match="not empty"):

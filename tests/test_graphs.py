@@ -131,6 +131,18 @@ def test_generate_random_tree_deterministic():
     assert t1.is_tree() and t3.is_tree()
 
 
+def test_random_edge_lists_are_pinned():
+    # the spanning-tree draw and the edge order behind random-tree specs and
+    # the check battery's graphs
+    assert generate("random-tree:8:1").edges == (
+        ("v0", "v1"), ("v0", "v2"), ("v1", "v3"), ("v0", "v4"),
+        ("v3", "v5"), ("v3", "v6"), ("v3", "v7"),
+    )
+    g = random_connected_graph(random.Random(7))
+    assert g.vertices == ("v0", "v1", "v2", "v3")
+    assert g.edges == (("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v0", "v2"), ("v1", "v3"))
+
+
 def test_generate_errors():
     for bad in ["path", "path:0", "path:-2", "path:x", "cycle:2", "blob:3",
                 "random-tree:5", "complete:3:9"]:

@@ -10,6 +10,7 @@ from maghom.simplicial import (
     SimplicialComplex,
     complex_to_dict,
     complex_to_off,
+    downward_closure,
     relative_chain_complex,
 )
 from oracles import (
@@ -56,6 +57,18 @@ def test_from_maximal_closes_downward():
     assert ("a", "b", "c") in s
     assert s.dim == 2
     assert s.maximal_simplices() == [("a", "b", "c")]
+
+
+def test_downward_closure():
+    assert downward_closure([("a", "b", "c")]) == {
+        ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"), ("a", "b", "c"),
+    }
+    # two triangles on a common edge: the shared faces are listed once, each
+    # in its simplex's label order
+    assert downward_closure([(1, 2, 3), (2, 3, 4)]) == {
+        (1,), (2,), (3,), (4,), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 2, 3), (2, 3, 4),
+    }
+    assert downward_closure([]) == frozenset()
 
 
 def test_simplices_canonical_order():
