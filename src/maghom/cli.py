@@ -202,6 +202,9 @@ def check(graph_spec, l_spec, **trial_options):
             )
             if trials < 0:
                 raise GraphError("--trials must be nonnegative")
+            if seed < 0:
+                # random.Random seeds an int by its absolute value
+                raise GraphError("--seed must be nonnegative")
             if n_max < 2:
                 raise GraphError(f"--n-max must be at least 2, got {n_max}")
             if l_max < 3:

@@ -7,10 +7,14 @@ l steps.  The subcomplex K'_l(a, b) keeps the simplices whose endpoint-closed
 tuple (a, x_{i_1}, ..., x_{i_k}, b) has total length at most l - 1.
 
 Only the relative cells K \\ K' carry chains.  They are enumerated top-down
-from the walks of exactly l steps, so K' is never built as a complex and
-no simplicial complex object is constructed on this route.  K itself is
-built only when read: by export, by the d(a, b) = l branch of degree 2,
-and by tests.
+from the walks of exactly l steps, as tuples of label indices, and the
+descent records the relative boundary as it goes: a facet of a cell is a
+cell exactly when the triangle through the dropped vertex is tight.
+``relative_chain_complex`` assembles the chain complex from that incidence,
+so K' is never built as a complex and no simplicial complex object is
+constructed on this route.  The simplex sets of labels, the cells and K
+itself, are built only when read: by export, by the d(a, b) = l branch of
+degree 2, and by tests.
 
 Reading a relative simplex's positioned vertices in position order and
 closing with the endpoints is a degree-preserving bijection onto the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
+from operator import add
 
 from .graphs import InternalCheckError, enumerate_walks, refuse_long
 from .homology import HomologyGroup, _FrozenValue, _Value, homology_all
@@ -33,20 +38,28 @@ from .simplicial import downward_closure, relative_chain_complex
 
 
 class KPair(_FrozenValue):
-    """The pair (K_l(a,b), K'_l(a,b)) of one component key, as simplex sets.
+    """The pair (K_l(a,b), K'_l(a,b)) of one component key.
 
-    ``cells`` is K \\ K', the simplices that carry relative chains, and
-    ``walks`` the walks from a to b of at most l steps, whose positioned
-    interiors close downward to K.  Simplices are tuples of (position,
-    vertex) labels in position order.  ``labels`` is the label universe in
-    canonical order.
+    ``labels`` is the label universe in canonical order, and ``walks`` the
+    walks from a to b of at most l steps, whose positioned interiors close
+    downward to K.  ``incidence`` is the relative boundary in the form
+    ``relative_chain_complex`` takes: each cell of K \\ K', a simplex that
+    carries relative chains, is written as the increasing tuple of its label
+    indices and maps to the (i, facet) pairs of its facets that are cells.
+    ``cells``, ``total`` and ``sub`` are simplex sets built on first read,
+    each simplex a tuple of (position, vertex) labels in position order.
     """
 
-    def __init__(self, key, labels, walks, cells):
-        self.__dict__.update(key=key, labels=labels, walks=walks, cells=cells)
+    def __init__(self, key, labels, walks, incidence):
+        self.__dict__.update(key=key, labels=labels, walks=walks, incidence=incidence)
 
     def _fields(self):
-        return (self.key, self.labels, self.walks, self.cells)
+        return (self.key, self.labels, self.walks, frozenset(self.incidence.items()))
+
+    @cached_property
+    def cells(self):
+        """K \\ K', the incidence's cells decoded to labels."""
+        return frozenset(tuple(map(self.labels.__getitem__, cell)) for cell in self.incidence)
 
     @cached_property
     def total(self):
@@ -78,7 +91,7 @@ def interior_length(g, key, simplex):
 
 
 def build_k_pair(g, key):
-    """The relative cells K_l(a,b) \\ K'_l(a,b), and the walks K is built from.
+    """The relative cells K_l(a,b) \\ K'_l(a,b), their boundary, and the walks K is built from.
 
     Every walk with at most l steps contributes the downward closure of its
     full positioned interior; the union over walks is K, which the returned
@@ -93,34 +106,47 @@ def build_k_pair(g, key):
     walk whose interior holds it has exactly l steps; dropping a vertex
     never lengthens the closed tuple, so every simplex between the two has
     length l as well.  The descent thus reaches every simplex of K outside
-    K' and nothing else.  A pair at distance greater than l yields the
-    empty pair.  Labels are (position, vertex), ordered by position first
-    and vertex order second, so that simplex orientation agrees with
-    position order.
+    K' and nothing else, and a facet of a relative cell is a cell exactly
+    when its triangle is tight: each tight drop it makes is an entry of the
+    relative boundary, recorded as it is found.  A pair at distance greater
+    than l yields the empty pair.  Labels are (position, vertex), ordered
+    by position first and vertex order second, so that simplex orientation
+    agrees with position order; the descent writes the label (pos, v) as its
+    index (pos - 1) * n + index(v) in that universe, n the vertex count.
     """
     a, b, l = key
 
     labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
     walks = tuple(enumerate_walks(g, a, b, l))
+    n = len(g.vertices)
+    number = dict(zip(g.vertices, range(n)))
     # at l <= 1 the interior is empty, and the empty set is no simplex
-    layer = {positioned_interior(walk) for walk in walks if len(walk) == l + 1 > 2}
+    steps = range(0, (l - 1) * n, n)
+    layer = {tuple(map(add, steps, map(number.__getitem__, walk[1:-1])))
+             for walk in walks if len(walk) == l + 1 > 2}
 
+    # distances between vertex numbers, and the vertex number of each label
+    dist = [list(g.distances[u].values()) for u in g.vertices]
+    vertex = tuple(range(n)) * (l - 1)
+    first, last = number[a], number[b]
     # one layer per simplex size, largest first; every cell has length l
-    dist = g.distances
-    cells = set()
+    incidence = {}
     while layer:
-        cells.update(layer)
         faces = set()
         for cell in layer:
+            entries = []
             if len(cell) > 1:
-                closed = interior_tuple(key, cell)
+                closed = (first, *map(vertex.__getitem__, cell), last)
                 for i in range(len(cell)):
                     x, y, z = closed[i:i + 3]
                     row = dist[x]
                     if row[z] == row[y] + dist[y][z]:
-                        faces.add(cell[:i] + cell[i + 1:])
+                        facet = cell[:i] + cell[i + 1:]
+                        entries.append((i, facet))
+                        faces.add(facet)
+            incidence[cell] = tuple(entries)
         layer = faces
-    return KPair(key=key, labels=labels, walks=walks, cells=frozenset(cells))
+    return KPair(key=key, labels=labels, walks=walks, incidence=incidence)
 
 
 def chain_map_t(g, key, rel, mag):
@@ -227,7 +253,7 @@ def magnitude_homology_geometric(g, key, kmax=None):
     if kmax < 2:
         return out
     kpair = build_k_pair(g, key)
-    rel = relative_chain_complex(kpair.labels, kpair.cells)
+    rel = relative_chain_complex(kpair.labels, kpair.incidence)
     return out + pair_groups(g, kpair, rel, kmax)
 
 
@@ -296,7 +322,7 @@ def cross_validate(g, l):
             mag = magnitude_chain_complex(g, key, l + 1)
             direct = homology_all(mag, up_to=l)
             kpair = build_k_pair(g, key)
-            rel = relative_chain_complex(kpair.labels, kpair.cells)
+            rel = relative_chain_complex(kpair.labels, kpair.incidence)
             geometric = pair_groups(g, kpair, rel, l)
             report.pairs_checked += 1
             for k in range(2, l + 1):

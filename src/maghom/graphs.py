@@ -259,7 +259,11 @@ def generate(name):
         if len(args) != 2:
             raise GraphError(f"expected random-tree:n:seed, got {name!r}")
         n = positive(args[0], "vertex count")
-        return _numbered_graph(n, _random_tree_pairs(random.Random(number(args[1], "seed")), n))
+        seed = number(args[1], "seed")
+        if seed < 0:
+            # random.Random seeds an int by its absolute value
+            raise GraphError(f"seed must be nonnegative in {name!r}")
+        return _numbered_graph(n, _random_tree_pairs(random.Random(seed), n))
     if family in _NUMBERED_FAMILIES:
         if len(args) != 1:
             raise GraphError(f"expected {family}:n, got {name!r}")

@@ -1,9 +1,11 @@
 """Simplicial complexes on ordered label universes and their chain complexes.
 
 A simplex is stored as a tuple of labels sorted by the universe order, and
-that order also fixes the orientation signs of the boundary operator.  One
-normal form, ``_normal_form``, validates and sorts the simplices for both
-``SimplicialComplex`` and ``relative_chain_complex``.  The complexes here
+that order also fixes the orientation signs of the boundary operator.
+``SimplicialComplex`` validates and sorts its simplices by one normal form,
+``_normal_form``.  ``relative_chain_complex`` takes its cells written as
+increasing tuples of label indices, together with their boundary incidence,
+validates them itself and decodes its bases to labels.  The complexes here
 are abstract: labels can be graph vertices, integers, or (position, vertex)
 pairs; the OFF writer takes (position, vertex) labels only.
 """
@@ -11,6 +13,7 @@ pairs; the OFF writer takes (position, vertex) labels only.
 from __future__ import annotations
 
 from itertools import chain, combinations
+from operator import lt
 
 from .homology import IntegerChainComplex, IntegerMatrix
 
@@ -107,36 +110,49 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim {self.dim}, {sum(map(len, self._by_dim))} simplices)"
 
 
-def _boundary_matrix(basis_prev, basis_cur):
-    """Alternating-sign face matrix; faces outside ``basis_prev`` are dropped."""
-    # the labels of a simplex are distinct, so are its facets: no row repeats
-    index = {s: i for i, s in enumerate(basis_prev)}
-    columns = []
-    for simplex in basis_cur:
-        column = {}
-        for i in range(len(simplex)):
-            row = index.get(simplex[:i] + simplex[i + 1:])
-            if row is not None:
-                column[row] = (-1) ** i
-        columns.append(column)
-    return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
+def relative_chain_complex(labels, incidence):
+    """The relative chain complex of a pair (K, K'), assembled from its incidence.
 
-
-def relative_chain_complex(labels, cells):
-    """The relative chain complex spanned by the cells of a pair (K, K').
-
-    ``labels`` is the label universe in canonical order and ``cells`` the
-    simplices of K not in K'.  Degree-n basis: the cells with n + 1 labels,
-    each sorted by the universe order, in canonical order.  The boundary of
-    a cell is the alternating sum of its facets, with sign (-1)^i for
-    dropping the i-th smallest label; facets that are not cells lie in K'
-    and are dropped.  Raises ValueError where ``_normal_form`` does.
+    ``labels`` is the label universe in canonical order.  The keys of
+    ``incidence`` are the cells, the simplices of K not in K', each written
+    as a nonempty increasing tuple of label indices.  Each cell maps to its
+    boundary entries, one pair (i, facet) for each facet that is a cell too,
+    facet being the cell without its i-th index (taken as given, not
+    compared); the facets not listed lie in K'.  Degree-n basis: the cells
+    with n + 1 labels, in increasing order of their index tuples, decoded to
+    labels.  The boundary of a cell is the sum of (-1)^i facet over its
+    entries.  Raises ValueError on a repeated universe label, on a cell that
+    is empty, not increasing or holds an index out of range, and on an entry
+    whose facet is not a cell one degree down.
     """
-    bases = _normal_form(labels, cells) or [[]]
-    boundaries = [IntegerMatrix(0, len(bases[0]))]
-    for n in range(1, len(bases)):
-        boundaries.append(_boundary_matrix(bases[n - 1], bases[n]))
-    return IntegerChainComplex(bases, boundaries)
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate label in universe")
+    bases = [[] for _ in range(max(map(len, incidence), default=1))]
+    for cell in incidence:
+        if not cell:
+            raise ValueError("the empty simplex is not allowed")
+        if not all(map(lt, cell, cell[1:])):
+            raise ValueError(f"cell is not increasing: {cell!r}")
+        if cell[0] < 0 or cell[-1] >= len(labels):
+            raise ValueError(f"label index out of range in cell {cell!r}")
+        bases[len(cell) - 1].append(cell)
+    for basis in bases:
+        basis.sort()
+
+    # a degree-0 cell has no facet that is a cell, so ``numbers`` starts empty
+    numbers, boundaries = {}, []
+    for basis in bases:
+        columns = []
+        for cell in basis:
+            try:
+                column = {numbers[facet]: -1 if i & 1 else 1 for i, facet in incidence[cell]}
+            except KeyError as exc:
+                raise ValueError(f"facet {exc.args[0]!r} of cell {cell!r} is not a cell") from None
+            columns.append(column)
+        boundaries.append(IntegerMatrix(len(numbers), len(basis), columns))
+        numbers = {cell: j for j, cell in enumerate(basis)}
+    decoded = [[tuple(map(labels.__getitem__, cell)) for cell in basis] for basis in bases]
+    return IntegerChainComplex(decoded, boundaries)
 
 
 # -- export formats ----------------------------------------------------------

@@ -10,7 +10,9 @@ never the package's distance table.  The package supplies only the
 ``maghom check``.  The exceptions, ``chain_complex`` and
 ``pair_chain_complex``, are fixture builders and not oracles: they hand the
 simplices of a complex, or of a pair of complexes, to
-``relative_chain_complex``.  ``tests/test_oracles.py`` enforces this.
+``relative_chain_complex``, with the boundary incidence that
+``membership_incidence`` finds by looking up every facet.
+``tests/test_oracles.py`` enforces this.
 """
 
 from __future__ import annotations
@@ -80,9 +82,27 @@ def matrix_from_lists(data, cols=None) -> IntegerMatrix:
     return IntegerMatrix(len(data), cols, columns)
 
 
+def membership_incidence(labels, cells) -> dict:
+    """The incidence of a set of cells that ``relative_chain_complex`` takes, by membership.
+
+    Each cell, a simplex given by its labels in any order, is written as the
+    sorted tuple of its labels' indices in ``labels``; its entries are the
+    pairs (i, facet) whose facet, the cell without its i-th index, is one of
+    the cells.  An unknown label raises KeyError; the other malformed cells
+    are passed on for the assembler to refuse.
+    """
+    index = {label: i for i, label in enumerate(labels)}
+    coded = {tuple(sorted(index[label] for label in cell)) for cell in cells}
+    incidence = {}
+    for cell in coded:
+        facets = ((i, cell[:i] + cell[i + 1:]) for i in range(len(cell)))
+        incidence[cell] = tuple((i, facet) for i, facet in facets if facet in coded)
+    return incidence
+
+
 def chain_complex(complex_):
     """The simplicial chain complex of a complex: the pair with nothing removed."""
-    return relative_chain_complex(complex_.labels, complex_)
+    return relative_chain_complex(complex_.labels, membership_incidence(complex_.labels, complex_))
 
 
 def pair_chain_complex(total, sub):
@@ -97,7 +117,8 @@ def pair_chain_complex(total, sub):
     missing = next((s for s in sub if s not in present), None)
     if missing is not None:
         raise ValueError(f"subcomplex simplex missing from total complex: {missing!r}")
-    return relative_chain_complex(total.labels, present - set(sub))
+    cells = present - set(sub)
+    return relative_chain_complex(total.labels, membership_incidence(total.labels, cells))
 
 
 def k_pair_by_definition(g: Graph, key) -> tuple[set, set]:

@@ -254,7 +254,7 @@ def test_criterion_7_structural_invariants():
                 _assert_downward_closed(kp.total)
                 _assert_downward_closed(kp.sub)
                 assert kp.cells <= kp.total
-                rel = relative_chain_complex(kp.labels, kp.cells)
+                rel = relative_chain_complex(kp.labels, kp.incidence)
                 _assert_position_rigidity(g, key, rel)
                 assert_boundary_squares_to_zero(rel)
                 complexes += 3

@@ -413,6 +413,9 @@ def test_check_usage_errors(tmp_path):
         (["--graph", str(tmp_path), "--l", "3"],
          f"not a builtin generator and not a file: {str(tmp_path)!r}"),
         (["--trials", "-1"], "--trials must be nonnegative"),
+        (["--seed", "-5"], "--seed must be nonnegative"),
+        (["--graph", "random-tree:9:-3", "--l", "3"],
+         "seed must be nonnegative in 'random-tree:9:-3'"),
     ]
     cases += [
         (["--graph", "path:2", "--l", l_spec],

@@ -32,7 +32,12 @@ from maghom.geometric import (
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
 from maghom.simplicial import SimplicialComplex, relative_chain_complex
-from oracles import chain_complex, k_pair_by_definition, random_graph_from_seed
+from oracles import (
+    chain_complex,
+    k_pair_by_definition,
+    membership_incidence,
+    random_graph_from_seed,
+)
 
 
 # --- the complex pair ------------------------------------------------------------
@@ -55,7 +60,7 @@ def test_geometric_route_below_length_three_matches_direct(sq2):
                     ), (key, kmax)
     # below degree 2 the pair has no groups to give
     kp = build_k_pair(sq2, ComponentKey("a", "b", 1))
-    assert pair_groups(sq2, kp, relative_chain_complex(kp.labels, kp.cells), 1) == []
+    assert pair_groups(sq2, kp, relative_chain_complex(kp.labels, kp.incidence), 1) == []
 
 
 def test_k_pair_sq2_diagonal(sq2):
@@ -83,8 +88,11 @@ def test_k_pair_is_an_immutable_value(sq2):
     # K is built once, on first read, and kept
     assert kp.total is kp.total
     assert kp == same  # a cached K takes no part in equality
-    copy = KPair(key=kp.key, labels=kp.labels, walks=kp.walks, cells=kp.cells)
-    assert copy == kp and copy.total == kp.total
+    # the cells are decoded from the incidence on first read, and kept too
+    assert kp.cells is kp.cells
+    copy = KPair(key=kp.key, labels=kp.labels, walks=kp.walks,
+                 incidence=membership_incidence(kp.labels, kp.cells))
+    assert copy == kp and copy.total == kp.total and copy.cells == kp.cells
 
 
 def test_k_pair_endpoint_distance_equal_length():
@@ -151,7 +159,7 @@ def test_k_pair_matches_definition():
                 kp = build_k_pair(g, key)
                 assert kp.total == total, key
                 assert kp.sub == sub, key
-                rel = relative_chain_complex(kp.labels, kp.cells)
+                rel = relative_chain_complex(kp.labels, kp.incidence)
                 index = {lab: i for i, lab in enumerate(kp.labels)}
                 for n in range(l - 1):
                     expected = sorted(
@@ -161,6 +169,32 @@ def test_k_pair_matches_definition():
                     assert rel.basis(n) == expected, (key, n)
                 components += 1
     assert components == 674
+
+
+def _incidence_battery(hemi):
+    """Graphs and lengths on which the descent's incidence is checked."""
+    for spec in ("cycle:5", "cycle:7", "complete:4", "sq2"):
+        g = generate(spec)
+        yield from ((g, l) for l in range(2, 7))
+    yield from ((hemi, l) for l in (4, 5))
+    rng = random.Random(31337)
+    for _ in range(30):
+        # the draws of the benchmark's `maghom check --trials 30 --seed 31337`
+        g = random_connected_graph(rng, n_max=6)
+        yield g, rng.randint(3, 5)
+
+
+def test_descent_incidence_is_the_membership_incidence(hemi):
+    # a facet of a relative cell is a cell iff its triangle is tight: the
+    # entries the descent records are the facets found among its cells
+    components = 0
+    for g, l in _incidence_battery(hemi):
+        for a in g.vertices:
+            for b in g.vertices:
+                kp = build_k_pair(g, ComponentKey(a, b, l))
+                assert kp.incidence == membership_incidence(kp.labels, kp.cells), (a, b, l)
+                components += 1
+    assert components == 1655
 
 
 def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
@@ -200,7 +234,7 @@ def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
 
 def _relative_complex(g, key):
     kp = build_k_pair(g, key)
-    return relative_chain_complex(kp.labels, kp.cells)
+    return relative_chain_complex(kp.labels, kp.incidence)
 
 
 def test_chain_map_on_sq2_components(sq2):
@@ -266,7 +300,8 @@ def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
     key = ComponentKey("a", "d", 4)
     kp = build_k_pair(sq2, key)
     assert drop <= kp.cells and not add & kp.cells
-    rel = relative_chain_complex(kp.labels, (kp.cells - drop) | add)
+    cells = (kp.cells - drop) | add
+    rel = relative_chain_complex(kp.labels, membership_incidence(kp.labels, cells))
     mag = magnitude_chain_complex(sq2, key, key.l + 1)
     with pytest.raises(InternalCheckError, match=message):
         chain_map_t(sq2, key, rel, mag)
@@ -285,7 +320,7 @@ def test_chain_map_failures_name_the_component_and_degree():
          "degree 0 relative simplex ((1, 'v1'),) of "
          "ComponentKey(a='v0', b='v2', l=4) has interior length != l"),
     ):
-        rel = relative_chain_complex(labels, {cell})
+        rel = relative_chain_complex(labels, membership_incidence(labels, {cell}))
         mag = magnitude_chain_complex(g, key, key.l + 1)
         with pytest.raises(InternalCheckError) as excinfo:
             chain_map_t(g, key, rel, mag)
@@ -410,7 +445,9 @@ def test_degree_two_branch_rejects_nonempty_sub(monkeypatch):
     kp = build_k_pair(g, key)
     vertex = min(s for s in kp.total if len(s) == 1)
     # K keeps the vertex, the cells lose it, so K' = K minus the cells holds it
-    bad = KPair(key=key, labels=kp.labels, walks=kp.walks, cells=kp.cells - {vertex})
+    cells = kp.cells - {vertex}
+    bad = KPair(key=key, labels=kp.labels, walks=kp.walks,
+                incidence=membership_incidence(kp.labels, cells))
     assert bad.sub == {vertex}
     monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
     with pytest.raises(InternalCheckError, match="not empty"):
@@ -425,7 +462,9 @@ def test_degree_two_branch_rejects_a_cell_outside_k(monkeypatch):
     kp = build_k_pair(g, key)
     foreign = ((1, "v3"),)
     assert foreign not in kp.total
-    bad = KPair(key=key, labels=kp.labels, walks=kp.walks, cells=kp.cells | {foreign})
+    cells = kp.cells | {foreign}
+    bad = KPair(key=key, labels=kp.labels, walks=kp.walks,
+                incidence=membership_incidence(kp.labels, cells))
     assert bad.sub == frozenset()
     monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
     with pytest.raises(InternalCheckError, match="not empty"):

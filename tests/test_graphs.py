@@ -154,7 +154,10 @@ def test_generate_errors():
             generate(bad)
     with pytest.raises(GraphError, match=r"^seed must be an integer in 'random-tree:5:\+1'$"):
         generate("random-tree:5:+1")
-    assert generate("random-tree:5:-1").num_vertices == 5
+    # random.Random(-1) would draw the stream of seed 1, so the sign is refused
+    with pytest.raises(GraphError, match=r"^seed must be nonnegative in 'random-tree:5:-1'$"):
+        generate("random-tree:5:-1")
+    assert generate("random-tree:5:0").num_vertices == 5
 
 
 def test_is_generator_spec():

@@ -18,6 +18,7 @@ from oracles import (
     chain_complex,
     euler_characteristic,
     matrix_from_lists,
+    membership_incidence,
     pair_chain_complex,
 )
 
@@ -140,14 +141,23 @@ def test_relative_pair_validation():
 
 
 def test_relative_cell_validation():
-    with pytest.raises(ValueError, match="unknown label"):
-        relative_chain_complex("abc", [("a", "d")])
-    with pytest.raises(ValueError, match="repeated label"):
-        relative_chain_complex("abc", [("b", "b")])
-    with pytest.raises(ValueError, match="empty simplex"):
-        relative_chain_complex("abc", [("a",), ()])
-    with pytest.raises(ValueError, match="duplicate label"):
-        relative_chain_complex("aba", [("a",)])
+    # relative_chain_complex takes cells as tuples of label indices
+    for labels, incidence, message in (
+        ("aba", {(0,): ()}, "duplicate label in universe"),
+        ("abc", {(0, 3): ()}, "label index out of range in cell (0, 3)"),
+        ("abc", {(-1, 2): ()}, "label index out of range in cell (-1, 2)"),
+        ("abc", {(1, 1): ()}, "cell is not increasing: (1, 1)"),
+        ("abc", {(2, 0): ()}, "cell is not increasing: (2, 0)"),
+        ("abc", {(0,): (), (): ()}, "the empty simplex is not allowed"),
+        # the facet (1,) of (0, 1) is not a cell
+        ("abc", {(0,): (), (0, 1): ((0, (1,)), (1, (0,)))},
+         "facet (1,) of cell (0, 1) is not a cell"),
+        # a vertex's only facet is the empty simplex, which is no cell
+        ("abc", {(0,): ((0, ()),)}, "facet () of cell (0,) is not a cell"),
+    ):
+        with pytest.raises(ValueError) as info:
+            relative_chain_complex(labels, incidence)
+        assert str(info.value) == message, incidence
 
 
 @pytest.mark.parametrize("labels, simplex, message", [
@@ -157,8 +167,9 @@ def test_relative_cell_validation():
     ("abc", (), "the empty simplex is not allowed"),
 ])
 def test_one_normal_form_validates_every_entry_point(labels, simplex, message):
-    builders = (SimplicialComplex, SimplicialComplex.from_maximal, relative_chain_complex)
-    for build in builders:
+    # relative_chain_complex takes index-coded cells and validates them
+    # itself, without the normal form: test_relative_cell_validation
+    for build in (SimplicialComplex, SimplicialComplex.from_maximal):
         with pytest.raises(ValueError) as info:
             build(labels, [simplex])
         assert str(info.value) == message, build
@@ -167,12 +178,25 @@ def test_one_normal_form_validates_every_entry_point(labels, simplex, message):
 def test_relative_cells_follow_universe_order():
     # cells may come in any label order and any sequence; the basis is
     # sorted by the universe, and facets that are not cells are dropped
-    c = relative_chain_complex("cba", {("a", "b"), ("c", "a"), ("a", "b", "c"), ("b",)})
+    cells = {("a", "b"), ("c", "a"), ("a", "b", "c"), ("b",)}
+    c = relative_chain_complex("cba", membership_incidence("cba", cells))
     assert [c.basis(n) for n in range(3)] == [
         [("b",)], [("c", "a"), ("b", "a")], [("c", "b", "a")],
     ]
     assert list(c.boundary(1).columns) == [{}, {0: -1}]
     assert list(c.boundary(2).columns) == [{0: -1, 1: 1}]
+
+
+def test_relative_boundary_is_the_incidence():
+    # one entry per recorded facet, with sign (-1)^i for dropping index i:
+    # the facet (2,) of (0, 2) is a cell but is not recorded, so it is read
+    # as lying in the subcomplex
+    incidence = {(0,): (), (2,): (), (0, 2): ((1, (0,)),), (0, 1, 2): ((1, (0, 2)),)}
+    c = relative_chain_complex("xyz", incidence)
+    assert [c.basis(n) for n in range(3)] == [[("x",), ("z",)], [("x", "z")], [("x", "y", "z")]]
+    assert list(c.boundary(1).columns) == [{0: -1}]
+    assert list(c.boundary(2).columns) == [{0: -1}]
+    assert relative_chain_complex("xyz", {}).top_degree == 0
 
 
 def test_relative_disk_mod_boundary_is_sphere():
