@@ -118,15 +118,14 @@ def build_k_pair(g, key):
 
     labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
     walks = tuple(enumerate_walks(g, a, b, l))
-    n = len(g.vertices)
-    number = dict(zip(g.vertices, range(n)))
+    n, number = len(g.vertices), g.numbering
     # at l <= 1 the interior is empty, and the empty set is no simplex
     steps = range(0, (l - 1) * n, n)
     layer = {tuple(map(add, steps, map(number.__getitem__, walk[1:-1])))
              for walk in walks if len(walk) == l + 1 > 2}
 
     # distances between vertex numbers, and the vertex number of each label
-    dist = [list(g.distances[u].values()) for u in g.vertices]
+    dist = g.distance_rows
     vertex = tuple(range(n)) * (l - 1)
     first, last = number[a], number[b]
     # one layer per simplex size, largest first; every cell has length l

@@ -28,37 +28,40 @@ class InternalCheckError(RuntimeError):
 class Graph:
     """An undirected, simple, connected graph.
 
-    Construction validates the input and precomputes the full shortest-path
-    distance table (breadth-first search from every vertex), stored
-    read-only as ``distances``: one row per vertex, so that
-    ``distances[u][v]`` is d(u, v), with the rows and each row's entries in
-    vertex order.  Instances are treated as immutable.
+    Construction validates the input, numbers the vertices in declaration
+    order (``numbering``, the map behind ``index``) and computes the full
+    shortest-path distance table once, by breadth-first search from every
+    vertex.  It keeps two read-only views of the table, both in vertex
+    order: ``distances[u][v]`` is d(u, v) by label, and ``distance_rows``
+    is the same table as tuples indexed by vertex number.  Instances are
+    treated as immutable.
     """
 
-    __slots__ = ("vertices", "edges", "distances", "_index")
+    __slots__ = ("vertices", "edges", "numbering", "distances", "distance_rows")
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         if not self.vertices:
             raise GraphError("graph must have at least one vertex")
-        self._index = {}
+        numbering = {}
         for v in self.vertices:
-            if v in self._index:
+            if v in numbering:
                 raise GraphError(f"duplicate vertex declaration: {v!r}")
             if "," in v:
                 # "u,v" is how --pair and labeling files name a pair
                 raise GraphError(f"vertex label contains ',': {v!r}")
             if v != v.strip():
                 raise GraphError(f"vertex label has leading or trailing whitespace: {v!r}")
-            self._index[v] = len(self._index)
+            numbering[v] = len(numbering)
+        self.numbering = MappingProxyType(numbering)
 
         seen = set()
         normalized = []
         for e in edges:
             u, v = e
-            if u not in self._index:
+            if u not in numbering:
                 raise GraphError(f"unknown vertex in edge: {u!r}")
-            if v not in self._index:
+            if v not in numbering:
                 raise GraphError(f"unknown vertex in edge: {v!r}")
             if u == v:
                 raise GraphError(f"self-loop present at vertex: {u!r}")
@@ -90,13 +93,14 @@ class Graph:
                 )
             rows[s] = MappingProxyType({t: level[t] for t in self.vertices})
         self.distances = MappingProxyType(rows)
+        self.distance_rows = tuple(tuple(row.values()) for row in rows.values())
 
     # -- basic queries ----------------------------------------------------
 
     def index(self, v):
         """Position of a vertex in the declaration order."""
         try:
-            return self._index[v]
+            return self.numbering[v]
         except KeyError:
             raise GraphError(f"unknown vertex: {v!r}") from None
 
@@ -439,8 +443,7 @@ def pair_orbits(g):
     Every generator is checked to be a distance-preserving bijection before
     any orbit is formed; InternalCheckError is raised otherwise.
     """
-    names = g.vertices
-    dist = [list(g.distances[u].values()) for u in names]
+    names, dist = g.vertices, g.distance_rows
     n = len(dist)
     gens = automorphism_generators(dist)
     for sigma in gens:

@@ -2,17 +2,16 @@
 
 A simplex is stored as a tuple of labels sorted by the universe order, and
 that order also fixes the orientation signs of the boundary operator.
-``SimplicialComplex`` validates and sorts its simplices by one normal form,
-``_normal_form``.  ``relative_chain_complex`` takes its cells written as
-increasing tuples of label indices, together with their boundary incidence,
-validates them itself and decodes its bases to labels.  The complexes here
-are abstract: labels can be graph vertices, integers, or (position, vertex)
-pairs; the OFF writer takes (position, vertex) labels only.
+``_cells_by_degree`` validates cells written as increasing tuples of label
+indices: ``SimplicialComplex`` encodes its simplices so, and
+``relative_chain_complex`` takes its cells so, with their incidence.  The
+complexes here are abstract: labels can be graph vertices, integers, or
+(position, vertex) pairs; the OFF writer takes (position, vertex) labels only.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from operator import lt
 
 from .homology import IntegerChainComplex, IntegerMatrix
@@ -24,47 +23,58 @@ def downward_closure(simplices):
                      for face in combinations(simplex, size))
 
 
-def _normal_form(labels, simplices):
-    """The simplices by dimension: entry n lists those with n + 1 labels.
+def _cells_by_degree(labels, cells):
+    """The index-coded cells by degree: entry n lists those with n + 1 indices.
 
-    ``labels`` is the label universe in canonical order.  Each simplex is
-    sorted by the universe order and each entry by the tuples of label
-    positions; entries run from dimension 0 to the top, so there are none
-    for no simplices.  Raises ValueError on a repeated universe label, and
-    on a simplex with an unknown label, a repeated label or no label at all.
+    ``labels`` is the label universe in canonical order.  Each entry is
+    sorted, a cell given twice listed twice; entries run from degree 0 to
+    the top, so there are none for no cells.  The universe is checked
+    before the first cell is drawn.  Raises ValueError on a repeated
+    universe label, and on a cell that is empty, not increasing or holds an
+    index out of range.
     """
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
+    if len(set(labels)) != len(labels):
         raise ValueError("duplicate label in universe")
-    by_dim = {}
-    for cell in simplices:
-        try:
-            order = tuple(sorted(map(index.__getitem__, cell)))
-        except KeyError as exc:
-            raise ValueError(f"unknown label in simplex: {exc.args[0]!r}") from None
-        if not order:
+    by_degree = {}
+    for cell in cells:
+        if not cell:
             raise ValueError("the empty simplex is not allowed")
-        if len(set(order)) != len(order):
-            raise ValueError(f"repeated label in simplex: {tuple(cell)!r}")
-        by_dim.setdefault(len(order) - 1, set()).add(order)
-    return [
-        [tuple(labels[i] for i in order) for order in sorted(by_dim.get(n, ()))]
-        for n in range(max(by_dim, default=-1) + 1)
-    ]
+        if not all(map(lt, cell, cell[1:])):
+            raise ValueError(f"cell is not increasing: {cell!r}")
+        if cell[0] < 0 or cell[-1] >= len(labels):
+            raise ValueError(f"label index out of range in cell {cell!r}")
+        by_degree.setdefault(len(cell) - 1, []).append(cell)
+    return [sorted(by_degree.get(n, ())) for n in range(max(by_degree, default=-1) + 1)]
 
 
 class SimplicialComplex:
     """A finite abstract simplicial complex with an explicit simplex set.
 
-    The simplex set must be downward closed; construction verifies this and
-    rejects what ``_normal_form`` rejects.
+    Simplices are given as labels in any order, and the set must be
+    downward closed.  Construction verifies this and raises ValueError on
+    what ``_cells_by_degree`` refuses and on an unknown or repeated label.
     """
 
     __slots__ = ("labels", "_by_dim")
 
     def __init__(self, labels, simplices):
         self.labels = tuple(labels)
-        self._by_dim = _normal_form(self.labels, simplices)
+        index = {lab: i for i, lab in enumerate(self.labels)}
+
+        def encode(simplex):
+            try:
+                cell = tuple(sorted(map(index.__getitem__, simplex)))
+            except KeyError as exc:
+                raise ValueError(f"unknown label in simplex: {exc.args[0]!r}") from None
+            if len(set(cell)) != len(cell):
+                raise ValueError(f"repeated label in simplex: {tuple(simplex)!r}")
+            return cell
+
+        self._by_dim = [
+            # a simplex may be given more than once, in any label order
+            [tuple(map(self.labels.__getitem__, cell)) for cell in dict.fromkeys(cells)]
+            for cells in _cells_by_degree(self.labels, map(encode, simplices))
+        ]
         for lower, upper in zip(self._by_dim, self._by_dim[1:]):
             present = set(lower)
             for simplex in upper:
@@ -74,11 +84,6 @@ class SimplicialComplex:
                         raise ValueError(
                             f"not downward closed: {simplex!r} present, facet {facet!r} missing"
                         )
-
-    @classmethod
-    def from_maximal(cls, labels, maximal):
-        """Build the downward closure of the given simplices."""
-        return cls(labels, downward_closure(chain.from_iterable(_normal_form(labels, maximal))))
 
     # -- queries -----------------------------------------------------------
 
@@ -121,23 +126,11 @@ def relative_chain_complex(labels, incidence):
     compared); the facets not listed lie in K'.  Degree-n basis: the cells
     with n + 1 labels, in increasing order of their index tuples, decoded to
     labels.  The boundary of a cell is the sum of (-1)^i facet over its
-    entries.  Raises ValueError on a repeated universe label, on a cell that
-    is empty, not increasing or holds an index out of range, and on an entry
-    whose facet is not a cell one degree down.
+    entries.  Raises ValueError on what ``_cells_by_degree`` refuses, and on
+    an entry whose facet is not a cell one degree down.
     """
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate label in universe")
-    bases = [[] for _ in range(max(map(len, incidence), default=1))]
-    for cell in incidence:
-        if not cell:
-            raise ValueError("the empty simplex is not allowed")
-        if not all(map(lt, cell, cell[1:])):
-            raise ValueError(f"cell is not increasing: {cell!r}")
-        if cell[0] < 0 or cell[-1] >= len(labels):
-            raise ValueError(f"label index out of range in cell {cell!r}")
-        bases[len(cell) - 1].append(cell)
-    for basis in bases:
-        basis.sort()
+    # no cells still make one degree, with an empty basis
+    bases = _cells_by_degree(labels, incidence) or [[]]
 
     # a degree-0 cell has no facet that is a cell, so ``numbers`` starts empty
     numbers, boundaries = {}, []

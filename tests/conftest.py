@@ -7,7 +7,7 @@ import pytest
 
 from maghom import generate
 from maghom.cli import main
-from maghom.simplicial import SimplicialComplex
+from maghom.simplicial import SimplicialComplex, downward_closure
 from oracles import chain_complex, face_poset_graph
 
 # Six-vertex closed-surface triangulation with Euler characteristic 1
@@ -67,7 +67,7 @@ def sq2():
 
 @pytest.fixture(scope="session")
 def rp2_complex():
-    return chain_complex(SimplicialComplex.from_maximal(range(1, 7), PROJECTIVE_PLANE_FACES))
+    return chain_complex(SimplicialComplex(range(1, 7), downward_closure(PROJECTIVE_PLANE_FACES)))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import maghom.geometric
 from maghom import (
     ComponentKey,
-    GraphError,
     HomologyGroup,
     InternalCheckError,
     KPair,

@@ -68,6 +68,11 @@ def test_distance_rows_are_read_only():
         g.distances["v0"] = {}
     with pytest.raises(TypeError):
         g.distances["v0"]["v2"] = 1
+    # the numbered view and the numbering behind index() are read-only too
+    assert g.distance_rows == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert dict(g.numbering) == {"v0": 0, "v1": 1, "v2": 2}
+    with pytest.raises(TypeError):
+        g.numbering["v3"] = 3
 
 
 def test_parse_edge_list():
@@ -261,7 +266,14 @@ def assert_distances_are_the_oracle_metric(g):
     # oracle's breadth-first search over the edge list
     assert list(g.distances) == list(g.vertices)
     assert all(list(row) == list(g.vertices) for row in g.distances.values())
-    assert {u: dict(row) for u, row in g.distances.items()} == metric(g)
+    oracle = metric(g)
+    assert {u: dict(row) for u, row in g.distances.items()} == oracle
+    # the numbered view: the same metric as tuples, row and entry i for vertex i
+    assert type(g.distance_rows) is tuple
+    assert all(type(row) is tuple for row in g.distance_rows)
+    assert g.distance_rows == tuple(
+        tuple(oracle[u][v] for v in g.vertices) for u in g.vertices
+    )
 
 
 @pytest.mark.parametrize(

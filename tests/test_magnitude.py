@@ -388,3 +388,30 @@ def test_the_direct_route_depends_on_the_reduction_module_alone():
     # the direct route, which checks the others, builds on nothing else
     assert _package_imports(homology_module) == set()
     assert _package_imports(magnitude_module) == {"maghom.homology"}
+
+
+def _unread_imports(path):
+    """The names a module's source imports and never reads, by line."""
+    tree = ast.parse(path.read_text())
+    imported, exported = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno)
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            # a package reads what it re-exports through __all__
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(Path(magnitude_module.__file__).parent.glob("*.py"))
+    assert len(modules) >= 8, "the guard found too few modules to check"
+    unread = {path.name: _unread_imports(path) for path in modules}
+    assert {name: found for name, found in unread.items() if found} == {}

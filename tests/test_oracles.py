@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 ORACLES = Path(__file__).with_name("oracles.py")
-METRIC_NAMES = {"distances", "distance", "neighbors"}
+METRIC_NAMES = {"distances", "distance_rows", "distance", "neighbors"}
 PACKAGE_NAMES = {"Graph", "random_connected_graph", "IntegerMatrix", "relative_chain_complex"}
 
 

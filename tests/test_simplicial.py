@@ -24,11 +24,11 @@ from oracles import (
 
 
 def triangle_boundary():
-    return SimplicialComplex.from_maximal("abc", ["ab", "bc", "ac"])
+    return SimplicialComplex("abc", downward_closure(["ab", "bc", "ac"]))
 
 
 def full_triangle():
-    return SimplicialComplex.from_maximal("abc", ["abc"])
+    return SimplicialComplex("abc", downward_closure(["abc"]))
 
 
 # --- construction and validation ---------------------------------------------
@@ -50,7 +50,7 @@ def test_construction_rejects_bad_labels():
         SimplicialComplex(["a", "a"], [])
 
 
-def test_from_maximal_closes_downward():
+def test_closure_of_a_simplex_builds_every_face():
     s = full_triangle()
     assert len(list(s)) == 7  # 3 vertices + 3 edges + 1 face
     assert ("a", "b") in s
@@ -78,8 +78,11 @@ def test_simplices_canonical_order():
     assert s.simplices_of_dim(1) == [("a", "b"), ("a", "c"), ("b", "c")]
     assert s.simplices_of_dim(2) == []
     # Input vertex order inside a simplex does not matter.
-    t = SimplicialComplex.from_maximal("abc", [("b", "a")])
+    t = SimplicialComplex("abc", downward_closure([("b", "a")]))
     assert ("a", "b") in t
+    # and a simplex given twice, in two orders, is one simplex
+    u = SimplicialComplex("abc", [("a",), ("b",), ("b", "a"), ("a", "b"), ("a",)])
+    assert list(u) == [("a",), ("b",), ("a", "b")]
 
 
 # --- chain complexes ----------------------------------------------------------
@@ -128,11 +131,11 @@ def test_chain_complex_shape_errors():
 
 def test_relative_pair_validation():
     # Sub lives on a different label universe, so it is not a subcomplex.
-    other = SimplicialComplex.from_maximal("abcd", ["cd"])
+    other = SimplicialComplex("abcd", downward_closure(["cd"]))
     with pytest.raises(ValueError, match="subcomplex"):
         pair_chain_complex(full_triangle(), other)
     # The same labels in another order are another universe too.
-    reordered = SimplicialComplex.from_maximal("cba", ["bc"])
+    reordered = SimplicialComplex("cba", downward_closure(["bc"]))
     with pytest.raises(ValueError, match="subcomplex"):
         pair_chain_complex(full_triangle(), reordered)
     # A simplex of sub that the total complex lacks is named.
@@ -167,12 +170,25 @@ def test_relative_cell_validation():
     ("abc", (), "the empty simplex is not allowed"),
 ])
 def test_one_normal_form_validates_every_entry_point(labels, simplex, message):
-    # relative_chain_complex takes index-coded cells and validates them
-    # itself, without the normal form: test_relative_cell_validation
-    for build in (SimplicialComplex, SimplicialComplex.from_maximal):
-        with pytest.raises(ValueError) as info:
-            build(labels, [simplex])
-        assert str(info.value) == message, build
+    # SimplicialComplex is the one entry point for label simplices;
+    # relative_chain_complex takes index-coded cells: test_relative_cell_validation
+    with pytest.raises(ValueError) as info:
+        SimplicialComplex(labels, [simplex])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("labels, simplex, cell, message", [
+    ("aba", ("a",), (0,), "duplicate label in universe"),
+    ("abc", (), (), "the empty simplex is not allowed"),
+])
+def test_one_cell_validator_serves_both_constructions(labels, simplex, cell, message):
+    # SimplicialComplex encodes a label simplex to the index-coded cell that
+    # relative_chain_complex takes, and one validator refuses both
+    with pytest.raises(ValueError) as built:
+        SimplicialComplex(labels, [simplex])
+    with pytest.raises(ValueError) as assembled:
+        relative_chain_complex(labels, {cell: ()})
+    assert str(built.value) == str(assembled.value) == message
 
 
 def test_relative_cells_follow_universe_order():
@@ -247,9 +263,9 @@ def test_complex_to_off_output():
     # (position, vertex) labels, as in an exported K pair: x is the
     # position, y the vertex's rank in first-appearance order
     labels = [(1, "b"), (1, "a"), (2, "a"), (3, "b"), (3, "c")]
-    s = SimplicialComplex.from_maximal(
-        labels, [[(1, "b"), (2, "a"), (3, "c")], [(1, "a"), (2, "a")], [(3, "b")]]
-    )
+    s = SimplicialComplex(labels, downward_closure(
+        [[(1, "b"), (2, "a"), (3, "c")], [(1, "a"), (2, "a")], [(3, "b")]]
+    ))
     assert complex_to_off(s) == (
         "OFF\n"
         "5 3 4\n"
@@ -265,7 +281,7 @@ def test_complex_to_off_output():
 
 
 def test_complex_to_off_rejects_high_dim():
-    s = SimplicialComplex.from_maximal("abcde", [("a", "b", "c", "d", "e")])
+    s = SimplicialComplex("abcde", downward_closure([("a", "b", "c", "d", "e")]))
     with pytest.raises(ValueError, match="dimension"):
         complex_to_off(s)
 
@@ -282,7 +298,7 @@ def test_random_complex_boundary_identity_and_euler(seed):
     for _ in range(rng.randint(1, 6)):
         size = rng.randint(1, 4)
         maximal.add(tuple(sorted(rng.sample(labels, size))))
-    s = SimplicialComplex.from_maximal(labels, maximal)
+    s = SimplicialComplex(labels, downward_closure(maximal))
     # labels are their own universe positions, so canonical order is
     # (size, tuple) order
     simplices = set(s)
