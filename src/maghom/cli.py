@@ -245,9 +245,10 @@ def export(graph_spec, l_spec, pair, out):
         if g.distances[a][b] > l_value:
             print(f"notice: d({a}, {b}) > {l_value}, the pair is empty", file=sys.stderr)
 
-        # the only consumer of whole complexes: wrapping validates downward closure
-        total = SimplicialComplex(kpair.labels, kpair.total)
-        sub = SimplicialComplex(kpair.labels, kpair.sub)
+        # the only consumer of whole complexes: wrapping validates downward
+        # closure; K and K' live on the labels between the cells' endpoints
+        total = SimplicialComplex(kpair.labels[1:-1], kpair.total)
+        sub = SimplicialComplex(kpair.labels[1:-1], kpair.sub)
 
         def annotate(simplex):
             return {"interior_length": interior_length(g, key, simplex)}

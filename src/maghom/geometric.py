@@ -6,23 +6,25 @@ positioned interior vertices realized by some walk from a to b with at most
 l steps.  The subcomplex K'_l(a, b) keeps the simplices whose endpoint-closed
 tuple (a, x_{i_1}, ..., x_{i_k}, b) has total length at most l - 1.
 
-Only the relative cells K \\ K' carry chains.  They are enumerated top-down
-from the walks of exactly l steps, as tuples of label indices, and the
-descent records the relative boundary as it goes: a facet of a cell is a
-cell exactly when the triangle through the dropped vertex is tight.
-``relative_chain_complex`` assembles the chain complex from that incidence,
-so K' is never built as a complex and no simplicial complex object is
-constructed on this route.  The simplex sets of labels, the cells and K
-itself, are built only when read: by export, by the d(a, b) = l branch of
-degree 2, and by tests.
+Only the relative cells K \\ K' carry chains, and each is written closed by
+the endpoint labels (0, a) first and (l, b) last.  A cell is then a
+magnitude tuple with its positions attached: its vertices in position order
+are a sequence of the magnitude basis in the same degree, and the relative
+boundary, (-1)^i times the facet without the i-th label, is the magnitude
+boundary.  The empty interior gives the cell ((0, a), (l, b)), which is a
+cell exactly when d(a, b) = l, that is when K' is empty; at l = 0 and
+a = b the one label (0, a) is the degree-0 cell.  With these augmented
+chains MH_{k,l}(a, b) = H~_{k-2}(K, K') for every k >= 2, and the one
+relative complex gives every degree 0..l.
 
-Reading a relative simplex's positioned vertices in position order and
-closing with the endpoints is a degree-preserving bijection onto the
-magnitude basis two degrees up, under which the relative simplicial boundary
-is the negated magnitude boundary.  Homology therefore transports:
-MH_{k,l}(a, b) is H_{k-2} of the pair for k >= 3, and for k = 2 it is
-H_0 of the pair when d(a, b) < l, or reduced H_0 of the total complex when
-d(a, b) = l (the subcomplex is then empty).
+The cells are enumerated top-down from the walks of exactly l steps, as
+tuples of label indices, and the descent records the relative boundary as
+it goes: a facet of a cell is a cell exactly when the triangle through the
+dropped vertex is tight.  ``relative_chain_complex`` assembles the chain
+complex from that incidence, so K' is never built as a complex and no
+simplicial complex object is constructed on this route.  The simplex sets
+of labels, the cells and K itself, are built only when read: by export and
+by tests.
 """
 
 from __future__ import annotations
@@ -32,22 +34,25 @@ from itertools import accumulate
 from operator import add
 
 from .graphs import InternalCheckError, enumerate_walks, refuse_long
-from .homology import HomologyGroup, _FrozenValue, _Value, homology_all
-from .magnitude import ComponentKey, magnitude_chain_complex, magnitude_homology_direct
+from .homology import _FrozenValue, _Value, homology_all
+from .magnitude import ComponentKey, magnitude_chain_complex
 from .simplicial import downward_closure, relative_chain_complex
 
 
 class KPair(_FrozenValue):
     """The pair (K_l(a,b), K'_l(a,b)) of one component key.
 
-    ``labels`` is the label universe in canonical order, and ``walks`` the
-    walks from a to b of at most l steps, whose positioned interiors close
-    downward to K.  ``incidence`` is the relative boundary in the form
-    ``relative_chain_complex`` takes: each cell of K \\ K', a simplex that
-    carries relative chains, is written as the increasing tuple of its label
-    indices and maps to the (i, facet) pairs of its facets that are cells.
-    ``cells``, ``total`` and ``sub`` are simplex sets built on first read,
-    each simplex a tuple of (position, vertex) labels in position order.
+    ``labels`` is the label universe in canonical order: (0, a), the
+    interior labels (pos, v) for 1 <= pos <= l - 1, by position first and
+    vertex order second, and (l, b), so that a cell's orientation agrees
+    with position order; the one label (0, a) when l = 0 and a = b.  ``walks`` are the walks from a to b of at most l steps, whose
+    positioned interiors close downward to K.  ``incidence`` is the relative
+    boundary in the form ``relative_chain_complex`` takes: each cell of
+    K \\ K', closed by the endpoint labels, is written as the increasing
+    tuple of its label indices and maps to the (i, facet) pairs of its
+    facets that are cells.  ``cells``, ``total`` and ``sub`` are simplex
+    sets built on first read, each simplex a tuple of labels in position
+    order: the cells closed, K and K' on the interior labels alone.
     """
 
     def __init__(self, key, labels, walks, incidence):
@@ -58,7 +63,7 @@ class KPair(_FrozenValue):
 
     @cached_property
     def cells(self):
-        """K \\ K', the incidence's cells decoded to labels."""
+        """K \\ K', the incidence's cells decoded to labels, endpoints included."""
         return frozenset(tuple(map(self.labels.__getitem__, cell)) for cell in self.incidence)
 
     @cached_property
@@ -70,8 +75,8 @@ class KPair(_FrozenValue):
 
     @property
     def sub(self):
-        """K' as the simplices of K that are not relative cells."""
-        return self.total - self.cells
+        """K' as the simplices of K that are no cell's interior."""
+        return self.total - {cell[1:-1] for cell in self.cells}
 
 
 def positioned_interior(walk):
@@ -79,14 +84,9 @@ def positioned_interior(walk):
     return tuple(enumerate(walk[1:-1], 1))
 
 
-def interior_tuple(key, simplex):
-    """The endpoint-closed vertex tuple of a positioned simplex."""
-    return (key.a, *[v for _, v in simplex], key.b)
-
-
 def interior_length(g, key, simplex):
-    """Total length of the endpoint-closed tuple of a simplex."""
-    closed = interior_tuple(key, simplex)
+    """Total length of the endpoint-closed vertex tuple of a simplex of K."""
+    closed = (key.a, *[v for _, v in simplex], key.b)
     return sum(g.distances[x][y] for x, y in zip(closed, closed[1:]))
 
 
@@ -96,164 +96,142 @@ def build_k_pair(g, key):
     Every walk with at most l steps contributes the downward closure of its
     full positioned interior; the union over walks is K, which the returned
     pair builds from the stored walks only when ``total`` is read.  The
-    relative cells are enumerated top-down from the nonempty interiors of
-    the walks of exactly l steps, which have interior length l by
-    construction.  From a cell of length l, dropping the vertex x_i of the
-    closed tuple keeps the length l exactly when the triangle through it is
-    tight, d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1}), since
-    the drop replaces those two terms by the first; only such faces are
-    generated.  A simplex of K outside K' has interior length l, so every
-    walk whose interior holds it has exactly l steps; dropping a vertex
-    never lengthens the closed tuple, so every simplex between the two has
-    length l as well.  The descent thus reaches every simplex of K outside
-    K' and nothing else, and a facet of a relative cell is a cell exactly
-    when its triangle is tight: each tight drop it makes is an entry of the
-    relative boundary, recorded as it is found.  A pair at distance greater
-    than l yields the empty pair.  Labels are (position, vertex), ordered
-    by position first and vertex order second, so that simplex orientation
-    agrees with position order; the descent writes the label (pos, v) as its
-    index (pos - 1) * n + index(v) in that universe, n the vertex count.
+    relative cells, closed by the endpoint labels, are enumerated top-down
+    from the walks of exactly l steps, which have length l by construction.
+    From a cell of length l, dropping an interior vertex x_i keeps the
+    length l exactly when the triangle through it is tight,
+    d(x_{i-1}, x_{i+1}) = d(x_{i-1}, x_i) + d(x_i, x_{i+1}), since the drop
+    replaces those two terms by the first; only such faces are generated.
+    A simplex of K outside K' has closed length l, so every walk whose
+    interior holds it has exactly l steps; dropping a vertex never lengthens
+    the closed tuple, so every simplex between the two has length l as
+    well.  The descent thus reaches every cell and nothing else, the empty
+    interior ((0, a), (l, b)) included exactly when d(a, b) = l, and a
+    facet of a cell is a cell exactly when its triangle is tight: each
+    tight drop it makes is an entry of the relative boundary, recorded as
+    it is found.  A pair at distance greater than l yields no cells.  The
+    descent writes (0, a) as index 0, the interior label (pos, v) as
+    1 + (pos - 1) * n + number(v), n the vertex count, and (l, b) as the
+    last index.
     """
     a, b, l = key
 
-    labels = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
+    interior = tuple((pos, v) for pos in range(1, l) for v in g.vertices)
+    labels = ((0, a),) if l == 0 and a == b else ((0, a), *interior, (l, b))
     walks = tuple(enumerate_walks(g, a, b, l))
-    n, number = len(g.vertices), g.numbering
-    # at l <= 1 the interior is empty, and the empty set is no simplex
-    steps = range(0, (l - 1) * n, n)
-    layer = {tuple(map(add, steps, map(number.__getitem__, walk[1:-1])))
-             for walk in walks if len(walk) == l + 1 > 2}
+    n, number, last = len(g.vertices), g.numbering, len(labels) - 1
+    steps = range(1, (l - 1) * n + 1, n)
+    # a cell has one label per vertex of its walk, which cuts the cell of
+    # the zero-step walk (a,) to the index 0
+    layer = {(0, *map(add, steps, map(number.__getitem__, walk[1:-1])), last)[:len(walk)]
+             for walk in walks if len(walk) == l + 1}
 
     # distances between vertex numbers, and the vertex number of each label
     dist = g.distance_rows
-    vertex = tuple(range(n)) * (l - 1)
-    first, last = number[a], number[b]
-    # one layer per simplex size, largest first; every cell has length l
+    vertex = tuple(number[v] for _, v in labels)
+    # one layer per cell size, largest first; every cell has length l
     incidence = {}
     while layer:
         faces = set()
         for cell in layer:
             entries = []
-            if len(cell) > 1:
-                closed = (first, *map(vertex.__getitem__, cell), last)
-                for i in range(len(cell)):
-                    x, y, z = closed[i:i + 3]
+            if len(cell) > 2:
+                # the triangle (x, y, z) slides along the cell, y the label
+                # that the drop at i removes
+                x, y = vertex[cell[0]], vertex[cell[1]]
+                for i in range(1, len(cell) - 1):
+                    z = vertex[cell[i + 1]]
                     row = dist[x]
                     if row[z] == row[y] + dist[y][z]:
                         facet = cell[:i] + cell[i + 1:]
                         entries.append((i, facet))
                         faces.add(facet)
+                    x, y = y, z
             incidence[cell] = tuple(entries)
         layer = faces
     return KPair(key=key, labels=labels, walks=walks, incidence=incidence)
 
 
 def chain_map_t(g, key, rel, mag):
-    """Identify the relative basis with the magnitude basis two degrees up.
+    """Identify the relative basis with the magnitude basis, degree by degree.
 
     ``rel`` is the relative complex of the K pair of ``key`` and ``mag`` the
     magnitude complex of ``key`` through degree l + 1.  Checks, degree by
-    degree, that closing each relative simplex with the endpoints gives
-    exactly the magnitude basis two degrees up: the running sums of the
-    steps of each closed tuple, read from the distance table, must equal the
-    simplex's positions and end at l; every cell must be found in the basis,
+    degree, that each relative cell's vertices in position order give
+    exactly the magnitude basis of the same degree: the running sums of the
+    steps of each tuple from 0, read from the distance table, must equal the
+    cell's positions and end at l; every cell must be found in the basis,
     no index twice, and as many cells as sequences.  Returns
     ``index_by_degree``: ``index_by_degree[n][j]`` is the index in
-    ``mag.basis(n + 2)`` of the j-th relative cell of degree n.  Raises
+    ``mag.basis(n)`` of the j-th relative cell of degree n.  Raises
     InternalCheckError on any failure.
     """
-    # relative simplices use distinct positions from 1..l-1, so the relative
-    # complex tops out at degree l-2 and the magnitude complex at degree l
+    # a cell's positions are distinct in 0..l, so both complexes top out at
+    # degree l; a relative degree above it must be as empty as the magnitude one
     dist = g.distances
     index_by_degree = []
-    for n in range(max(key.l - 1, 0)):
-        mag_basis = mag.basis(n + 2)
+    for n in range(max(rel.top_degree, key.l) + 1):
+        mag_basis = mag.basis(n)
         mag_index = dict(zip(mag_basis, range(len(mag_basis))))
         places = []
-        for simplex in rel.basis(n):
-            seq = interior_tuple(key, simplex)
-            ends = list(accumulate([dist[x][y] for x, y in zip(seq, seq[1:])]))
+        for cell in rel.basis(n):
+            positions, seq = zip(*cell)
+            ends = tuple(accumulate([dist[x][y] for x, y in zip(seq, seq[1:])], initial=0))
             if ends[-1] != key.l:
                 raise InternalCheckError(
-                    f"degree {n} relative simplex {simplex!r} of {key} has interior length != l"
+                    f"degree {n} relative cell {cell!r} of {key} has interior length != l"
                 )
-            # positions must equal cumulative distances along the sequence
-            for (pos, _), end in zip(simplex, ends):
-                if pos != end:
-                    raise InternalCheckError(
-                        f"degree {n} position mismatch in {simplex!r} of {key}: {pos} != {end}"
-                    )
+            if positions != ends:
+                pos, end = next(pair for pair in zip(positions, ends) if pair[0] != pair[1])
+                raise InternalCheckError(
+                    f"degree {n} position mismatch in {cell!r} of {key}: {pos} != {end}"
+                )
             places.append(mag_index.get(seq))
         if None in places or len(set(places)) != len(places) or len(places) != len(mag_basis):
             raise InternalCheckError(
                 f"degree {n} basis bijection fails for {key}: "
-                f"{len(places)} relative simplices vs {len(mag_basis)} sequences"
+                f"{len(places)} relative cells vs {len(mag_basis)} sequences"
             )
         index_by_degree.append(places)
     return index_by_degree
 
 
 def verify_chain_map(key, rel, mag, index_by_degree):
-    """Check the boundary identity: relative d = -(magnitude d) under t.
+    """Check the boundary identity: relative d = magnitude d under t.
 
     ``index_by_degree`` is the basis identification from ``chain_map_t``.
-    For every relative degree n >= 1, each relative boundary column has its
-    rows carried through the identification one degree down and its signs
-    negated, and must then equal the magnitude column at the cell's index.
-    Raises InternalCheckError on failure.
+    For every degree n >= 1, each relative boundary column has its rows
+    carried through the identification one degree down, and must then
+    equal the magnitude column at the cell's index, signs included.  Raises
+    InternalCheckError on failure.
     """
     for n in range(1, len(index_by_degree)):
-        rows, mag_columns = index_by_degree[n - 1], mag.boundary(n + 2).columns
+        rows, mag_columns = index_by_degree[n - 1], mag.boundary(n).columns
         for j, column in enumerate(rel.boundary(n).columns):
             target = mag_columns[index_by_degree[n][j]]
             # rows is injective, so equal sizes and matching entries are equality
             if len(target) != len(column) or any(
-                target.get(rows[r]) != -x for r, x in column.items()
+                target.get(rows[r]) != x for r, x in column.items()
             ):
                 raise InternalCheckError(
-                    f"boundary sign identity fails at degree {n}, "
-                    f"column of simplex {rel.basis(n)[j]!r} in component {key}"
+                    f"boundary identity fails at degree {n}, "
+                    f"column of cell {rel.basis(n)[j]!r} in component {key}"
                 )
     return True
 
 
-def pair_groups(g, kpair, rel, kmax):
-    """MH_{k,l}(a, b) for 2 <= k <= kmax, read off the pair's relative complex.
-
-    ``rel`` is the relative complex of ``kpair``; kmax < 2 gives no groups.
-    Degrees k >= 3 read H_{k-2} of the pair; k = 2 reads H_0 of the pair when
-    d(a, b) < l and reduced H_0 of the total complex when d(a, b) = l.  A
-    pair at distance greater than l has no cells and reads zero throughout.
-    """
-    a, b, l = kpair.key
-    groups = homology_all(rel, up_to=kmax - 2)
-    if groups and g.distances[a][b] == l:
-        # every interior tuple is at least d(a, b) = l long, so K' is empty,
-        # the pair's H_0 is H_0 of K, and reduced H_0 drops one Z; K' is
-        # empty exactly when the cells are all of K, and this is the only
-        # place where computing a table builds K
-        if kpair.total != kpair.cells:
-            raise InternalCheckError(f"K' of {kpair.key} is not empty although d(a, b) = l")
-        groups[0] = HomologyGroup(max(groups[0].betti - 1, 0))
-    return groups
-
-
 def magnitude_homology_geometric(g, key, kmax=None):
-    """MH_{k,l}(a, b) for 0 <= k <= kmax via the relative pair.
+    """MH_{k,l}(a, b) for 0 <= k <= kmax, the homology of the pair's relative complex.
 
-    Degrees k >= 3 read H_{k-2} of the pair; k = 2 uses H_0 of the pair when
-    d(a, b) < l and reduced H_0 of the total complex when d(a, b) = l;
-    degrees 0 and 1 are delegated to the direct route (their chain groups
-    are at most one-dimensional).
+    kmax defaults to l.  The closed cells and their boundary are the
+    magnitude complex with positions attached (see ``chain_map_t``), so the
+    relative complex gives every degree; the degrees above l have no cells
+    and read zero.
     """
     if kmax is None:
         kmax = key.l
-    out = magnitude_homology_direct(g, key, kmax=min(1, kmax))
-    if kmax < 2:
-        return out
     kpair = build_k_pair(g, key)
-    rel = relative_chain_complex(kpair.labels, kpair.incidence)
-    return out + pair_groups(g, kpair, rel, kmax)
+    return homology_all(relative_chain_complex(kpair.labels, kpair.incidence), up_to=kmax)
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -304,7 +282,7 @@ def cross_validate(g, l):
     """Compare the direct and geometric routes on every component of a graph.
 
     Checks betti and torsion for all ordered pairs (a, b) and all degrees
-    2 <= k <= l, then the chain-level basis bijection and boundary sign
+    0 <= k <= l, then the chain-level basis bijection and boundary
     identity.  Each component's magnitude complex, K pair and relative
     complex are built once and serve both checks.  Stops at the first
     mismatch and reports it.  Internal invariant failures raise
@@ -322,11 +300,11 @@ def cross_validate(g, l):
             direct = homology_all(mag, up_to=l)
             kpair = build_k_pair(g, key)
             rel = relative_chain_complex(kpair.labels, kpair.incidence)
-            geometric = pair_groups(g, kpair, rel, l)
+            geometric = homology_all(rel, up_to=l)
             report.pairs_checked += 1
-            for k in range(2, l + 1):
-                if direct[k] != geometric[k - 2]:
-                    report.mismatch = Mismatch(key, k, direct[k], geometric[k - 2])
+            for k in range(l + 1):
+                if direct[k] != geometric[k]:
+                    report.mismatch = Mismatch(key, k, direct[k], geometric[k])
                     return report
             # only a pair within distance l has cells to identify, so only
             # such a pair counts as a chain check

@@ -118,7 +118,7 @@ def test_criterion_3_component_spot_checks():
             assert ad[3] == HomologyGroup(2)
             assert ad[0] == ad[1] == ad[2] == ad[4] == ZERO_GROUP
         kp = build_k_pair(g, ComponentKey("a", "a", 4))
-        maximal = SimplicialComplex(kp.labels, kp.total).maximal_simplices()
+        maximal = SimplicialComplex(kp.labels[1:-1], kp.total).maximal_simplices()
         assert len(maximal) == 8
         assert all(len(s) == 3 for s in maximal)
         ad_walks = [w for w in enumerate_walks(g, "a", "d", 4) if len(w) == 5]
@@ -154,8 +154,8 @@ def test_criterion_4_tree_diagonality():
 
 def test_criterion_5_random_graph_cross_validation():
     with criterion(5, "50 random connected graphs (n<=6, l<=5): geometric and "
-                      "direct groups identical for every pair and 2<=k<=l, "
-                      "with chain-level bijection and boundary negation, "
+                      "direct groups identical for every pair and 0<=k<=l, "
+                      "with chain-level bijection and boundary identity, "
                       f"seed {RANDOM_BATTERY_SEED}") as out:
         rng = random.Random(RANDOM_BATTERY_SEED)
         pairs = chains = 0
@@ -172,11 +172,13 @@ def test_criterion_5_random_graph_cross_validation():
 
 
 def test_criterion_6_degree_two_branches():
-    with criterion(6, "k=2 branch: reduced-homology branch at d(a,b)=l and "
-                      "relative-H0 branch at d(a,b)<l both agree with the "
-                      "direct route (zero and nonzero instances)") as out:
-        # d(a, b) = l: the cut-out subcomplex is empty and reduced H~0 of the
-        # total complex decides the group.
+    with criterion(6, "k=2: at d(a,b)=l the (a,b) cell reduces H0 of the "
+                      "total complex, at d(a,b)<l relative H0 decides, both "
+                      "agree with the direct route (zero and nonzero "
+                      "instances)") as out:
+        # d(a, b) = l: the cut-out subcomplex is empty, the empty interior is
+        # the cell (a, b), and reduced H~0 of the total complex decides the
+        # group.
         equal_cases = [
             ("cycle:6", "v0", "v3", 3, HomologyGroup(1)),  # two geodesics
             ("cycle:7", "v0", "v3", 3, ZERO_GROUP),  # single geodesic
@@ -188,6 +190,7 @@ def test_criterion_6_degree_two_branches():
             assert metric(g)[a][b] == l
             kp = build_k_pair(g, key)
             assert len(kp.sub) == 0
+            assert ((0, a), (l, b)) in kp.cells
             geo = magnitude_homology_geometric(g, key)
             assert geo[2] == expected
             assert geo == magnitude_homology_direct(g, key)
@@ -202,6 +205,7 @@ def test_criterion_6_degree_two_branches():
             key = ComponentKey(a, b, l)
             assert metric(g)[a][b] < l
             kp = build_k_pair(g, key)
+            assert ((0, a), (l, b)) not in kp.cells
             if len(kp.total):
                 assert len(kp.sub) > 0
             geo = magnitude_homology_geometric(g, key)
@@ -218,14 +222,15 @@ def _assert_downward_closed(complex_):
 
 
 def _assert_position_rigidity(g, key, rel):
-    # Positions of a relative simplex are forced: they equal the cumulative
-    # distances along the endpoint-closed vertex tuple.
+    # Positions of a relative cell are forced: from 0 at a to l at b, they
+    # equal the cumulative distances along its vertex tuple.
     for n in range(rel.top_degree + 1):
-        for simplex in rel.basis(n):
-            seq = (key.a,) + tuple(v for _, v in simplex) + (key.b,)
-            positions = [pos for pos, _ in simplex]
-            expected = [tuple_length(g, seq[: i + 2]) for i in range(len(seq) - 2)]
-            assert positions == expected
+        for cell in rel.basis(n):
+            seq = tuple(v for _, v in cell)
+            assert (seq[0], seq[-1]) == (key.a, key.b)
+            positions = [pos for pos, _ in cell]
+            expected = [tuple_length(g, seq[: i + 1]) for i in range(len(seq))]
+            assert positions == expected and positions[-1] == key.l
 
 
 def test_criterion_7_structural_invariants():
@@ -253,7 +258,7 @@ def test_criterion_7_structural_invariants():
                 kp = build_k_pair(g, key)
                 _assert_downward_closed(kp.total)
                 _assert_downward_closed(kp.sub)
-                assert kp.cells <= kp.total
+                assert {cell[1:-1] for cell in kp.cells} - {()} <= kp.total
                 rel = relative_chain_complex(kp.labels, kp.incidence)
                 _assert_position_rigidity(g, key, rel)
                 assert_boundary_squares_to_zero(rel)

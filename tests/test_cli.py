@@ -490,7 +490,7 @@ def test_check_mismatch_exits_3(monkeypatch):
 
 def test_check_internal_failure_exits_4_naming_the_run(monkeypatch):
     def failing_verify(*args):
-        raise InternalCheckError("boundary sign identity fails at degree 1")
+        raise InternalCheckError("boundary identity fails at degree 1")
 
     monkeypatch.setattr(maghom.geometric, "verify_chain_map", failing_verify)
     # nothing is printed for the failing run, so the message names it
@@ -502,7 +502,7 @@ def test_check_internal_failure_exits_4_naming_the_run(monkeypatch):
         assert code == 4, args
         assert out == "", args
         assert re.fullmatch(
-            rf"error: {message}: boundary sign identity fails at degree 1\n", err
+            rf"error: {message}: boundary identity fails at degree 1\n", err
         ), (args, err)
 
 

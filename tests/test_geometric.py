@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -24,8 +25,6 @@ from maghom.geometric import (
     Mismatch,
     chain_map_t,
     interior_length,
-    interior_tuple,
-    pair_groups,
     verify_chain_map,
 )
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
@@ -35,6 +34,7 @@ from oracles import (
     chain_complex,
     k_pair_by_definition,
     membership_incidence,
+    metric,
     random_graph_from_seed,
 )
 
@@ -43,12 +43,18 @@ from oracles import (
 
 
 def test_geometric_route_below_length_three_matches_direct(sq2):
-    # degrees 0 and 1 come from the direct route at every l, and degree 2
-    # from the pair; at l <= 1 a walk's interior is empty, so nothing is a cell
-    for l in (0, 1):
-        assert build_k_pair(sq2, ComponentKey("a", "b", l)).cells == frozenset()
+    # every cell is closed by (0, a) and (l, b): at l = 0 the one label (0, a)
+    # is the degree-0 cell of a = b, and at l = 1 the empty interior is the
+    # cell of an edge; at l = 2 the interiors are a's neighbours
+    kp = build_k_pair(sq2, ComponentKey("a", "a", 0))
+    assert kp.labels == ((0, "a"),) and kp.cells == {((0, "a"),)}
+    assert build_k_pair(sq2, ComponentKey("a", "b", 0)).cells == frozenset()
+    assert build_k_pair(sq2, ComponentKey("a", "b", 1)).cells == {((0, "a"), (1, "b"))}
+    assert build_k_pair(sq2, ComponentKey("a", "c", 1)).cells == frozenset()
+    assert build_k_pair(sq2, ComponentKey("a", "a", 1)).cells == frozenset()
     kp = build_k_pair(sq2, ComponentKey("a", "a", 2))
-    assert sorted(kp.cells) == [((1, "b"),), ((1, "f"),)] and kp.sub == frozenset()
+    assert sorted(kp.cells) == [((0, "a"), (1, "b"), (2, "a")), ((0, "a"), (1, "f"), (2, "a"))]
+    assert kp.sub == frozenset()
     for l in (0, 1, 2):
         for a in sq2.vertices:
             for b in sq2.vertices:
@@ -57,21 +63,19 @@ def test_geometric_route_below_length_three_matches_direct(sq2):
                     assert magnitude_homology_geometric(sq2, key, kmax) == (
                         magnitude_homology_direct(sq2, key, kmax)
                     ), (key, kmax)
-    # below degree 2 the pair has no groups to give
-    kp = build_k_pair(sq2, ComponentKey("a", "b", 1))
-    assert pair_groups(sq2, kp, relative_chain_complex(kp.labels, kp.incidence), 1) == []
 
 
 def test_k_pair_sq2_diagonal(sq2):
     kp = build_k_pair(sq2, ComponentKey("a", "a", 4))
-    total = SimplicialComplex(kp.labels, kp.total)
+    assert kp.labels[0] == (0, "a") and kp.labels[-1] == (4, "a")
+    total = SimplicialComplex(kp.labels[1:-1], kp.total)
     maximal = total.maximal_simplices()
     # One maximal simplex per 4-step round trip; each has the 3 interior
     # positions, hence dimension 2.
     assert len(maximal) == 8
     assert all(len(s) == 3 for s in maximal)
     assert all(s in kp.total for s in kp.sub)
-    # Labels are (position, vertex) with interior positions only.
+    # K's labels are (position, vertex) with interior positions only.
     for pos, v in total.labels:
         assert 1 <= pos <= 3
         assert v in sq2.vertices
@@ -99,7 +103,9 @@ def test_k_pair_endpoint_distance_equal_length():
     g = generate("path:5")
     kp = build_k_pair(g, ComponentKey("v0", "v4", 4))
     assert len(kp.sub) == 0
-    total = SimplicialComplex(kp.labels, kp.total)
+    # the empty interior is a cell exactly because d(a, b) = l
+    assert ((0, "v0"), (4, "v4")) in kp.cells
+    total = SimplicialComplex(kp.labels[1:-1], kp.total)
     assert total.maximal_simplices() == [((1, "v1"), (2, "v2"), (3, "v3"))]
 
 
@@ -108,7 +114,7 @@ def test_k_pair_unreachable_is_empty():
     # are empty.
     g = generate("path:6")
     kp = build_k_pair(g, ComponentKey("v0", "v5", 3))
-    assert len(kp.total) == 0 and len(kp.sub) == 0
+    assert len(kp.total) == 0 and len(kp.sub) == 0 and kp.cells == frozenset()
 
 
 def test_interior_length_bounds(sq2):
@@ -148,7 +154,9 @@ def _definition_battery():
 
 def test_k_pair_matches_definition():
     # K, K' and the relative basis against a construction straight from the
-    # definitions (all walks of at most l steps, closed lengths <= l - 1)
+    # definitions (all walks of at most l steps, closed lengths <= l - 1);
+    # relative degree n holds the cells of n + 1 labels, endpoints included,
+    # and the empty interior is the degree-1 cell exactly when d(a, b) = l
     components = 0
     for g, l in _definition_battery():
         for a in g.vertices:
@@ -160,9 +168,12 @@ def test_k_pair_matches_definition():
                 assert kp.sub == sub, key
                 rel = relative_chain_complex(kp.labels, kp.incidence)
                 index = {lab: i for i, lab in enumerate(kp.labels)}
-                for n in range(l - 1):
+                closed = {((0, a), *s, (l, b)) for s in total - sub}
+                if metric(g)[a][b] == l:
+                    closed.add(((0, a), (l, b)))
+                for n in range(l + 2):
                     expected = sorted(
-                        (s for s in total - sub if len(s) == n + 1),
+                        (s for s in closed if len(s) == n + 1),
                         key=lambda s: [index[lab] for lab in s],
                     )
                     assert rel.basis(n) == expected, (key, n)
@@ -174,7 +185,7 @@ def _incidence_battery(hemi):
     """Graphs and lengths on which the descent's incidence is checked."""
     for spec in ("cycle:5", "cycle:7", "complete:4", "sq2"):
         g = generate(spec)
-        yield from ((g, l) for l in range(2, 7))
+        yield from ((g, l) for l in range(7))
     yield from ((hemi, l) for l in (4, 5))
     rng = random.Random(31337)
     for _ in range(30):
@@ -185,15 +196,18 @@ def _incidence_battery(hemi):
 
 def test_descent_incidence_is_the_membership_incidence(hemi):
     # a facet of a relative cell is a cell iff its triangle is tight: the
-    # entries the descent records are the facets found among its cells
+    # entries the descent records are the facets found among its closed
+    # cells, where dropping an endpoint never gives a cell
     components = 0
     for g, l in _incidence_battery(hemi):
         for a in g.vertices:
             for b in g.vertices:
                 kp = build_k_pair(g, ComponentKey(a, b, l))
                 assert kp.incidence == membership_incidence(kp.labels, kp.cells), (a, b, l)
+                assert all(cell[0] == 0 and cell[-1] == len(kp.labels) - 1
+                           for cell in kp.incidence), (a, b, l)
                 components += 1
-    assert components == 1655
+    assert components == 1907
 
 
 def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
@@ -213,19 +227,18 @@ def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
     table = build_table(generate("cycle:7"), 5, method="geometric")
     # the direct route's totals, torsion-free
     assert table.totals() == [HomologyGroup(b) for b in (0, 0, 0, 42, 0, 14)]
-    # K is built on first read of ``total``; no pair of cycle:7 has d(a, b) = 5,
-    # so the route reads only the relative cells
+    # K is built on first read of ``total``, and the route reads only the
+    # relative cells
     assert built and not any("total" in vars(kp) for kp in built)
     assert cross_validate(generate("cycle:5"), 4).ok
-    # the degree-2 branch reads K exactly on the pairs at distance l: the
-    # antipodal pairs of the 6-cycle at l = 3
+    # not even at d(a, b) = l, where the cell (a, b) stands for the empty K':
+    # the antipodal pairs of the 6-cycle at l = 3
     built.clear()
     g = generate("cycle:6")
     assert cross_validate(g, 3).ok
     assert len(built) == 36
-    assert {kp.key for kp in built if "total" in vars(kp)} == {
-        ComponentKey(a, b, 3) for a in g.vertices for b in g.vertices if g.distances[a][b] == 3
-    }
+    assert any(g.distances[kp.key.a][kp.key.b] == 3 for kp in built)
+    assert not any("total" in vars(kp) for kp in built)
 
 
 # --- the chain-level correspondence ------------------------------------------------
@@ -248,13 +261,15 @@ def test_chain_map_bijection_shapes(sq2):
     rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
     index_by_degree = chain_map_t(sq2, key, rel, mag)
     expected = magnitude_chain_complex(sq2, key, 4)
-    assert len(index_by_degree) == key.l - 1
+    assert len(index_by_degree) == key.l + 1
     for n, places in enumerate(index_by_degree):
-        # a permutation of the magnitude basis two degrees up, sending each
-        # relative cell to its endpoint-closed tuple
-        assert sorted(places) == list(range(expected.dim(n + 2)))
-        basis = mag.basis(n + 2)
-        assert [basis[i] for i in places] == [interior_tuple(key, s) for s in rel.basis(n)]
+        # a permutation of the magnitude basis in the same degree, sending
+        # each relative cell to its vertices in position order
+        assert sorted(places) == list(range(expected.dim(n)))
+        basis = mag.basis(n)
+        assert [basis[i] for i in places] == [
+            tuple(v for _, v in cell) for cell in rel.basis(n)
+        ]
 
 
 def test_chain_map_detects_corrupted_boundary(sq2):
@@ -290,9 +305,10 @@ def test_chain_map_detects_corrupted_boundary(sq2):
     "drop, add, message",
     [
         # (a, b, f, d) keeps length 4, but f sits at distance 2, not 3
-        ({((1, "b"), (2, "f"))}, {((1, "b"), (3, "f"))}, "position mismatch"),
+        ({((0, "a"), (1, "b"), (2, "f"), (4, "d"))}, {((0, "a"), (1, "b"), (3, "f"), (4, "d"))},
+         "position mismatch"),
         # (a, b, c, d) has length 3 < l
-        (set(), {((1, "b"), (2, "c"))}, "interior length != l"),
+        (set(), {((0, "a"), (1, "b"), (2, "c"), (4, "d"))}, "interior length != l"),
     ],
 )
 def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
@@ -308,18 +324,19 @@ def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
 
 def test_chain_map_failures_name_the_component_and_degree():
     g = generate("path:3")
-    labels = ((1, "v1"), (2, "v1"))
-    for key, cell, message in (
-        # (v0, v1, v2) has length 2 = l, but v1 sits at distance 1, not 2
-        (ComponentKey("v0", "v2", 2), ((2, "v1"),),
-         "degree 0 position mismatch in ((2, 'v1'),) of "
+    labels = ((0, "v0"), (1, "v1"), (2, "v1"), (2, "v2"), (4, "v2"))
+    for key, cells, message in (
+        # (v0, v1, v2) has length 2 = l, but v1 sits at distance 1, not 2;
+        # the degree-1 cell (v0, v2) is right
+        (ComponentKey("v0", "v2", 2), {((0, "v0"), (2, "v2")), ((0, "v0"), (2, "v1"), (2, "v2"))},
+         "degree 2 position mismatch in ((0, 'v0'), (2, 'v1'), (2, 'v2')) of "
          "ComponentKey(a='v0', b='v2', l=2): 2 != 1"),
         # (v0, v1, v2) has length 2 < l
-        (ComponentKey("v0", "v2", 4), ((1, "v1"),),
-         "degree 0 relative simplex ((1, 'v1'),) of "
+        (ComponentKey("v0", "v2", 4), {((0, "v0"), (1, "v1"), (4, "v2"))},
+         "degree 2 relative cell ((0, 'v0'), (1, 'v1'), (4, 'v2')) of "
          "ComponentKey(a='v0', b='v2', l=4) has interior length != l"),
     ):
-        rel = relative_chain_complex(labels, membership_incidence(labels, {cell}))
+        rel = relative_chain_complex(labels, membership_incidence(labels, cells))
         mag = magnitude_chain_complex(g, key, key.l + 1)
         with pytest.raises(InternalCheckError) as excinfo:
             chain_map_t(g, key, rel, mag)
@@ -333,8 +350,8 @@ def test_chain_map_rejects_a_foreign_magnitude_basis(sq2):
     rel = _relative_complex(sq2, key)
     mag = magnitude_chain_complex(sq2, ComponentKey("a", "c", 4), 5)
     message = (
-        "degree 0 basis bijection fails for ComponentKey(a='a', b='d', l=4): "
-        "0 relative simplices vs 1 sequences"
+        "degree 2 basis bijection fails for ComponentKey(a='a', b='d', l=4): "
+        "0 relative cells vs 1 sequences"
     )
     with pytest.raises(InternalCheckError) as excinfo:
         chain_map_t(sq2, key, rel, mag)
@@ -343,21 +360,21 @@ def test_chain_map_rejects_a_foreign_magnitude_basis(sq2):
 
 def test_chain_map_detects_swapped_cells(sq2):
     # two cells of one degree trade places in the identification; at
-    # (a, a, 4) the first two cells of relative degrees 0 and 1 have
-    # different boundary columns, so the swapped map is no chain map
+    # (a, a, 4) the first two cells of degrees 2 and 3 have different
+    # boundary columns, so the swapped map is no chain map
     key = ComponentKey("a", "a", 4)
     rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
-    for n in (0, 1):
+    for n in (2, 3):
         index_by_degree = chain_map_t(sq2, key, rel, mag)
         places = index_by_degree[n]
         places[0], places[1] = places[1], places[0]
-        with pytest.raises(InternalCheckError, match="boundary sign identity fails"):
+        with pytest.raises(InternalCheckError, match="boundary identity fails"):
             verify_chain_map(key, rel, mag, index_by_degree)
-    # the first two cells of degree 2 both have zero boundary, and relative
-    # degree 3 is empty at l = 4, so swapping them still gives a chain map
+    # the first two cells of degree 4 both have zero boundary, and degree 5
+    # is empty at l = 4, so swapping them still gives a chain map
     index_by_degree = chain_map_t(sq2, key, rel, mag)
-    places = index_by_degree[2]
-    assert not any(rel.boundary(2).columns[:2])
+    places = index_by_degree[4]
+    assert not any(rel.boundary(4).columns[:2])
     places[0], places[1] = places[1], places[0]
     assert verify_chain_map(key, rel, mag, index_by_degree)
 
@@ -375,8 +392,8 @@ def test_chain_map_rejects_a_repeated_sequence(sq2, repeat):
     else:
         basis.append(basis[0])
     message = (
-        "degree 0 basis bijection fails for ComponentKey(a='a', b='a', l=4): "
-        f"{cells} relative simplices vs {len(basis)} sequences"
+        "degree 2 basis bijection fails for ComponentKey(a='a', b='a', l=4): "
+        f"{cells} relative cells vs {len(basis)} sequences"
     )
     with pytest.raises(InternalCheckError) as excinfo:
         chain_map_t(sq2, key, rel, mag)
@@ -409,10 +426,28 @@ def test_routes_agree_on_every_length_and_degree_bound(spec, a, b):
             assert all(h == ZERO_GROUP for h in groups[0][l + 1:]), (l, kmax)
 
 
-def test_geometric_low_degrees_delegate(sq2):
-    groups = magnitude_homology_geometric(sq2, ComponentKey("a", "b", 3), kmax=1)
-    direct = magnitude_homology_direct(sq2, ComponentKey("a", "b", 3), kmax=1)
-    assert groups == direct
+def test_geometric_route_never_calls_the_direct_route(monkeypatch):
+    # the routes stay independent: the geometric route builds no magnitude
+    # complex, in the low degrees either, on every pair of cycle:6 and sq2
+    expected = {}
+    for spec in ("cycle:6", "sq2"):
+        g = generate(spec)
+        for l in range(6):
+            for a in g.vertices:
+                for b in g.vertices:
+                    for kmax in (None, 1):
+                        key = ComponentKey(a, b, l)
+                        expected[g, key, kmax] = magnitude_homology_direct(g, key, kmax)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the geometric route called into the direct route")
+
+    for module in (importlib.import_module("maghom.magnitude"), maghom.geometric, maghom):
+        for name in ("magnitude_homology_direct", "magnitude_chain_complex", "enumerate_basis"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for (g, key, kmax), groups in expected.items():
+        assert magnitude_homology_geometric(g, key, kmax) == groups, (key, kmax)
 
 
 def test_geometric_unreachable_zero():
@@ -425,49 +460,18 @@ def test_geometric_unreachable_zero():
 
 def test_degree_two_branch_distance_equals_length():
     # Antipodal points on a 6-cycle at l = 3: two geodesics, disconnected
-    # interior complex, reduced homology Z.
+    # interior complex, reduced homology Z.  K' is empty, and the cell
+    # (a, b) of the empty interior is what reduces H_0 of K.
     g = generate("cycle:6")
     key = ComponentKey("v0", "v3", 3)
     kp = build_k_pair(g, key)
     assert len(kp.sub) == 0
-    total = SimplicialComplex(kp.labels, kp.total)
+    assert ((0, "v0"), (3, "v3")) in kp.cells
+    total = SimplicialComplex(kp.labels[1:-1], kp.total)
     assert homology_all(chain_complex(total), up_to=0)[0] == HomologyGroup(2)
     groups = magnitude_homology_geometric(g, key)
     assert groups[2] == HomologyGroup(1)
     assert groups == magnitude_homology_direct(g, key)
-
-
-def test_degree_two_branch_rejects_nonempty_sub(monkeypatch):
-    # At d(a, b) = l the reduced-H_0 reading is only valid for an empty K'.
-    g = generate("cycle:6")
-    key = ComponentKey("v0", "v3", 3)
-    kp = build_k_pair(g, key)
-    vertex = min(s for s in kp.total if len(s) == 1)
-    # K keeps the vertex, the cells lose it, so K' = K minus the cells holds it
-    cells = kp.cells - {vertex}
-    bad = KPair(key=key, labels=kp.labels, walks=kp.walks,
-                incidence=membership_incidence(kp.labels, cells))
-    assert bad.sub == {vertex}
-    monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
-    with pytest.raises(InternalCheckError, match="not empty"):
-        magnitude_homology_geometric(g, key)
-
-
-def test_degree_two_branch_rejects_a_cell_outside_k(monkeypatch):
-    # The other direction: a cell that no walk interior holds leaves K' empty
-    # but makes the cells more than K, so they are no longer K's chains.
-    g = generate("cycle:6")
-    key = ComponentKey("v0", "v3", 3)
-    kp = build_k_pair(g, key)
-    foreign = ((1, "v3"),)
-    assert foreign not in kp.total
-    cells = kp.cells | {foreign}
-    bad = KPair(key=key, labels=kp.labels, walks=kp.walks,
-                incidence=membership_incidence(kp.labels, cells))
-    assert bad.sub == frozenset()
-    monkeypatch.setattr(maghom.geometric, "build_k_pair", lambda g, key: bad)
-    with pytest.raises(InternalCheckError, match="not empty"):
-        magnitude_homology_geometric(g, key)
 
 
 def test_degree_two_branch_single_geodesic_is_zero():
@@ -479,9 +483,11 @@ def test_degree_two_branch_single_geodesic_is_zero():
 
 
 def test_degree_two_branch_distance_below_length():
-    # d(v0, v2) = 2 < 3 on a 5-cycle: relative degree-zero homology is Z.
+    # d(v0, v2) = 2 < 3 on a 5-cycle: relative degree-zero homology is Z,
+    # and the empty interior is no cell.
     g = generate("cycle:5")
     key = ComponentKey("v0", "v2", 3)
+    assert ((0, "v0"), (3, "v2")) not in build_k_pair(g, key).cells
     groups = magnitude_homology_geometric(g, key)
     assert groups[2] == HomologyGroup(1)
     assert groups == magnitude_homology_direct(g, key)
@@ -511,22 +517,70 @@ def test_cross_validate_sq2(sq2):
 
 
 def test_cross_validate_reports_mismatch(sq2, monkeypatch):
-    real = pair_groups
+    real = build_k_pair
 
-    def lying(g, kpair, rel, kmax):
-        groups = real(g, kpair, rel, kmax)
-        if kpair.key.a == "a" and kpair.key.b == "a":
-            groups = list(groups)
-            groups[-1] = HomologyGroup(groups[-1].betti + 1, groups[-1].torsion)
-        return groups
+    def lying(g, key):
+        # one more cycle in the top degree of (a, a, 4): the closed tuple
+        # (a, a, a, a, a) as a cell without boundary
+        kp = real(g, key)
+        if key.a == "a" and key.b == "a":
+            foreign = tuple(kp.labels.index((pos, "a")) for pos in range(5))
+            kp = KPair(key=key, labels=kp.labels, walks=kp.walks,
+                       incidence={**kp.incidence, foreign: ()})
+        return kp
 
-    monkeypatch.setattr(maghom.geometric, "pair_groups", lying)
+    monkeypatch.setattr(maghom.geometric, "build_k_pair", lying)
     report = cross_validate(sq2, 4)
     assert not report.ok
     mism = report.mismatch
-    assert (mism.key.a, mism.key.b) == ("a", "a")
+    assert (mism.key.a, mism.key.b, mism.k) == ("a", "a", 4)
     assert mism.geometric != mism.direct
     assert "MISMATCH" in report.describe()
+
+    def edgeless(g, key):
+        # the cells (a, b) of the edges dropped: degree 1 reads zero
+        kp = real(g, key)
+        incidence = {cell: entries for cell, entries in kp.incidence.items() if len(cell) != 2}
+        return KPair(key=key, labels=kp.labels, walks=kp.walks, incidence=incidence)
+
+    monkeypatch.setattr(maghom.geometric, "build_k_pair", edgeless)
+    report = cross_validate(sq2, 1)
+    assert report.mismatch == Mismatch(ComponentKey("a", "b", 1), 1, HomologyGroup(1), ZERO_GROUP)
+
+
+@pytest.mark.parametrize("change", ["collapse", "expansion", "above l"])
+def test_cross_validate_refuses_a_changed_cell_set(monkeypatch, change):
+    # cycle:6 at (v0, v3, 3), where K' is empty: each change keeps every
+    # group, so only the chain-level identity can see it
+    g = generate("cycle:6")
+    key = ComponentKey("v0", "v3", 3)
+    kp = build_k_pair(g, key)
+    a, b = (0, "v0"), (3, "v3")
+
+    def code(*labels):
+        return tuple(map(kp.labels.index, labels))
+
+    if change == "collapse":
+        # a top cell dropped with the one facet that no other cell has
+        top, free = code(a, (1, "v1"), (2, "v2"), b), code(a, (1, "v1"), b)
+        assert top in kp.incidence and free in kp.incidence
+        dropped = {tuple(map(kp.labels.__getitem__, cell)) for cell in (top, free)}
+        incidence = membership_incidence(kp.labels, kp.cells - dropped)
+    elif change == "expansion":
+        # a foreign cycle (v0, v3, v3) added with a foreign cell that bounds it
+        cycle, filler = code(a, (1, "v3"), b), code(a, (1, "v3"), (2, "v3"), b)
+        incidence = {**kp.incidence, cycle: (), filler: ((2, cycle),)}
+    else:
+        # a foreign cell of degree l + 1, above the degrees that are compared
+        incidence = {**kp.incidence, code(a, (1, "v1"), (1, "v2"), (2, "v2"), b): ()}
+    bad = KPair(key=key, labels=kp.labels, walks=kp.walks, incidence=incidence)
+    rel = relative_chain_complex(bad.labels, bad.incidence)
+    assert homology_all(rel, up_to=3) == magnitude_homology_direct(g, key)
+
+    monkeypatch.setattr(maghom.geometric, "build_k_pair",
+                        lambda g, k: bad if k == key else build_k_pair(g, k))
+    with pytest.raises(InternalCheckError, match="basis bijection fails|position mismatch"):
+        cross_validate(g, 3)
 
 
 def test_mismatch_and_report_values():

@@ -223,8 +223,9 @@ def test_copied_groups_equal_direct_route_calls(g):
 
 @pytest.mark.parametrize("g", _copy_test_graphs(), ids=repr)
 def test_every_route_matches_direct_below_length_three(g):
-    # degrees 0 and 1 come from the direct route at every l; degree 2 and up
-    # from each route's own pair or walks
+    # the geometric route reads every degree off its own pair; the tree
+    # route takes degrees 0 and 1 from the direct route and the rest from
+    # its walks
     for l, kmax in itertools.product((0, 1, 2), (None, 4)):
         direct = build_table(g, l, kmax, method="direct").pair_groups
         for method in ("geometric", "tree") if g.is_tree() else ("geometric",):
