@@ -2,8 +2,9 @@
 
 The package computes the bigraded groups MH_{k,l} of a graph three ways: a
 direct chain-complex route, a geometric route through relative simplicial
-pairs, both for every degree, and a closed form for trees.  The routes are kept independent so they can cross-validate each
-other; all linear algebra is exact over the integers.
+pairs, both for every degree, and a closed form for trees.  The routes are
+kept independent so they can cross-validate each other; all linear algebra
+is exact over the integers.
 ``build_table`` runs one route on one component per symmetry orbit of
 ordered vertex pairs and copies the groups to the rest of the orbit.
 """

@@ -20,11 +20,11 @@ relative complex gives every degree 0..l.
 The cells are enumerated top-down from the walks of exactly l steps, as
 tuples of label indices, and the descent records the relative boundary as
 it goes: a facet of a cell is a cell exactly when the triangle through the
-dropped vertex is tight.  ``relative_chain_complex`` assembles the chain
-complex from that incidence, so K' is never built as a complex and no
-simplicial complex object is constructed on this route.  The simplex sets
-of labels, the cells and K itself, are built only when read: by export and
-by tests.
+dropped vertex is tight, and the drop's position is the boundary entry.
+``relative_chain_complex`` assembles the chain complex from that incidence
+on the index cells, so K' is never built as a complex and no simplicial
+complex object is constructed on this route.  Labels are decoded, and K
+built, only where they are read: by the chain check, export and tests.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ class KPair(_FrozenValue):
     ``labels`` is the label universe in canonical order: (0, a), the
     interior labels (pos, v) for 1 <= pos <= l - 1, by position first and
     vertex order second, and (l, b), so that a cell's orientation agrees
-    with position order; the one label (0, a) when l = 0 and a = b.  ``walks`` are the walks from a to b of at most l steps, whose
-    positioned interiors close downward to K.  ``incidence`` is the relative
-    boundary in the form ``relative_chain_complex`` takes: each cell of
-    K \\ K', closed by the endpoint labels, is written as the increasing
-    tuple of its label indices and maps to the (i, facet) pairs of its
-    facets that are cells.  ``cells``, ``total`` and ``sub`` are simplex
-    sets built on first read, each simplex a tuple of labels in position
-    order: the cells closed, K and K' on the interior labels alone.
+    with position order; the one label (0, a) when l = 0 and a = b.
+    ``walks``, from a to b with at most l steps, close downward to K by
+    their positioned interiors.  ``incidence``, the relative boundary that
+    ``relative_chain_complex`` takes, maps each cell of K \\ K', the
+    increasing tuple of its label indices endpoints included, to the
+    increasing positions i whose facet cell[:i] + cell[i + 1:] is a cell.
+    ``cells``, ``total`` and ``sub`` are simplex sets built on first read,
+    each a tuple of labels in position order: the cells closed, K and K'
+    on the interior labels alone.
     """
 
     def __init__(self, key, labels, walks, incidence):
@@ -107,12 +108,12 @@ def build_k_pair(g, key):
     the closed tuple, so every simplex between the two has length l as
     well.  The descent thus reaches every cell and nothing else, the empty
     interior ((0, a), (l, b)) included exactly when d(a, b) = l, and a
-    facet of a cell is a cell exactly when its triangle is tight: each
-    tight drop it makes is an entry of the relative boundary, recorded as
-    it is found.  A pair at distance greater than l yields no cells.  The
-    descent writes (0, a) as index 0, the interior label (pos, v) as
-    1 + (pos - 1) * n + number(v), n the vertex count, and (l, b) as the
-    last index.
+    facet of a cell is a cell exactly when its triangle is tight: the
+    position of each tight drop it makes is an entry of the relative
+    boundary, recorded as it is found.  A pair at distance greater than l
+    yields no cells.  The descent writes (0, a) as index 0, the interior
+    label (pos, v) as 1 + (pos - 1) * n + number(v), n the vertex count,
+    and (l, b) as the last index.
     """
     a, b, l = key
 
@@ -143,38 +144,38 @@ def build_k_pair(g, key):
                     z = vertex[cell[i + 1]]
                     row = dist[x]
                     if row[z] == row[y] + dist[y][z]:
-                        facet = cell[:i] + cell[i + 1:]
-                        entries.append((i, facet))
-                        faces.add(facet)
+                        entries.append(i)
+                        faces.add(cell[:i] + cell[i + 1:])
                     x, y = y, z
             incidence[cell] = tuple(entries)
         layer = faces
     return KPair(key=key, labels=labels, walks=walks, incidence=incidence)
 
 
-def chain_map_t(g, key, rel, mag):
+def chain_map_t(g, kpair, rel, mag):
     """Identify the relative basis with the magnitude basis, degree by degree.
 
-    ``rel`` is the relative complex of the K pair of ``key`` and ``mag`` the
-    magnitude complex of ``key`` through degree l + 1.  Checks, degree by
-    degree, that each relative cell's vertices in position order give
-    exactly the magnitude basis of the same degree: the running sums of the
-    steps of each tuple from 0, read from the distance table, must equal the
-    cell's positions and end at l; every cell must be found in the basis,
-    no index twice, and as many cells as sequences.  Returns
-    ``index_by_degree``: ``index_by_degree[n][j]`` is the index in
-    ``mag.basis(n)`` of the j-th relative cell of degree n.  Raises
-    InternalCheckError on any failure.
+    ``rel`` is the relative complex of ``kpair`` and ``mag`` the magnitude
+    complex of its key through degree l + 1.  Checks, degree by degree,
+    that each relative cell, decoded through ``kpair.labels``, gives by its
+    vertices in position order exactly the magnitude basis of the same
+    degree: the running sums of the steps of each tuple from 0, read from
+    the distance table, must equal the cell's positions and end at l; every
+    cell must be found in the basis, no index twice, and as many cells as
+    sequences.  Returns ``index_by_degree``: ``index_by_degree[n][j]`` is
+    the index in ``mag.basis(n)`` of the j-th relative cell of degree n.
+    Raises InternalCheckError on any failure.
     """
     # a cell's positions are distinct in 0..l, so both complexes top out at
     # degree l; a relative degree above it must be as empty as the magnitude one
-    dist = g.distances
+    key, labels, dist = kpair.key, kpair.labels, g.distances
     index_by_degree = []
     for n in range(max(rel.top_degree, key.l) + 1):
         mag_basis = mag.basis(n)
         mag_index = dict(zip(mag_basis, range(len(mag_basis))))
         places = []
         for cell in rel.basis(n):
+            cell = tuple(map(labels.__getitem__, cell))
             positions, seq = zip(*cell)
             ends = tuple(accumulate([dist[x][y] for x, y in zip(seq, seq[1:])], initial=0))
             if ends[-1] != key.l:
@@ -196,10 +197,10 @@ def chain_map_t(g, key, rel, mag):
     return index_by_degree
 
 
-def verify_chain_map(key, rel, mag, index_by_degree):
+def verify_chain_map(kpair, rel, mag, index_by_degree):
     """Check the boundary identity: relative d = magnitude d under t.
 
-    ``index_by_degree`` is the basis identification from ``chain_map_t``.
+    ``index_by_degree`` is ``chain_map_t``'s identification for ``kpair``.
     For every degree n >= 1, each relative boundary column has its rows
     carried through the identification one degree down, and must then
     equal the magnitude column at the cell's index, signs included.  Raises
@@ -213,9 +214,10 @@ def verify_chain_map(key, rel, mag, index_by_degree):
             if len(target) != len(column) or any(
                 target.get(rows[r]) != x for r, x in column.items()
             ):
+                cell = tuple(map(kpair.labels.__getitem__, rel.basis(n)[j]))
                 raise InternalCheckError(
                     f"boundary identity fails at degree {n}, "
-                    f"column of cell {rel.basis(n)[j]!r} in component {key}"
+                    f"column of cell {cell!r} in component {kpair.key}"
                 )
     return True
 
@@ -230,8 +232,8 @@ def magnitude_homology_geometric(g, key, kmax=None):
     """
     if kmax is None:
         kmax = key.l
-    kpair = build_k_pair(g, key)
-    return homology_all(relative_chain_complex(kpair.labels, kpair.incidence), up_to=kmax)
+    # no name holds the K pair, so its walks and incidence are freed before homology runs
+    return homology_all(relative_chain_complex(build_k_pair(g, key).incidence), up_to=kmax)
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -299,7 +301,7 @@ def cross_validate(g, l):
             mag = magnitude_chain_complex(g, key, l + 1)
             direct = homology_all(mag, up_to=l)
             kpair = build_k_pair(g, key)
-            rel = relative_chain_complex(kpair.labels, kpair.incidence)
+            rel = relative_chain_complex(kpair.incidence)
             geometric = homology_all(rel, up_to=l)
             report.pairs_checked += 1
             for k in range(l + 1):
@@ -309,6 +311,6 @@ def cross_validate(g, l):
             # only a pair within distance l has cells to identify, so only
             # such a pair counts as a chain check
             if g.distances[a][b] <= l:
-                verify_chain_map(key, rel, mag, chain_map_t(g, key, rel, mag))
+                verify_chain_map(kpair, rel, mag, chain_map_t(g, kpair, rel, mag))
                 report.chain_checks += 1
     return report

@@ -4,9 +4,9 @@ A simplex is stored as a tuple of labels sorted by the universe order, and
 that order also fixes the orientation signs of the boundary operator.
 ``_cells_by_degree`` validates cells written as increasing tuples of label
 indices: ``SimplicialComplex`` encodes its simplices so, and
-``relative_chain_complex`` takes its cells so, with their incidence.  The
-complexes here are abstract: labels can be graph vertices, integers, or
-(position, vertex) pairs; the OFF writer takes (position, vertex) labels only.
+``relative_chain_complex`` takes its cells so and keeps them as its bases.
+The complexes here are abstract: labels can be graph vertices, integers,
+or (position, vertex) pairs, the only labels the OFF writer takes.
 """
 
 from __future__ import annotations
@@ -23,26 +23,19 @@ def downward_closure(simplices):
                      for face in combinations(simplex, size))
 
 
-def _cells_by_degree(labels, cells):
+def _cells_by_degree(cells):
     """The index-coded cells by degree: entry n lists those with n + 1 indices.
 
-    ``labels`` is the label universe in canonical order.  Each entry is
-    sorted, a cell given twice listed twice; entries run from degree 0 to
-    the top, so there are none for no cells.  The universe is checked
-    before the first cell is drawn.  Raises ValueError on a repeated
-    universe label, and on a cell that is empty, not increasing or holds an
-    index out of range.
+    Each entry is sorted, a cell given twice listed twice; entries run from
+    degree 0 to the top, so there are none for no cells.  Raises ValueError
+    on a cell that is empty or not increasing.
     """
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate label in universe")
     by_degree = {}
     for cell in cells:
         if not cell:
             raise ValueError("the empty simplex is not allowed")
         if not all(map(lt, cell, cell[1:])):
             raise ValueError(f"cell is not increasing: {cell!r}")
-        if cell[0] < 0 or cell[-1] >= len(labels):
-            raise ValueError(f"label index out of range in cell {cell!r}")
         by_degree.setdefault(len(cell) - 1, []).append(cell)
     return [sorted(by_degree.get(n, ())) for n in range(max(by_degree, default=-1) + 1)]
 
@@ -59,6 +52,8 @@ class SimplicialComplex:
 
     def __init__(self, labels, simplices):
         self.labels = tuple(labels)
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate label in universe")
         index = {lab: i for i, lab in enumerate(self.labels)}
 
         def encode(simplex):
@@ -73,7 +68,7 @@ class SimplicialComplex:
         self._by_dim = [
             # a simplex may be given more than once, in any label order
             [tuple(map(self.labels.__getitem__, cell)) for cell in dict.fromkeys(cells)]
-            for cells in _cells_by_degree(self.labels, map(encode, simplices))
+            for cells in _cells_by_degree(map(encode, simplices))
         ]
         for lower, upper in zip(self._by_dim, self._by_dim[1:]):
             present = set(lower)
@@ -115,37 +110,39 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim {self.dim}, {sum(map(len, self._by_dim))} simplices)"
 
 
-def relative_chain_complex(labels, incidence):
+def relative_chain_complex(incidence):
     """The relative chain complex of a pair (K, K'), assembled from its incidence.
 
-    ``labels`` is the label universe in canonical order.  The keys of
-    ``incidence`` are the cells, the simplices of K not in K', each written
-    as a nonempty increasing tuple of label indices.  Each cell maps to its
-    boundary entries, one pair (i, facet) for each facet that is a cell too,
-    facet being the cell without its i-th index (taken as given, not
-    compared); the facets not listed lie in K'.  Degree-n basis: the cells
-    with n + 1 labels, in increasing order of their index tuples, decoded to
-    labels.  The boundary of a cell is the sum of (-1)^i facet over its
-    entries.  Raises ValueError on what ``_cells_by_degree`` refuses, and on
-    an entry whose facet is not a cell one degree down.
+    The keys of ``incidence`` are the cells, the simplices of K not in K',
+    each a nonempty increasing tuple of label indices.  Each cell maps to
+    the increasing tuple of its drop positions, the i whose facet
+    cell[:i] + cell[i + 1:] is a cell too; the facets not listed lie in
+    K'.  Degree-n basis: the cells with n + 1 indices, in increasing order,
+    as given.  The boundary of a cell is the sum of (-1)^i facet over its
+    drop positions.  Raises ValueError on what ``_cells_by_degree``
+    refuses, on drop positions that are not increasing positions inside
+    their cell, and on a listed facet that is not a cell.
     """
     # no cells still make one degree, with an empty basis
-    bases = _cells_by_degree(labels, incidence) or [[]]
+    bases = _cells_by_degree(incidence) or [[]]
 
     # a degree-0 cell has no facet that is a cell, so ``numbers`` starts empty
     numbers, boundaries = {}, []
     for basis in bases:
         columns = []
         for cell in basis:
+            drops = incidence[cell]
+            if drops and (drops[0] < 0 or drops[-1] >= len(cell)
+                          or not all(map(lt, drops, drops[1:]))):
+                raise ValueError(f"drop positions {drops!r} not increasing inside cell {cell!r}")
             try:
-                column = {numbers[facet]: -1 if i & 1 else 1 for i, facet in incidence[cell]}
+                column = {numbers[cell[:i] + cell[i + 1:]]: -1 if i & 1 else 1 for i in drops}
             except KeyError as exc:
                 raise ValueError(f"facet {exc.args[0]!r} of cell {cell!r} is not a cell") from None
             columns.append(column)
         boundaries.append(IntegerMatrix(len(numbers), len(basis), columns))
         numbers = {cell: j for j, cell in enumerate(basis)}
-    decoded = [[tuple(map(labels.__getitem__, cell)) for cell in basis] for basis in bases]
-    return IntegerChainComplex(decoded, boundaries)
+    return IntegerChainComplex(bases, boundaries)
 
 
 # -- export formats ----------------------------------------------------------

@@ -87,22 +87,19 @@ def membership_incidence(labels, cells) -> dict:
 
     Each cell, a simplex given by its labels in any order, is written as the
     sorted tuple of its labels' indices in ``labels``; its entries are the
-    pairs (i, facet) whose facet, the cell without its i-th index, is one of
-    the cells.  An unknown label raises KeyError; the other malformed cells
-    are passed on for the assembler to refuse.
+    positions i whose facet, the cell without its i-th index, is one of the
+    cells.  An unknown label raises KeyError; the other malformed cells are
+    passed on for the assembler to refuse.
     """
     index = {label: i for i, label in enumerate(labels)}
     coded = {tuple(sorted(index[label] for label in cell)) for cell in cells}
-    incidence = {}
-    for cell in coded:
-        facets = ((i, cell[:i] + cell[i + 1:]) for i in range(len(cell)))
-        incidence[cell] = tuple((i, facet) for i, facet in facets if facet in coded)
-    return incidence
+    return {cell: tuple(i for i in range(len(cell)) if cell[:i] + cell[i + 1:] in coded)
+            for cell in coded}
 
 
 def chain_complex(complex_):
     """The simplicial chain complex of a complex: the pair with nothing removed."""
-    return relative_chain_complex(complex_.labels, membership_incidence(complex_.labels, complex_))
+    return relative_chain_complex(membership_incidence(complex_.labels, complex_))
 
 
 def pair_chain_complex(total, sub):
@@ -118,7 +115,7 @@ def pair_chain_complex(total, sub):
     if missing is not None:
         raise ValueError(f"subcomplex simplex missing from total complex: {missing!r}")
     cells = present - set(sub)
-    return relative_chain_complex(total.labels, membership_incidence(total.labels, cells))
+    return relative_chain_complex(membership_incidence(total.labels, cells))
 
 
 def k_pair_by_definition(g: Graph, key) -> tuple[set, set]:

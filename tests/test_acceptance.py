@@ -221,11 +221,12 @@ def _assert_downward_closed(complex_):
                 assert facet in complex_
 
 
-def _assert_position_rigidity(g, key, rel):
+def _assert_position_rigidity(g, key, labels, rel):
     # Positions of a relative cell are forced: from 0 at a to l at b, they
     # equal the cumulative distances along its vertex tuple.
     for n in range(rel.top_degree + 1):
         for cell in rel.basis(n):
+            cell = tuple(map(labels.__getitem__, cell))
             seq = tuple(v for _, v in cell)
             assert (seq[0], seq[-1]) == (key.a, key.b)
             positions = [pos for pos, _ in cell]
@@ -259,8 +260,8 @@ def test_criterion_7_structural_invariants():
                 _assert_downward_closed(kp.total)
                 _assert_downward_closed(kp.sub)
                 assert {cell[1:-1] for cell in kp.cells} - {()} <= kp.total
-                rel = relative_chain_complex(kp.labels, kp.incidence)
-                _assert_position_rigidity(g, key, rel)
+                rel = relative_chain_complex(kp.incidence)
+                _assert_position_rigidity(g, key, kp.labels, rel)
                 assert_boundary_squares_to_zero(rel)
                 complexes += 3
         # Exact linear algebra battery on seeded random matrices.

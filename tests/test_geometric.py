@@ -1,5 +1,6 @@
 import importlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -166,7 +167,7 @@ def test_k_pair_matches_definition():
                 kp = build_k_pair(g, key)
                 assert kp.total == total, key
                 assert kp.sub == sub, key
-                rel = relative_chain_complex(kp.labels, kp.incidence)
+                rel = relative_chain_complex(kp.incidence)
                 index = {lab: i for i, lab in enumerate(kp.labels)}
                 closed = {((0, a), *s, (l, b)) for s in total - sub}
                 if metric(g)[a][b] == l:
@@ -176,7 +177,8 @@ def test_k_pair_matches_definition():
                         (s for s in closed if len(s) == n + 1),
                         key=lambda s: [index[lab] for lab in s],
                     )
-                    assert rel.basis(n) == expected, (key, n)
+                    decoded = [tuple(map(kp.labels.__getitem__, cell)) for cell in rel.basis(n)]
+                    assert decoded == expected, (key, n)
                 components += 1
     assert components == 674
 
@@ -245,21 +247,22 @@ def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
 
 
 def _relative_complex(g, key):
+    """The K pair of a component and its relative complex."""
     kp = build_k_pair(g, key)
-    return relative_chain_complex(kp.labels, kp.incidence)
+    return kp, relative_chain_complex(kp.incidence)
 
 
 def test_chain_map_on_sq2_components(sq2):
     for a, b in [("a", "a"), ("a", "d"), ("b", "e"), ("a", "b")]:
         key = ComponentKey(a, b, 4)
-        rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
-        verify_chain_map(key, rel, mag, chain_map_t(sq2, key, rel, mag))
+        (kp, rel), mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+        verify_chain_map(kp, rel, mag, chain_map_t(sq2, kp, rel, mag))
 
 
 def test_chain_map_bijection_shapes(sq2):
     key = ComponentKey("a", "a", 4)
-    rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
-    index_by_degree = chain_map_t(sq2, key, rel, mag)
+    (kp, rel), mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+    index_by_degree = chain_map_t(sq2, kp, rel, mag)
     expected = magnitude_chain_complex(sq2, key, 4)
     assert len(index_by_degree) == key.l + 1
     for n, places in enumerate(index_by_degree):
@@ -268,7 +271,7 @@ def test_chain_map_bijection_shapes(sq2):
         assert sorted(places) == list(range(expected.dim(n)))
         basis = mag.basis(n)
         assert [basis[i] for i in places] == [
-            tuple(v for _, v in cell) for cell in rel.basis(n)
+            tuple(kp.labels[i][1] for i in cell) for cell in rel.basis(n)
         ]
 
 
@@ -277,7 +280,7 @@ def test_chain_map_detects_corrupted_boundary(sq2):
     # with one nonzero removed; the degreewise identity must fail loudly.
     real = magnitude_chain_complex
     key = ComponentKey("a", "a", 4)
-    rel = _relative_complex(sq2, key)
+    kp, rel = _relative_complex(sq2, key)
     for corruption in ("flip", "remove"):
 
         def corrupted(g, key, kmax):
@@ -298,7 +301,7 @@ def test_chain_map_detects_corrupted_boundary(sq2):
 
         mag = corrupted(sq2, key, key.l + 1)
         with pytest.raises(InternalCheckError):
-            verify_chain_map(key, rel, mag, chain_map_t(sq2, key, rel, mag))
+            verify_chain_map(kp, rel, mag, chain_map_t(sq2, kp, rel, mag))
 
 
 @pytest.mark.parametrize(
@@ -316,10 +319,12 @@ def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
     kp = build_k_pair(sq2, key)
     assert drop <= kp.cells and not add & kp.cells
     cells = (kp.cells - drop) | add
-    rel = relative_chain_complex(kp.labels, membership_incidence(kp.labels, cells))
+    bad = KPair(key=key, labels=kp.labels, walks=kp.walks,
+                incidence=membership_incidence(kp.labels, cells))
+    rel = relative_chain_complex(bad.incidence)
     mag = magnitude_chain_complex(sq2, key, key.l + 1)
     with pytest.raises(InternalCheckError, match=message):
-        chain_map_t(sq2, key, rel, mag)
+        chain_map_t(sq2, bad, rel, mag)
 
 
 def test_chain_map_failures_name_the_component_and_degree():
@@ -336,10 +341,11 @@ def test_chain_map_failures_name_the_component_and_degree():
          "degree 2 relative cell ((0, 'v0'), (1, 'v1'), (4, 'v2')) of "
          "ComponentKey(a='v0', b='v2', l=4) has interior length != l"),
     ):
-        rel = relative_chain_complex(labels, membership_incidence(labels, cells))
+        kp = KPair(key=key, labels=labels, walks=(), incidence=membership_incidence(labels, cells))
+        rel = relative_chain_complex(kp.incidence)
         mag = magnitude_chain_complex(g, key, key.l + 1)
         with pytest.raises(InternalCheckError) as excinfo:
-            chain_map_t(g, key, rel, mag)
+            chain_map_t(g, kp, rel, mag)
         assert str(excinfo.value) == message
 
 
@@ -347,14 +353,14 @@ def test_chain_map_rejects_a_foreign_magnitude_basis(sq2):
     # the relative complex of (a, d, 4) against the magnitude complex of
     # (a, c, 4): every relative cell is well formed, but the bases differ
     key = ComponentKey("a", "d", 4)
-    rel = _relative_complex(sq2, key)
+    kp, rel = _relative_complex(sq2, key)
     mag = magnitude_chain_complex(sq2, ComponentKey("a", "c", 4), 5)
     message = (
         "degree 2 basis bijection fails for ComponentKey(a='a', b='d', l=4): "
         "0 relative cells vs 1 sequences"
     )
     with pytest.raises(InternalCheckError) as excinfo:
-        chain_map_t(sq2, key, rel, mag)
+        chain_map_t(sq2, kp, rel, mag)
     assert str(excinfo.value) == message
 
 
@@ -363,20 +369,20 @@ def test_chain_map_detects_swapped_cells(sq2):
     # (a, a, 4) the first two cells of degrees 2 and 3 have different
     # boundary columns, so the swapped map is no chain map
     key = ComponentKey("a", "a", 4)
-    rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+    (kp, rel), mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
     for n in (2, 3):
-        index_by_degree = chain_map_t(sq2, key, rel, mag)
+        index_by_degree = chain_map_t(sq2, kp, rel, mag)
         places = index_by_degree[n]
         places[0], places[1] = places[1], places[0]
         with pytest.raises(InternalCheckError, match="boundary identity fails"):
-            verify_chain_map(key, rel, mag, index_by_degree)
+            verify_chain_map(kp, rel, mag, index_by_degree)
     # the first two cells of degree 4 both have zero boundary, and degree 5
     # is empty at l = 4, so swapping them still gives a chain map
-    index_by_degree = chain_map_t(sq2, key, rel, mag)
+    index_by_degree = chain_map_t(sq2, kp, rel, mag)
     places = index_by_degree[4]
     assert not any(rel.boundary(4).columns[:2])
     places[0], places[1] = places[1], places[0]
-    assert verify_chain_map(key, rel, mag, index_by_degree)
+    assert verify_chain_map(kp, rel, mag, index_by_degree)
 
 
 @pytest.mark.parametrize("repeat", ["in place", "appended"])
@@ -384,7 +390,7 @@ def test_chain_map_rejects_a_repeated_sequence(sq2, repeat):
     # the degree-2 magnitude basis names one tuple twice: in place of the
     # next tuple, which then has no cell, or as one more sequence than cells
     key = ComponentKey("a", "a", 4)
-    rel, mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
+    (kp, rel), mag = _relative_complex(sq2, key), magnitude_chain_complex(sq2, key, 5)
     basis = mag.bases[2]
     cells = len(basis)
     if repeat == "in place":
@@ -396,7 +402,7 @@ def test_chain_map_rejects_a_repeated_sequence(sq2, repeat):
         f"{cells} relative cells vs {len(basis)} sequences"
     )
     with pytest.raises(InternalCheckError) as excinfo:
-        chain_map_t(sq2, key, rel, mag)
+        chain_map_t(sq2, kp, rel, mag)
     assert str(excinfo.value) == message
 
 
@@ -448,6 +454,33 @@ def test_geometric_route_never_calls_the_direct_route(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     for (g, key, kmax), groups in expected.items():
         assert magnitude_homology_geometric(g, key, kmax) == groups, (key, kmax)
+
+
+def test_geometric_route_frees_the_k_pair_before_homology(monkeypatch):
+    # the walks and the incidence are the route's largest objects: once the
+    # relative complex is assembled, nothing may keep the K pair alive
+    pairs = []
+
+    def recording(g, key):
+        kp = build_k_pair(g, key)
+        pairs.append(weakref.ref(kp))
+        return kp
+
+    def checked(complex_, up_to):
+        assert pairs[-1]() is None, "the K pair is alive while homology runs"
+        return homology_all(complex_, up_to=up_to)
+
+    monkeypatch.setattr(maghom.geometric, "build_k_pair", recording)
+    monkeypatch.setattr(maghom.geometric, "homology_all", checked)
+    components = 0
+    for g in (generate("cycle:6"), generate("sq2")):
+        for l in (3, 4, 5):
+            for a in g.vertices:
+                for b in g.vertices:
+                    key = ComponentKey(a, b, l)
+                    assert magnitude_homology_geometric(g, key) == magnitude_homology_direct(g, key)
+                    components += 1
+    assert len(pairs) == components == 216
 
 
 def test_geometric_unreachable_zero():
@@ -569,12 +602,12 @@ def test_cross_validate_refuses_a_changed_cell_set(monkeypatch, change):
     elif change == "expansion":
         # a foreign cycle (v0, v3, v3) added with a foreign cell that bounds it
         cycle, filler = code(a, (1, "v3"), b), code(a, (1, "v3"), (2, "v3"), b)
-        incidence = {**kp.incidence, cycle: (), filler: ((2, cycle),)}
+        incidence = {**kp.incidence, cycle: (), filler: (2,)}
     else:
         # a foreign cell of degree l + 1, above the degrees that are compared
         incidence = {**kp.incidence, code(a, (1, "v1"), (1, "v2"), (2, "v2"), b): ()}
     bad = KPair(key=key, labels=kp.labels, walks=kp.walks, incidence=incidence)
-    rel = relative_chain_complex(bad.labels, bad.incidence)
+    rel = relative_chain_complex(bad.incidence)
     assert homology_all(rel, up_to=3) == magnitude_homology_direct(g, key)
 
     monkeypatch.setattr(maghom.geometric, "build_k_pair",
