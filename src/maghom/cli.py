@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .geometric import build_k_pair, cross_validate, interior_length
+from .geometric import cross_validate
 from .graphs import (
     TOO_LONG,
     GraphError,
@@ -34,8 +34,6 @@ from .report import (
     render_table,
     report_document,
 )
-from .simplicial import SimplicialComplex, complex_to_dict, complex_to_off
-from .trees import build_delta_pair, decompose_tree_component, turning_points
 
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
@@ -240,56 +238,11 @@ def export(graph_spec, l_spec, pair, out):
         a, b = _parse_pair(pair, g)
         _check_out(out)
         refuse_long(f"{graph_spec} l={l_spec}", l_value)
-        key = ComponentKey(a, b, l_value)
-        kpair = build_k_pair(g, key)
-        if g.distances[a][b] > l_value:
-            print(f"notice: d({a}, {b}) > {l_value}, the pair is empty", file=sys.stderr)
+        # only export reads its file formats, so only export loads them
+        from .export import export_texts
 
-        # the only consumer of whole complexes: wrapping validates downward
-        # closure; K and K' live on the labels between the cells' endpoints
-        total = SimplicialComplex(kpair.labels[1:-1], kpair.total)
-        sub = SimplicialComplex(kpair.labels[1:-1], kpair.sub)
-
-        def annotate(simplex):
-            return {"interior_length": interior_length(g, key, simplex)}
-
-        doc = {
-            "format_version": 1,
-            "graph": graph_spec,
-            "a": a,
-            "b": b,
-            "l": l_value,
-            "total": complex_to_dict(total, annotate=annotate),
-            "sub": complex_to_dict(sub, annotate=annotate),
-        }
         # every file's text first, so that a bad path leaves nothing written
-        texts = {Path(f"{out}.pair.json"): dump_json(doc)}
-        for name, complex_ in (("total", total), ("sub", sub)):
-            if complex_.dim > 3:
-                print(
-                    f"notice: {name} complex has dimension {complex_.dim} > 3, "
-                    f"skipping OFF export", file=sys.stderr,
-                )
-                continue
-            texts[Path(f"{out}.{name}.off")] = complex_to_off(complex_)
-
-        if g.is_tree():
-            records = []
-            for walk in decompose_tree_component(g, key):
-                phi = turning_points(walk)
-                total, sub = build_delta_pair(phi, l_value)
-                records.append(
-                    {
-                        "walk": list(walk),
-                        "turning_points": list(phi),
-                        "total": complex_to_dict(total),
-                        "sub": complex_to_dict(sub),
-                    }
-                )
-            texts[Path(f"{out}.deltas.json")] = dump_json(
-                {"format_version": 1, "components": records}
-            )
-
+        texts =export_texts(g, graph_spec, ComponentKey(a, b, l_value), out)
         _write_files(texts)
         for path in texts:
             print(f"wrote {path}")
@@ -364,12 +317,15 @@ def _attach_values(argv):
 
     Every maghom option takes one value, but argparse reads a value that
     begins with "-" (``--l -1-3``, ``--pair -a,b``) as another option, so it
-    would never reach the check that names what is wrong with it.
+    would never reach the check that names what is wrong with it.  A token
+    that is itself an option is never a value: ``--graph --l 3`` lacks the
+    value of --graph.
     """
     attached = []
     for token in argv:
         if (token.startswith("-") and attached and attached[-1] != "--help"
-                and re.fullmatch(r"--[a-z-]+", attached[-1])):
+                and re.fullmatch(r"--[a-z-]+", attached[-1])
+                and not re.fullmatch(r"--[a-z-]+(=.*)?|-h", token, re.DOTALL)):
             attached[-1] += "=" + token
         else:
             attached.append(token)

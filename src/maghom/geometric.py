@@ -22,9 +22,10 @@ tuples of label indices, and the descent records the relative boundary as
 it goes: a facet of a cell is a cell exactly when the triangle through the
 dropped vertex is tight, and the drop's position is the boundary entry.
 ``relative_chain_complex`` assembles the chain complex from that incidence
-on the index cells, so K' is never built as a complex and no simplicial
-complex object is constructed on this route.  Labels are decoded, and K
-built, only where they are read: by the chain check, export and tests.
+on the index cells, so K' is never built and no simplicial complex object
+is constructed on this route.  Labels are decoded, and K built, only where
+they are read: by the chain check, ``maghom export`` (which takes K' by its
+definition, see ``maghom.export``) and tests.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ class KPair(_FrozenValue):
     ``relative_chain_complex`` takes, maps each cell of K \\ K', the
     increasing tuple of its label indices endpoints included, to the
     increasing positions i whose facet cell[:i] + cell[i + 1:] is a cell.
-    ``cells``, ``total`` and ``sub`` are simplex sets built on first read,
-    each a tuple of labels in position order: the cells closed, K and K'
-    on the interior labels alone.
+    ``total`` is K, built on first read: a set of simplices on the interior
+    labels alone, each a tuple of labels in position order.
     """
 
     def __init__(self, key, labels, walks, incidence):
@@ -63,32 +63,16 @@ class KPair(_FrozenValue):
         return (self.key, self.labels, self.walks, frozenset(self.incidence.items()))
 
     @cached_property
-    def cells(self):
-        """K \\ K', the incidence's cells decoded to labels, endpoints included."""
-        return frozenset(tuple(map(self.labels.__getitem__, cell)) for cell in self.incidence)
-
-    @cached_property
     def total(self):
         """K, built on first read: every nonempty subset of every interior."""
         # no traced function is called here: it would open a span while the
         # benchmark's counter, which reads this, holds the clock
         return downward_closure(map(positioned_interior, self.walks))
 
-    @property
-    def sub(self):
-        """K' as the simplices of K that are no cell's interior."""
-        return self.total - {cell[1:-1] for cell in self.cells}
-
 
 def positioned_interior(walk):
     """The interior vertices of a walk, each labelled by its step number."""
     return tuple(enumerate(walk[1:-1], 1))
-
-
-def interior_length(g, key, simplex):
-    """Total length of the endpoint-closed vertex tuple of a simplex of K."""
-    closed = (key.a, *[v for _, v in simplex], key.b)
-    return sum(g.distances[x][y] for x, y in zip(closed, closed[1:]))
 
 
 def build_k_pair(g, key):

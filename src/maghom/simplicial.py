@@ -6,7 +6,7 @@ that order also fixes the orientation signs of the boundary operator.
 indices: ``SimplicialComplex`` encodes its simplices so, and
 ``relative_chain_complex`` takes its cells so and keeps them as its bases.
 The complexes here are abstract: labels can be graph vertices, integers,
-or (position, vertex) pairs, the only labels the OFF writer takes.
+or (position, vertex) pairs.
 """
 
 from __future__ import annotations
@@ -144,67 +144,3 @@ def relative_chain_complex(incidence):
         numbers = {cell: j for j, cell in enumerate(basis)}
     return IntegerChainComplex(bases, boundaries)
 
-
-# -- export formats ----------------------------------------------------------
-
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return list(label)
-    return label
-
-
-def complex_to_dict(complex_, annotate=None):
-    """Structured form of a complex for serialization.
-
-    With ``annotate``, a function from a simplex to a dict of extra fields,
-    the form also lists every simplex, each record carrying those fields.
-    """
-    doc = {
-        "format_version": 1,
-        "label_universe": [_label_to_json(lab) for lab in complex_.labels],
-        "dim": complex_.dim,
-        "maximal_simplices": [
-            [_label_to_json(lab) for lab in s] for s in complex_.maximal_simplices()
-        ],
-    }
-    if annotate is not None:
-        records = []
-        for s in complex_:
-            record = {"labels": [_label_to_json(lab) for lab in s]}
-            record.update(annotate(s))
-            records.append(record)
-        doc["simplices"] = records
-    return doc
-
-
-def complex_to_off(complex_):
-    """Render a complex of dimension <= 3 on (position, vertex) labels in OFF format.
-
-    Each vertex is drawn at x = its position and y = the rank of its vertex
-    among the vertices in first-appearance order.  The face list contains
-    every triangle plus any maximal edge or vertex, so that nothing silently
-    disappears from the rendering.
-    """
-    if complex_.dim > 3:
-        raise ValueError(f"OFF export supports dimension <= 3, got {complex_.dim}")
-    verts = [s[0] for s in complex_.simplices_of_dim(0)]
-    vertex_line = {lab: i for i, lab in enumerate(verts)}
-
-    seen_layers = []
-    for _, v in verts:
-        if v not in seen_layers:
-            seen_layers.append(v)
-    layer_of = {v: i for i, v in enumerate(seen_layers)}
-
-    faces = [s for s in complex_.simplices_of_dim(2)]
-    faces.extend(s for s in complex_.maximal_simplices() if len(s) <= 2)
-    edge_count = len(complex_.simplices_of_dim(1))
-
-    lines = ["OFF", f"{len(verts)} {len(faces)} {edge_count}"]
-    for lab in verts:
-        pos, v = lab
-        lines.append(f"{pos:g} {layer_of[v]:g} 0  # {lab!r}")
-    for s in faces:
-        lines.append(" ".join([str(len(s))] + [str(vertex_line[lab]) for lab in s]))
-    return "\n".join(lines) + "\n"

@@ -32,7 +32,6 @@ from operator import eq
 from .graphs import GraphError, enumerate_walks
 from .homology import ZERO_GROUP, HomologyGroup
 from .magnitude import magnitude_homology_direct
-from .simplicial import SimplicialComplex, downward_closure
 
 
 def _require_tree(g):
@@ -64,23 +63,6 @@ def decompose_tree_component(g, key):
     if (g.distances[a][b] - l) % 2:
         return []
     return [walk for walk in enumerate_walks(g, a, b, l) if len(walk) - 1 == l]
-
-
-def build_delta_pair(phi, l):
-    """The full simplex on positions 1..l-1 and its faces missing a turning point.
-
-    ``phi`` is the walk's turning-point tuple.  Returned as the pair (total,
-    sub); total is the downward closure of the simplex of all positions,
-    empty at l <= 1.  The relative basis in degree n is the set of
-    (n+1)-subsets of positions containing every turning point; reading those
-    positions from the walk and closing with the endpoints is exactly the
-    per-walk magnitude basis two degrees up.
-    """
-    positions = list(range(1, l))
-    required = set(phi)
-    total = SimplicialComplex(positions, downward_closure([positions]))
-    sub = SimplicialComplex(positions, [s for s in total if not required <= set(s)])
-    return total, sub
 
 
 def classify_delta(phi, l):

@@ -11,7 +11,8 @@ never the package's distance table.  The package supplies only the
 ``pair_chain_complex``, are fixture builders and not oracles: they hand the
 simplices of a complex, or of a pair of complexes, to
 ``relative_chain_complex``, with the boundary incidence that
-``membership_incidence`` finds by looking up every facet.
+``membership_incidence`` finds by looking up every facet; and
+``decoded_cells`` only reads a K pair's cells back in labels.
 ``tests/test_oracles.py`` enforces this.
 """
 
@@ -95,6 +96,11 @@ def membership_incidence(labels, cells) -> dict:
     coded = {tuple(sorted(index[label] for label in cell)) for cell in cells}
     return {cell: tuple(i for i in range(len(cell)) if cell[:i] + cell[i + 1:] in coded)
             for cell in coded}
+
+
+def decoded_cells(kpair) -> frozenset:
+    """K \\ K' of a K pair: its incidence's cells decoded through its labels, endpoints included."""
+    return frozenset(tuple(kpair.labels[i] for i in cell) for cell in kpair.incidence)
 
 
 def chain_complex(complex_):

@@ -37,6 +37,7 @@ from maghom.simplicial import SimplicialComplex, downward_closure, relative_chai
 from oracles import (
     assert_boundary_squares_to_zero,
     chain_complex,
+    decoded_cells,
     dense_product,
     invariant_factors_by_minors,
     matrix_from_lists,
@@ -189,8 +190,9 @@ def test_criterion_6_degree_two_branches():
             key = ComponentKey(a, b, l)
             assert metric(g)[a][b] == l
             kp = build_k_pair(g, key)
-            assert len(kp.sub) == 0
-            assert ((0, a), (l, b)) in kp.cells
+            cells = decoded_cells(kp)
+            assert len(kp.total - {cell[1:-1] for cell in cells}) == 0
+            assert ((0, a), (l, b)) in cells
             geo = magnitude_homology_geometric(g, key)
             assert geo[2] == expected
             assert geo == magnitude_homology_direct(g, key)
@@ -205,9 +207,10 @@ def test_criterion_6_degree_two_branches():
             key = ComponentKey(a, b, l)
             assert metric(g)[a][b] < l
             kp = build_k_pair(g, key)
-            assert ((0, a), (l, b)) not in kp.cells
+            cells = decoded_cells(kp)
+            assert ((0, a), (l, b)) not in cells
             if len(kp.total):
-                assert len(kp.sub) > 0
+                assert len(kp.total - {cell[1:-1] for cell in cells}) > 0
             geo = magnitude_homology_geometric(g, key)
             assert geo[2] == expected
             assert geo == magnitude_homology_direct(g, key)
@@ -257,9 +260,10 @@ def test_criterion_7_structural_invariants():
                     oracle = dim - rank_over_q(mc.boundary(k)) - rank_over_q(mc.boundary(k + 1))
                     assert groups[k].betti == oracle
                 kp = build_k_pair(g, key)
+                interiors = {cell[1:-1] for cell in decoded_cells(kp)}
                 _assert_downward_closed(kp.total)
-                _assert_downward_closed(kp.sub)
-                assert {cell[1:-1] for cell in kp.cells} - {()} <= kp.total
+                _assert_downward_closed(kp.total - interiors)
+                assert interiors - {()} <= kp.total
                 rel = relative_chain_complex(kp.incidence)
                 _assert_position_rigidity(g, key, kp.labels, rel)
                 assert_boundary_squares_to_zero(rel)

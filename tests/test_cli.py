@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import maghom.cli
+import maghom.export
 import maghom.geometric
 import maghom.graphs
 import maghom.report
@@ -167,6 +168,11 @@ def test_compute_usage_errors(tmp_path, monkeypatch):
         # a value that begins with "-" is a value, not another option
         (["--graph", "sq2", "--l", "4", "--pair", "-a,b"], "unknown vertex: '-a'"),
         (["--graph", "sq2", "--l", "2", "--out", "-x"], "--out names a directory: '-x'"),
+        # but an option name is never the value of the option before it
+        (["--graph", "--l", "3"], "argument --graph: expected one argument"),
+        (["--out", "--graph", "sq2", "--l", "3"], "argument --out: expected one argument"),
+        (["--graph", "sq2", "--l", "3", "--kmax", "--pair", "a,b"],
+         "argument --kmax: expected one argument"),
         (["--graph", "sq2", "--l", "4", "--pair", "a,zz"], "unknown vertex: 'zz'"),
         (["--graph", "sq2", "--l", "4", "--method", "tree"], "method tree needs a tree input"),
         (["--graph", "sq2", "--l", "4", "--kmax", "-1"], "--kmax must be nonnegative"),
@@ -461,6 +467,10 @@ def test_check_usage_errors(tmp_path):
     code, out, err = run_cli("check", "--tri", "3")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --tri 3" in err
+    # an option name is never the value of the option before it
+    code, out, err = run_cli("check", "--trials", "--seed", "3")
+    assert (code, out) == (2, "")
+    assert "argument --trials: expected one argument" in err
 
 
 def test_check_mismatch_exits_3(monkeypatch):
@@ -609,7 +619,7 @@ def test_export_internal_failure_exits_4_naming_the_graph(monkeypatch, tmp_path)
     def failing_build(g, key):
         raise InternalCheckError(f"K pair check fails for {key}")
 
-    monkeypatch.setattr(maghom.cli, "build_k_pair", failing_build)
+    monkeypatch.setattr(maghom.export, "build_k_pair", failing_build)
     code, out, err = run_cli("export", "--graph", "path:5", "--l", "4", "--pair", "v0,v4",
                              "--out", str(tmp_path / "p5"))
     assert code == 4
@@ -654,6 +664,11 @@ def test_export_usage_errors(tmp_path):
     code, out, err = run_cli("export", "--graph", "sq2", "--l", "4", "--pai", "a,b", "--out", stem)
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --pai a,b" in err
+    # an option name is never the value of the option before it
+    code, out, err = run_cli("export", "--graph", "sq2", "--l", "4", "--pair", "--out", stem)
+    assert (code, out) == (2, "")
+    assert "argument --pair: expected one argument" in err
+    assert not list(tmp_path.glob("x.*"))
 
 
 def test_export_write_failures_exit_2_with_nothing_written(tmp_path):
@@ -829,6 +844,33 @@ def test_import_and_compute_load_no_dataclasses_or_json():
     assert lines[0] == "[]"
     assert lines[1].startswith("magnitude homology  graph=cycle:4  l=3")
     assert lines[-1] == "[]"
+
+
+def test_only_export_loads_the_export_module(tmp_path):
+    # the file formats of export live in maghom.export, which the export
+    # command imports when it runs: compute and check never load it
+    code = (
+        "import sys\n"
+        "from maghom.cli import main\n"
+        "main(['compute', '--graph', 'cycle:4', '--l', '3'])\n"
+        "main(['check', '--graph', 'sq2', '--l', '3'])\n"
+        "print('maghom.export' in sys.modules)\n"
+        f"main(['export', '--graph', 'path:5', '--l', '4', '--pair', 'v0,v4', "
+        f"'--out', {str(tmp_path / 'p5')!r}])\n"
+        "print('maghom.export' in sys.modules)\n"
+    )
+    src = str(Path(maghom.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0].startswith("magnitude homology  graph=cycle:4  l=3")
+    assert "sq2: l=3: 36 components agree" in r.stdout
+    assert [line for line in lines if line in ("False", "True")] == ["False", "True"]
+    assert (tmp_path / "p5.pair.json").exists()
 
 
 # --- benchmark tracer ---------------------------------------------------------

@@ -25,14 +25,15 @@ from maghom.geometric import (
     CrossValidationReport,
     Mismatch,
     chain_map_t,
-    interior_length,
     verify_chain_map,
 )
+from maghom.export import interior_length, pair_complexes
 from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
 from maghom.magnitude import magnitude_chain_complex
 from maghom.simplicial import SimplicialComplex, relative_chain_complex
 from oracles import (
     chain_complex,
+    decoded_cells,
     k_pair_by_definition,
     membership_incidence,
     metric,
@@ -43,19 +44,26 @@ from oracles import (
 # --- the complex pair ------------------------------------------------------------
 
 
+def _sub(kp):
+    """K' of a K pair: the simplices of K that are no cell's interior."""
+    return kp.total - {cell[1:-1] for cell in decoded_cells(kp)}
+
+
 def test_geometric_route_below_length_three_matches_direct(sq2):
     # every cell is closed by (0, a) and (l, b): at l = 0 the one label (0, a)
     # is the degree-0 cell of a = b, and at l = 1 the empty interior is the
     # cell of an edge; at l = 2 the interiors are a's neighbours
     kp = build_k_pair(sq2, ComponentKey("a", "a", 0))
-    assert kp.labels == ((0, "a"),) and kp.cells == {((0, "a"),)}
-    assert build_k_pair(sq2, ComponentKey("a", "b", 0)).cells == frozenset()
-    assert build_k_pair(sq2, ComponentKey("a", "b", 1)).cells == {((0, "a"), (1, "b"))}
-    assert build_k_pair(sq2, ComponentKey("a", "c", 1)).cells == frozenset()
-    assert build_k_pair(sq2, ComponentKey("a", "a", 1)).cells == frozenset()
+    assert kp.labels == ((0, "a"),) and decoded_cells(kp) == {((0, "a"),)}
+    assert decoded_cells(build_k_pair(sq2, ComponentKey("a", "b", 0))) == frozenset()
+    assert decoded_cells(build_k_pair(sq2, ComponentKey("a", "b", 1))) == {((0, "a"), (1, "b"))}
+    assert decoded_cells(build_k_pair(sq2, ComponentKey("a", "c", 1))) == frozenset()
+    assert decoded_cells(build_k_pair(sq2, ComponentKey("a", "a", 1))) == frozenset()
     kp = build_k_pair(sq2, ComponentKey("a", "a", 2))
-    assert sorted(kp.cells) == [((0, "a"), (1, "b"), (2, "a")), ((0, "a"), (1, "f"), (2, "a"))]
-    assert kp.sub == frozenset()
+    assert sorted(decoded_cells(kp)) == [
+        ((0, "a"), (1, "b"), (2, "a")), ((0, "a"), (1, "f"), (2, "a")),
+    ]
+    assert _sub(kp) == frozenset()
     for l in (0, 1, 2):
         for a in sq2.vertices:
             for b in sq2.vertices:
@@ -75,7 +83,7 @@ def test_k_pair_sq2_diagonal(sq2):
     # positions, hence dimension 2.
     assert len(maximal) == 8
     assert all(len(s) == 3 for s in maximal)
-    assert all(s in kp.total for s in kp.sub)
+    assert all(s in kp.total for s in _sub(kp))
     # K's labels are (position, vertex) with interior positions only.
     for pos, v in total.labels:
         assert 1 <= pos <= 3
@@ -88,24 +96,23 @@ def test_k_pair_is_an_immutable_value(sq2):
     assert kp == same and hash(kp) == hash(same) and len({kp, same}) == 1
     assert kp != build_k_pair(sq2, ComponentKey("a", "d", 3))
     with pytest.raises(AttributeError):
-        kp.cells = frozenset()
+        kp.incidence = {}
     # K is built once, on first read, and kept
     assert kp.total is kp.total
     assert kp == same  # a cached K takes no part in equality
-    # the cells are decoded from the incidence on first read, and kept too
-    assert kp.cells is kp.cells
+    # the incidence is found again from its cells in labels
     copy = KPair(key=kp.key, labels=kp.labels, walks=kp.walks,
-                 incidence=membership_incidence(kp.labels, kp.cells))
-    assert copy == kp and copy.total == kp.total and copy.cells == kp.cells
+                 incidence=membership_incidence(kp.labels, decoded_cells(kp)))
+    assert copy == kp and copy.total == kp.total and decoded_cells(copy) == decoded_cells(kp)
 
 
 def test_k_pair_endpoint_distance_equal_length():
     # d(v0, v4) = 4 = l: no proper sub-walks exist, so the cut-out part is empty.
     g = generate("path:5")
     kp = build_k_pair(g, ComponentKey("v0", "v4", 4))
-    assert len(kp.sub) == 0
+    assert len(_sub(kp)) == 0
     # the empty interior is a cell exactly because d(a, b) = l
-    assert ((0, "v0"), (4, "v4")) in kp.cells
+    assert ((0, "v0"), (4, "v4")) in decoded_cells(kp)
     total = SimplicialComplex(kp.labels[1:-1], kp.total)
     assert total.maximal_simplices() == [((1, "v1"), (2, "v2"), (3, "v3"))]
 
@@ -115,17 +122,36 @@ def test_k_pair_unreachable_is_empty():
     # are empty.
     g = generate("path:6")
     kp = build_k_pair(g, ComponentKey("v0", "v5", 3))
-    assert len(kp.total) == 0 and len(kp.sub) == 0 and kp.cells == frozenset()
+    assert len(kp.total) == 0 and len(_sub(kp)) == 0 and decoded_cells(kp) == frozenset()
 
 
 def test_interior_length_bounds(sq2):
     key = ComponentKey("a", "a", 4)
     kp = build_k_pair(sq2, key)
+    sub = _sub(kp)
     for s in kp.total:
-        if s in kp.sub:
+        if s in sub:
             assert interior_length(sq2, key, s) <= 3
         else:
             assert interior_length(sq2, key, s) == 4
+
+
+def test_export_sub_is_k_minus_the_cell_interiors():
+    # export takes K' by its definition, the simplices of K of interior
+    # length at most l - 1; the descent's cells are K \ K', so the two agree
+    components = 0
+    for spec in ("sq2", "cycle:6", "path:5"):
+        g = generate(spec)
+        for l in range(6):
+            for a in g.vertices:
+                for b in g.vertices:
+                    key = ComponentKey(a, b, l)
+                    total, sub, _ = pair_complexes(g, key)
+                    kp = build_k_pair(g, key)
+                    assert set(total) == kp.total, key
+                    assert set(sub) == _sub(kp), key
+                    components += 1
+    assert components == 6 * (36 + 36 + 25)
 
 
 def test_shorter_length_complex_embeds(sq2):
@@ -135,7 +161,7 @@ def test_shorter_length_complex_embeds(sq2):
         small = build_k_pair(sq2, ComponentKey(a, b, 3))
         big = build_k_pair(sq2, ComponentKey(a, b, 4))
         for s in small.total:
-            assert s in big.sub or s in big.total
+            assert s in _sub(big) or s in big.total
 
 
 def _definition_battery():
@@ -166,7 +192,7 @@ def test_k_pair_matches_definition():
                 total, sub = k_pair_by_definition(g, key)
                 kp = build_k_pair(g, key)
                 assert kp.total == total, key
-                assert kp.sub == sub, key
+                assert _sub(kp) == sub, key
                 rel = relative_chain_complex(kp.incidence)
                 index = {lab: i for i, lab in enumerate(kp.labels)}
                 closed = {((0, a), *s, (l, b)) for s in total - sub}
@@ -205,7 +231,8 @@ def test_descent_incidence_is_the_membership_incidence(hemi):
         for a in g.vertices:
             for b in g.vertices:
                 kp = build_k_pair(g, ComponentKey(a, b, l))
-                assert kp.incidence == membership_incidence(kp.labels, kp.cells), (a, b, l)
+                incidence = membership_incidence(kp.labels, decoded_cells(kp))
+                assert kp.incidence == incidence, (a, b, l)
                 assert all(cell[0] == 0 and cell[-1] == len(kp.labels) - 1
                            for cell in kp.incidence), (a, b, l)
                 components += 1
@@ -317,8 +344,8 @@ def test_chain_map_detects_corrupted_boundary(sq2):
 def test_chain_map_rejects_bad_cells(sq2, drop, add, message):
     key = ComponentKey("a", "d", 4)
     kp = build_k_pair(sq2, key)
-    assert drop <= kp.cells and not add & kp.cells
-    cells = (kp.cells - drop) | add
+    assert drop <= decoded_cells(kp) and not add & decoded_cells(kp)
+    cells = (decoded_cells(kp) - drop) | add
     bad = KPair(key=key, labels=kp.labels, walks=kp.walks,
                 incidence=membership_incidence(kp.labels, cells))
     rel = relative_chain_complex(bad.incidence)
@@ -498,8 +525,8 @@ def test_degree_two_branch_distance_equals_length():
     g = generate("cycle:6")
     key = ComponentKey("v0", "v3", 3)
     kp = build_k_pair(g, key)
-    assert len(kp.sub) == 0
-    assert ((0, "v0"), (3, "v3")) in kp.cells
+    assert len(_sub(kp)) == 0
+    assert ((0, "v0"), (3, "v3")) in decoded_cells(kp)
     total = SimplicialComplex(kp.labels[1:-1], kp.total)
     assert homology_all(chain_complex(total), up_to=0)[0] == HomologyGroup(2)
     groups = magnitude_homology_geometric(g, key)
@@ -520,7 +547,7 @@ def test_degree_two_branch_distance_below_length():
     # and the empty interior is no cell.
     g = generate("cycle:5")
     key = ComponentKey("v0", "v2", 3)
-    assert ((0, "v0"), (3, "v2")) not in build_k_pair(g, key).cells
+    assert ((0, "v0"), (3, "v2")) not in decoded_cells(build_k_pair(g, key))
     groups = magnitude_homology_geometric(g, key)
     assert groups[2] == HomologyGroup(1)
     assert groups == magnitude_homology_direct(g, key)
@@ -598,7 +625,7 @@ def test_cross_validate_refuses_a_changed_cell_set(monkeypatch, change):
         top, free = code(a, (1, "v1"), (2, "v2"), b), code(a, (1, "v1"), b)
         assert top in kp.incidence and free in kp.incidence
         dropped = {tuple(map(kp.labels.__getitem__, cell)) for cell in (top, free)}
-        incidence = membership_incidence(kp.labels, kp.cells - dropped)
+        incidence = membership_incidence(kp.labels, decoded_cells(kp) - dropped)
     elif change == "expansion":
         # a foreign cycle (v0, v3, v3) added with a foreign cell that bounds it
         cycle, filler = code(a, (1, "v3"), b), code(a, (1, "v3"), (2, "v3"), b)

@@ -20,12 +20,8 @@ from maghom import (
 )
 from maghom.homology import ZERO_GROUP, direct_sum, homology_all
 from maghom.magnitude import enumerate_basis
-from maghom.trees import (
-    build_delta_pair,
-    classify_delta,
-    decompose_tree_component,
-    turning_points,
-)
+from maghom.export import build_delta_pair
+from maghom.trees import classify_delta, decompose_tree_component, turning_points
 from oracles import (
     adjacency,
     alternating_walk_count,
