@@ -368,30 +368,24 @@ def random_connected_graph(rng, n_max=6):
 def automorphism_generators(dist):
     """Generators of the isometry group of a graph, as permutations of vertex indices.
 
-    A permutation p maps vertex i to vertex p[i].  Vertices are first split
-    by their sorted distance profile, which every isometry preserves.  Then,
-    for each level i of the pointwise stabiliser chain (the isometries that
-    fix vertices 0..i-1), deepest level first, a backtracking search looks
-    for one isometry mapping vertex i to each candidate not yet in the orbit
-    of i under the generators found so far.  Those generators fix 0..i-1 and
-    together reach the whole orbit, so they generate the level's stabiliser
-    and the group itself is never listed.  ``dist`` is the graph's distance
-    matrix in vertex order.
+    A permutation p maps vertex i to vertex p[i].  For each level i of the
+    pointwise stabiliser chain (the isometries that fix 0..i-1), deepest
+    first, a backtracking search finds one isometry mapping i to each vertex
+    not yet in the orbit of i under the generators found so far.  Those fix
+    0..i-1 and together reach the whole orbit, so they generate the level's
+    stabiliser and the group itself is never listed.  ``dist`` is the
+    graph's distance matrix in vertex order.
     """
+    n, gens = len(dist), []
     profile = [sorted(row) for row in dist]
-    n = len(dist)
-    gens = []
     for i in reversed(range(n)):
         orbit = _orbit(i, gens)
         for c in range(i + 1, n):
-            if c in orbit or profile[c] != profile[i]:
-                continue
-            if any(dist[c][z] != dist[i][z] for z in range(i)):
-                continue  # c cannot replace i while 0..i-1 stay fixed
-            sigma = _extend_isometry(dist, profile, list(range(i)) + [c])
-            if sigma is not None:
-                gens.append(sigma)
-                orbit = _orbit(i, gens)
+            if c not in orbit:
+                sigma = _extend_isometry(dist, profile, i, c)
+                if sigma is not None:
+                    gens.append(sigma)
+                    orbit = _orbit(i, gens)
     return gens
 
 
@@ -407,27 +401,28 @@ def _orbit(x, gens):
     return orbit
 
 
-def _extend_isometry(dist, profile, image):
-    """Complete the partial map i -> image[i] to an isometry, or return None.
-
-    Vertices are assigned in index order; a vertex may only go to an unused
-    vertex with the same distance profile and the same distances to every
-    vertex assigned before it.  The given part must already preserve
-    distances.
-    """
-    x = len(image)
-    if x == len(dist):
-        return tuple(image)
-    for y in range(len(dist)):
-        if (
-            y not in image
-            and profile[y] == profile[x]
-            and all(dist[x][z] == dist[y][image[z]] for z in range(x))
-        ):
-            sigma = _extend_isometry(dist, profile, image + [y])
-            if sigma is not None:
-                return sigma
-    return None
+def _extend_isometry(dist, profile, i, c):
+    """An isometry that fixes 0..i-1 and maps i to c, or None, by backtracking
+    over i, i+1, ... in index order: each goes to the first unused vertex from
+    i on with its profile (sorted distance row) and its distances to the
+    vertices assigned before it; when none is left, the last one moves on."""
+    n = len(dist)
+    image, used, start = list(range(i)), set(), c
+    while len(image) < n:
+        x = len(image)
+        for y in range(start, c + 1 if x == i else n):
+            if y not in used and profile[y] == profile[x] and all(
+                    dist[x][z] == dist[y][image[z]] for z in range(x)):
+                image.append(y)
+                used.add(y)
+                start = i
+                break
+        else:
+            if x == i:
+                return None
+            used.remove(image[-1])
+            start = image.pop() + 1
+    return tuple(image)
 
 
 def pair_orbits(g):
@@ -462,18 +457,23 @@ def pair_orbits(g):
                         f"{dist[sigma[x]][sigma[y]]}"
                     )
 
-    # reversal and each generator as permutations of the pair indices a * n + b
-    moves = [[b * n + a for a in range(n) for b in range(n)]]
-    moves += [[sigma[a] * n + sigma[b] for a in range(n) for b in range(n)] for sigma in gens]
-    rep = [None] * (n * n)
-    for p in range(n * n):
-        if rep[p] is None:
-            for q in _orbit(p, moves):
-                rep[q] = p
-    return {
-        (names[p // n], names[p % n]): (names[r // n], names[r % n])
-        for p, r in enumerate(rep)
-    }
+    # the closure moves a pair (a, b) by reversal, alone and after each
+    # generator; reversal is its own inverse, so these reach the same pairs
+    moves = [range(n), *gens]
+    rep = [[None] * n for _ in range(n)]
+    for a0 in range(n):
+        for b0 in range(n):
+            if rep[a0][b0] is None:
+                rep[a0][b0] = r = (names[a0], names[b0])
+                frontier = [(a0, b0)]
+                while frontier:
+                    a, b = frontier.pop()
+                    for sigma in moves:
+                        x, y = sigma[b], sigma[a]
+                        if rep[x][y] is None:
+                            rep[x][y] = r
+                            frontier.append((x, y))
+    return {(names[a], names[b]): rep[a][b] for a in range(n) for b in range(n)}
 
 
 # Symmetry types of sq2 in the order of the reference rank table, each

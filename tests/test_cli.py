@@ -716,6 +716,23 @@ def test_long_lengths_exit_2_naming_graph_and_l(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args, where",
+    [
+        (["compute", "--graph", "path:2", "--l", "995"], "path:2 l=995"),
+        (["check", "--graph", "path:2", "--l", "990"], "path:2: l=990"),
+    ],
+)
+def test_recursion_past_the_limit_exits_2_naming_graph_and_l(args, where):
+    # below the recursion limit, so refuse_long lets l through, but deep enough
+    # that enumeration's recursion on top of the test's own frames passes it:
+    # the command's RecursionError becomes TOO_LONG, which holds because
+    # enumeration is the only code that recurses
+    code, out, err = run_cli(*args)
+    assert (code, out) == (2, ""), err
+    assert err == f"error: {where}: {maghom.cli.TOO_LONG}\n"
+
+
 def _one_gib_of_address_space():
     # runs in the child before exec: a request that allocates by l or kmax
     # then fails at once instead of filling the machine's memory

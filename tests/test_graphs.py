@@ -1,10 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maghom
 from maghom import (
     Graph,
     GraphError,
@@ -21,6 +27,7 @@ from maghom.graphs import (
 )
 from oracles import (
     brute_force_pair_orbits,
+    cartesian_product,
     metric,
     random_graph_from_seed,
     walk_counts_by_steps,
@@ -371,3 +378,41 @@ def test_automorphism_generators_are_isometries():
             assert all(
                 dist[x][y] == dist[sigma[x]][sigma[y]] for x in range(n) for y in range(n)
             )
+
+
+def test_pair_orbits_of_hemi_squared(hemi):
+    # 225 vertices and 50,625 ordered pairs
+    assert len(set(pair_orbits(cartesian_product(hemi, hemi)).values())) == 309
+
+
+def test_pair_orbits_keep_no_table_per_generator():
+    # star:120 has 118 generators, so a list of all 14,400 pair images per
+    # generator would peak near 67 MiB; one representative per pair needs
+    # about 2 MiB
+    g = generate("star:120")
+    tracemalloc.start()
+    try:
+        pair_orbits(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_graph_size_never_meets_the_recursion_limit():
+    # the isometry search backtracks in a loop, so a graph of 300 vertices
+    # passes a recursion limit of 250, which bounds l alone
+    code = (
+        "import sys\n"
+        "import maghom.cli\n"
+        "sys.setrecursionlimit(250)\n"
+        'maghom.cli.main(["compute", "--graph", "cycle:300", "--l", "1"])\n'
+    )
+    src = str(Path(maghom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert (r.returncode, r.stderr) == (0, ""), r.stderr
+    assert r.stdout.splitlines()[-1] == "k=1    600"
