@@ -242,7 +242,7 @@ def export(graph_spec, l_spec, pair, out):
         from .export import export_texts
 
         # every file's text first, so that a bad path leaves nothing written
-        texts =export_texts(g, graph_spec, ComponentKey(a, b, l_value), out)
+        texts = export_texts(g, graph_spec, ComponentKey(a, b, l_value), out)
         _write_files(texts)
         for path in texts:
             print(f"wrote {path}")

@@ -18,14 +18,15 @@ chains MH_{k,l}(a, b) = H~_{k-2}(K, K') for every k >= 2, and the one
 relative complex gives every degree 0..l.
 
 The cells are enumerated top-down from the walks of exactly l steps, as
-tuples of label indices, and the descent records the relative boundary as
+tuples of label indices, and the descent writes the relative boundary as
 it goes: a facet of a cell is a cell exactly when the triangle through the
-dropped vertex is tight, and the drop's position is the boundary entry.
-``relative_chain_complex`` assembles the chain complex from that incidence
-on the index cells, so K' is never built and no simplicial complex object
-is constructed on this route.  Labels are decoded, and K built, only where
-they are read: by the chain check, ``maghom export`` (which takes K' by its
-definition, see ``maghom.export``) and tests.
+dropped vertex is tight, and the descent numbers each such facet in the
+layer below the first time it reaches it.  Each cell's column is then
+ready, and ``relative_chain_complex`` only stacks the layers, so K' is
+never built and no simplicial complex object is constructed on this route.
+Labels are decoded, and K built, only where they are read: by the chain
+check, ``maghom export`` (which takes K' by its definition, see
+``maghom.export``) and tests.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ class KPair(_FrozenValue):
     vertex order second, and (l, b), so that a cell's orientation agrees
     with position order; the one label (0, a) when l = 0 and a = b.
     ``walks``, from a to b with at most l steps, close downward to K by
-    their positioned interiors.  ``incidence``, the relative boundary that
-    ``relative_chain_complex`` takes, maps each cell of K \\ K', the
-    increasing tuple of its label indices endpoints included, to the
-    increasing positions i whose facet cell[:i] + cell[i + 1:] is a cell.
+    their positioned interiors.  ``incidence``, the layers that
+    ``relative_chain_complex`` stacks, holds one dict per degree of
+    K \\ K', top degree first, from each cell, the increasing tuple of its
+    label indices endpoints included, to its boundary column
+    {number of the facet cell[:i] + cell[i + 1:] in the next layer: (-1)^i}
+    over the facets that are cells; a layer's order is its basis order.
     ``total`` is K, built on first read: a set of simplices on the interior
     labels alone, each a tuple of labels in position order.
     """
@@ -60,7 +63,9 @@ class KPair(_FrozenValue):
         self.__dict__.update(key=key, labels=labels, walks=walks, incidence=incidence)
 
     def _fields(self):
-        return (self.key, self.labels, self.walks, frozenset(self.incidence.items()))
+        layers = tuple(tuple((cell, frozenset(column.items())) for cell, column in layer.items())
+                       for layer in self.incidence)
+        return (self.key, self.labels, self.walks, layers)
 
     @cached_property
     def total(self):
@@ -92,12 +97,13 @@ def build_k_pair(g, key):
     the closed tuple, so every simplex between the two has length l as
     well.  The descent thus reaches every cell and nothing else, the empty
     interior ((0, a), (l, b)) included exactly when d(a, b) = l, and a
-    facet of a cell is a cell exactly when its triangle is tight: the
-    position of each tight drop it makes is an entry of the relative
-    boundary, recorded as it is found.  A pair at distance greater than l
-    yields no cells.  The descent writes (0, a) as index 0, the interior
-    label (pos, v) as 1 + (pos - 1) * n + number(v), n the vertex count,
-    and (l, b) as the last index.
+    facet of a cell is a cell exactly when its triangle is tight: each
+    tight drop at position i is the entry (-1)^i of the cell's column, at
+    the facet's number in the layer below, which the first cell to reach
+    the facet gives it.  A pair at distance greater than l yields no
+    cells.  The descent writes (0, a) as index 0, the interior label
+    (pos, v) as 1 + (pos - 1) * n + number(v), n the vertex count, and
+    (l, b) as the last index.
     """
     a, b, l = key
 
@@ -108,18 +114,19 @@ def build_k_pair(g, key):
     steps = range(1, (l - 1) * n + 1, n)
     # a cell has one label per vertex of its walk, which cuts the cell of
     # the zero-step walk (a,) to the index 0
-    layer = {(0, *map(add, steps, map(number.__getitem__, walk[1:-1])), last)[:len(walk)]
-             for walk in walks if len(walk) == l + 1}
+    layer = dict.fromkeys(
+        (0, *map(add, steps, map(number.__getitem__, walk[1:-1])), last)[:len(walk)]
+        for walk in walks if len(walk) == l + 1)
 
     # distances between vertex numbers, and the vertex number of each label
     dist = g.distance_rows
     vertex = tuple(number[v] for _, v in labels)
     # one layer per cell size, largest first; every cell has length l
-    incidence = {}
+    incidence = []
     while layer:
-        faces = set()
+        faces = {}
         for cell in layer:
-            entries = []
+            column = layer[cell] = {}
             if len(cell) > 2:
                 # the triangle (x, y, z) slides along the cell, y the label
                 # that the drop at i removes
@@ -128,10 +135,10 @@ def build_k_pair(g, key):
                     z = vertex[cell[i + 1]]
                     row = dist[x]
                     if row[z] == row[y] + dist[y][z]:
-                        entries.append(i)
-                        faces.add(cell[:i] + cell[i + 1:])
+                        facet = faces.setdefault(cell[:i] + cell[i + 1:], len(faces))
+                        column[facet] = -1 if i & 1 else 1
                     x, y = y, z
-            incidence[cell] = tuple(entries)
+        incidence.append(layer)
         layer = faces
     return KPair(key=key, labels=labels, walks=walks, incidence=incidence)
 

@@ -373,15 +373,17 @@ def automorphism_generators(dist):
     first, a backtracking search finds one isometry mapping i to each vertex
     not yet in the orbit of i under the generators found so far.  Those fix
     0..i-1 and together reach the whole orbit, so they generate the level's
-    stabiliser and the group itself is never listed.  ``dist`` is the
-    graph's distance matrix in vertex order.
+    stabiliser and the group itself is never listed.  An isometry keeps each
+    vertex's sorted distance row, so only a vertex c of the same row as i
+    is tried; the rows are compared by number.  ``dist`` is the graph's
+    distance matrix in vertex order.
     """
-    n, gens = len(dist), []
-    profile = [sorted(row) for row in dist]
+    n, gens, rows = len(dist), [], {}
+    profile = [rows.setdefault(tuple(sorted(row)), len(rows)) for row in dist]
     for i in reversed(range(n)):
         orbit = _orbit(i, gens)
         for c in range(i + 1, n):
-            if c not in orbit:
+            if profile[c] == profile[i] and c not in orbit:
                 sigma = _extend_isometry(dist, profile, i, c)
                 if sigma is not None:
                     gens.append(sigma)
@@ -404,8 +406,9 @@ def _orbit(x, gens):
 def _extend_isometry(dist, profile, i, c):
     """An isometry that fixes 0..i-1 and maps i to c, or None, by backtracking
     over i, i+1, ... in index order: each goes to the first unused vertex from
-    i on with its profile (sorted distance row) and its distances to the
-    vertices assigned before it; when none is left, the last one moves on."""
+    i on with its profile (the number of its sorted distance row) and its
+    distances to the vertices assigned before it; when none is left, the
+    last one moves on."""
     n = len(dist)
     image, used, start = list(range(i)), set(), c
     while len(image) < n:

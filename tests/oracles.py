@@ -10,9 +10,10 @@ never the package's distance table.  The package supplies only the
 ``maghom check``.  The exceptions, ``chain_complex`` and
 ``pair_chain_complex``, are fixture builders and not oracles: they hand the
 simplices of a complex, or of a pair of complexes, to
-``relative_chain_complex``, with the boundary incidence that
-``membership_incidence`` finds by looking up every facet; and
-``decoded_cells`` only reads a K pair's cells back in labels.
+``relative_chain_complex``, in the layers that ``membership_incidence``
+writes by looking up every facet, with its own numbering and signs
+(``incidence_layers``); ``decoded_columns``, ``drop_positions`` and
+``decoded_cells`` only read layers back.
 ``tests/test_oracles.py`` enforces this.
 """
 
@@ -83,24 +84,58 @@ def matrix_from_lists(data, cols=None) -> IntegerMatrix:
     return IntegerMatrix(len(data), cols, columns)
 
 
-def membership_incidence(labels, cells) -> dict:
-    """The incidence of a set of cells that ``relative_chain_complex`` takes, by membership.
+def incidence_layers(drops) -> list:
+    """The layers that ``relative_chain_complex`` stacks, from each cell's drop positions.
+
+    ``drops`` maps each cell, an increasing tuple of label indices, to the
+    positions i whose facet, the cell without its i-th index, is a cell.
+    There is one layer per cell size, from the largest down to the
+    smallest, each listing its cells in sorted order with the column
+    {number of the facet in the next layer: (-1)^i} over their drops.
+    """
+    layers, numbers = [], {}
+    sizes = set(map(len, drops))
+    for size in range(min(sizes, default=1), max(sizes, default=0) + 1):
+        cells = sorted(cell for cell in drops if len(cell) == size)
+        layers.append({cell: {numbers[cell[:i] + cell[i + 1:]]: (-1) ** i for i in drops[cell]}
+                       for cell in cells})
+        numbers = {cell: j for j, cell in enumerate(cells)}
+    return layers[::-1]
+
+
+def membership_incidence(labels, cells) -> list:
+    """The layers of a set of cells that ``relative_chain_complex`` stacks, by membership.
 
     Each cell, a simplex given by its labels in any order, is written as the
-    sorted tuple of its labels' indices in ``labels``; its entries are the
+    sorted tuple of its labels' indices in ``labels``; its drops are the
     positions i whose facet, the cell without its i-th index, is one of the
-    cells.  An unknown label raises KeyError; the other malformed cells are
-    passed on for the assembler to refuse.
+    cells.  An unknown label raises KeyError.
     """
     index = {label: i for i, label in enumerate(labels)}
     coded = {tuple(sorted(index[label] for label in cell)) for cell in cells}
-    return {cell: tuple(i for i in range(len(cell)) if cell[:i] + cell[i + 1:] in coded)
-            for cell in coded}
+    return incidence_layers({
+        cell: tuple(i for i in range(len(cell)) if cell[:i] + cell[i + 1:] in coded)
+        for cell in coded
+    })
+
+
+def decoded_columns(incidence) -> dict:
+    """Each cell of a list of layers, with its column read as {facet cell: sign}."""
+    facets = [list(layer) for layer in incidence[1:]] + [[]]
+    return {cell: {below[j]: sign for j, sign in column.items()}
+            for layer, below in zip(incidence, facets) for cell, column in layer.items()}
+
+
+def drop_positions(incidence) -> dict:
+    """Each cell of a list of layers, with the positions of the facets its column names."""
+    return {cell: tuple(i for i in range(len(cell)) if cell[:i] + cell[i + 1:] in column)
+            for cell, column in decoded_columns(incidence).items()}
 
 
 def decoded_cells(kpair) -> frozenset:
-    """K \\ K' of a K pair: its incidence's cells decoded through its labels, endpoints included."""
-    return frozenset(tuple(kpair.labels[i] for i in cell) for cell in kpair.incidence)
+    """K \\ K' of a K pair: its cells decoded through its labels, endpoints included."""
+    return frozenset(tuple(kpair.labels[i] for i in cell)
+                     for layer in kpair.incidence for cell in layer)
 
 
 def chain_complex(complex_):

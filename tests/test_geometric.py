@@ -1,6 +1,10 @@
 import importlib
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +38,9 @@ from maghom.simplicial import SimplicialComplex, relative_chain_complex
 from oracles import (
     chain_complex,
     decoded_cells,
+    decoded_columns,
+    drop_positions,
+    incidence_layers,
     k_pair_by_definition,
     membership_incidence,
     metric,
@@ -100,10 +107,14 @@ def test_k_pair_is_an_immutable_value(sq2):
     # K is built once, on first read, and kept
     assert kp.total is kp.total
     assert kp == same  # a cached K takes no part in equality
-    # the incidence is found again from its cells in labels
+    # the columns are found again from the cells in labels; the layers'
+    # order is the basis order, so the oracle's sorted layers, which differ
+    # from the descent's in degree 1 here, make another value
     copy = KPair(key=kp.key, labels=kp.labels, walks=kp.walks,
                  incidence=membership_incidence(kp.labels, decoded_cells(kp)))
-    assert copy == kp and copy.total == kp.total and decoded_cells(copy) == decoded_cells(kp)
+    assert decoded_columns(copy.incidence) == decoded_columns(kp.incidence)
+    assert copy.total == kp.total and decoded_cells(copy) == decoded_cells(kp)
+    assert list(copy.incidence[0]) == list(kp.incidence[0]) and copy != kp
 
 
 def test_k_pair_endpoint_distance_equal_length():
@@ -203,7 +214,10 @@ def test_k_pair_matches_definition():
                         (s for s in closed if len(s) == n + 1),
                         key=lambda s: [index[lab] for lab in s],
                     )
-                    decoded = [tuple(map(kp.labels.__getitem__, cell)) for cell in rel.basis(n)]
+                    # the basis is in descent order, the expected cells in
+                    # universe order
+                    decoded = [tuple(map(kp.labels.__getitem__, cell))
+                               for cell in sorted(rel.basis(n))]
                     assert decoded == expected, (key, n)
                 components += 1
     assert components == 674
@@ -223,20 +237,77 @@ def _incidence_battery(hemi):
 
 
 def test_descent_incidence_is_the_membership_incidence(hemi):
-    # a facet of a relative cell is a cell iff its triangle is tight: the
-    # entries the descent records are the facets found among its closed
-    # cells, where dropping an endpoint never gives a cell
+    # a facet of a relative cell is a cell iff its triangle is tight: each
+    # column the descent writes, read as {facet cell: sign}, is the one
+    # the membership oracle writes from the closed cells, where dropping an
+    # endpoint never gives a cell; each layer is one degree, top first
     components = 0
     for g, l in _incidence_battery(hemi):
         for a in g.vertices:
             for b in g.vertices:
                 kp = build_k_pair(g, ComponentKey(a, b, l))
-                incidence = membership_incidence(kp.labels, decoded_cells(kp))
-                assert kp.incidence == incidence, (a, b, l)
+                oracle = decoded_columns(membership_incidence(kp.labels, decoded_cells(kp)))
+                columns = decoded_columns(kp.incidence)
+                assert len(columns) == len(oracle), (a, b, l)
+                for cell, column in columns.items():
+                    assert column == oracle[cell], (a, b, l, cell)
+                assert [{len(cell) for cell in layer} for layer in kp.incidence] == [
+                    {size} for size in range(l + 1, l + 1 - len(kp.incidence), -1)
+                ], (a, b, l)
                 assert all(cell[0] == 0 and cell[-1] == len(kp.labels) - 1
-                           for cell in kp.incidence), (a, b, l)
+                           for cell in columns), (a, b, l)
                 components += 1
     assert components == 1907
+
+
+def test_descent_order_is_walk_order(sq2, hemi):
+    # the top layer lists the cells of the walks of exactly l steps in the
+    # order they are enumerated, and each layer below numbers a facet where
+    # the first cell to reach it names it: numbers first appear in order
+    for g, key in ((sq2, ComponentKey("a", "a", 4)), (sq2, ComponentKey("a", "d", 5)),
+                   (hemi, ComponentKey("bottom", "top", 4))):
+        kp = build_k_pair(g, key)
+        walks = [walk for walk in kp.walks if len(walk) == key.l + 1]
+        assert [tuple(kp.labels[i][1] for i in cell) for cell in kp.incidence[0]] == walks
+        for layer, below in zip(kp.incidence, kp.incidence[1:]):
+            numbers = dict.fromkeys(j for column in layer.values() for j in column)
+            assert list(numbers) == list(range(len(below))), key
+
+
+_BASES_AND_UNIT_PAIRS = """
+import random
+from maghom import ComponentKey, build_k_pair, generate, random_connected_graph
+from maghom.homology import _pair_units
+from maghom.simplicial import relative_chain_complex
+
+rng = random.Random(31337)
+check = random_connected_graph(rng, n_max=6), rng.randint(3, 5)
+for g, l in ((generate("cycle:7"), 7), check):
+    for a in g.vertices:
+        for b in g.vertices:
+            rel = relative_chain_complex(build_k_pair(g, ComponentKey(a, b, l)).incidence)
+            pairs, _ = _pair_units([rel.boundary(k) for k in range(1, rel.top_degree + 1)])
+            print(a, b, l, rel.bases, pairs)
+"""
+
+
+def test_relative_bases_do_not_depend_on_the_hash_seed():
+    # the bases are in descent order, not sorted, so the walks and the
+    # dicts that number the cells must not follow string hashes: cycle:7 at
+    # l = 7 and the first graph of `maghom check --seed 31337` give the same
+    # bases and unit pairs under two hash seeds
+    src = str(Path(maghom.geometric.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _BASES_AND_UNIT_PAIRS], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}, timeout=120,
+        )
+        for seed in ("1", "2")
+    ]
+    assert [(r.returncode, r.stderr) for r in outputs] == [(0, "")] * 2
+    assert outputs[0].stdout == outputs[1].stdout
+    assert outputs[0].stdout.count("\n") > 49
 
 
 def test_geometric_route_builds_no_simplicial_complex(monkeypatch):
@@ -576,6 +647,11 @@ def test_cross_validate_sq2(sq2):
     assert report.chain_checks == 30
 
 
+def _edited(kp, drops):
+    """The layers of a K pair with cells added, each given with its drop positions."""
+    return incidence_layers({**drop_positions(kp.incidence), **drops})
+
+
 def test_cross_validate_reports_mismatch(sq2, monkeypatch):
     real = build_k_pair
 
@@ -586,7 +662,7 @@ def test_cross_validate_reports_mismatch(sq2, monkeypatch):
         if key.a == "a" and key.b == "a":
             foreign = tuple(kp.labels.index((pos, "a")) for pos in range(5))
             kp = KPair(key=key, labels=kp.labels, walks=kp.walks,
-                       incidence={**kp.incidence, foreign: ()})
+                       incidence=_edited(kp, {foreign: ()}))
         return kp
 
     monkeypatch.setattr(maghom.geometric, "build_k_pair", lying)
@@ -600,8 +676,9 @@ def test_cross_validate_reports_mismatch(sq2, monkeypatch):
     def edgeless(g, key):
         # the cells (a, b) of the edges dropped: degree 1 reads zero
         kp = real(g, key)
-        incidence = {cell: entries for cell, entries in kp.incidence.items() if len(cell) != 2}
-        return KPair(key=key, labels=kp.labels, walks=kp.walks, incidence=incidence)
+        drops = {cell: entries for cell, entries in drop_positions(kp.incidence).items()
+                 if len(cell) != 2}
+        return KPair(key=key, labels=kp.labels, walks=kp.walks, incidence=incidence_layers(drops))
 
     monkeypatch.setattr(maghom.geometric, "build_k_pair", edgeless)
     report = cross_validate(sq2, 1)
@@ -623,16 +700,16 @@ def test_cross_validate_refuses_a_changed_cell_set(monkeypatch, change):
     if change == "collapse":
         # a top cell dropped with the one facet that no other cell has
         top, free = code(a, (1, "v1"), (2, "v2"), b), code(a, (1, "v1"), b)
-        assert top in kp.incidence and free in kp.incidence
+        assert top in drop_positions(kp.incidence) and free in drop_positions(kp.incidence)
         dropped = {tuple(map(kp.labels.__getitem__, cell)) for cell in (top, free)}
         incidence = membership_incidence(kp.labels, decoded_cells(kp) - dropped)
     elif change == "expansion":
         # a foreign cycle (v0, v3, v3) added with a foreign cell that bounds it
         cycle, filler = code(a, (1, "v3"), b), code(a, (1, "v3"), (2, "v3"), b)
-        incidence = {**kp.incidence, cycle: (), filler: (2,)}
+        incidence = _edited(kp, {cycle: (), filler: (2,)})
     else:
         # a foreign cell of degree l + 1, above the degrees that are compared
-        incidence = {**kp.incidence, code(a, (1, "v1"), (1, "v2"), (2, "v2"), b): ()}
+        incidence = _edited(kp, {code(a, (1, "v1"), (1, "v2"), (2, "v2"), b): ()})
     bad = KPair(key=key, labels=kp.labels, walks=kp.walks, incidence=incidence)
     rel = relative_chain_complex(bad.incidence)
     assert homology_all(rel, up_to=3) == magnitude_homology_direct(g, key)

@@ -380,6 +380,26 @@ def test_automorphism_generators_are_isometries():
             )
 
 
+def test_isometry_search_tries_only_vertices_of_the_same_row(monkeypatch):
+    # an isometry keeps each vertex's sorted distance row, so the search
+    # tries to send i to c only where the two rows are equal
+    real, tried = maghom.graphs._extend_isometry, []
+
+    def recording(dist, profile, i, c):
+        tried.append((i, c))
+        return real(dist, profile, i, c)
+
+    monkeypatch.setattr(maghom.graphs, "_extend_isometry", recording)
+    for spec in ("path:6", "sq2", "cycle:8", "star:20", "random-tree:14:1"):
+        g = generate(spec)
+        d = metric(g)
+        dist = [[d[x][y] for y in g.vertices] for x in g.vertices]
+        tried.clear()
+        automorphism_generators(dist)
+        assert tried, spec
+        assert all(sorted(dist[i]) == sorted(dist[c]) for i, c in tried), spec
+
+
 def test_pair_orbits_of_hemi_squared(hemi):
     # 225 vertices and 50,625 ordered pairs
     assert len(set(pair_orbits(cartesian_product(hemi, hemi)).values())) == 309

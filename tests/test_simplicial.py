@@ -143,32 +143,6 @@ def test_relative_pair_validation():
         pair_chain_complex(triangle_boundary(), full_triangle())
 
 
-def test_relative_cell_validation():
-    # relative_chain_complex takes cells as tuples of label indices, each
-    # with the positions of the facets that are cells
-    edge = {(0,): (), (1,): ()}
-    for incidence, message in (
-        ({(1, 1): ()}, "cell is not increasing: (1, 1)"),
-        ({(2, 0): ()}, "cell is not increasing: (2, 0)"),
-        ({(0,): (), (): ()}, "the empty simplex is not allowed"),
-        # the facet (1,) of (0, 1) is not a cell
-        ({(0,): (), (0, 1): (0, 1)}, "facet (1,) of cell (0, 1) is not a cell"),
-        # a vertex's only facet is the empty simplex, which is no cell
-        ({(0,): (0,)}, "facet () of cell (0,) is not a cell"),
-        # a drop position is a position inside the cell, each once and in
-        # order: -3 would pick the facet (1, 2) of position 0, with the sign
-        # of an odd position
-        ({(1, 2): (), (0, 1, 2): (-3,)},
-         "drop positions (-3,) not increasing inside cell (0, 1, 2)"),
-        ({**edge, (0, 1): (2,)}, "drop positions (2,) not increasing inside cell (0, 1)"),
-        ({**edge, (0, 1): (0, 0)}, "drop positions (0, 0) not increasing inside cell (0, 1)"),
-        ({**edge, (0, 1): (1, 0)}, "drop positions (1, 0) not increasing inside cell (0, 1)"),
-    ):
-        with pytest.raises(ValueError) as info:
-            relative_chain_complex(incidence)
-        assert str(info.value) == message, incidence
-
-
 @pytest.mark.parametrize("labels, simplex, message", [
     ("aba", ("a",), "duplicate label in universe"),
     ("abc", ("a", "d"), "unknown label in simplex: 'd'"),
@@ -177,35 +151,16 @@ def test_relative_cell_validation():
 ])
 def test_one_normal_form_validates_every_entry_point(labels, simplex, message):
     # SimplicialComplex is the one entry point for label simplices;
-    # relative_chain_complex takes index-coded cells: test_relative_cell_validation
+    # relative_chain_complex takes the numbered layers of a K pair's descent
     with pytest.raises(ValueError) as info:
         SimplicialComplex(labels, [simplex])
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("labels, simplex, cell, message", [
-    ("aba", ("a",), (0,), "duplicate label in universe"),
-    ("abc", (), (), "the empty simplex is not allowed"),
-])
-def test_one_cell_validator_serves_both_constructions(labels, simplex, cell, message):
-    # SimplicialComplex encodes a label simplex to the index-coded cell that
-    # relative_chain_complex takes, and one validator refuses a malformed
-    # cell in both; relative_chain_complex takes no universe, so a repeated
-    # universe label is SimplicialComplex's refusal alone
-    with pytest.raises(ValueError) as built:
-        SimplicialComplex(labels, [simplex])
-    assert str(built.value) == message
-    if len(set(labels)) != len(labels):
-        assert relative_chain_complex({cell: ()}).basis(0) == [cell]
-        return
-    with pytest.raises(ValueError) as assembled:
-        relative_chain_complex({cell: ()})
-    assert str(assembled.value) == message
-
-
 def test_relative_cells_follow_universe_order():
-    # cells may come in any label order and any sequence; the basis is
-    # sorted by the universe, and facets that are not cells are dropped
+    # cells may come in any label order and any sequence; the oracle's
+    # layers sort each basis by the universe, and facets that are not
+    # cells are dropped
     cells = {("a", "b"), ("c", "a"), ("a", "b", "c"), ("b",)}
     c = relative_chain_complex(membership_incidence("cba", cells))
     assert [[tuple(map("cba".__getitem__, cell)) for cell in c.basis(n)] for n in range(3)] == [
@@ -216,15 +171,20 @@ def test_relative_cells_follow_universe_order():
 
 
 def test_relative_boundary_is_the_incidence():
-    # one entry per recorded drop position i, with sign (-1)^i: the facet
-    # (2,) of (0, 2) is a cell but is not recorded, so it is read as lying
-    # in the subcomplex; the bases are the index cells as given
-    incidence = {(0,): (), (2,): (), (0, 2): (1,), (0, 1, 2): (1,)}
+    # the layers are stacked as given, top degree first: a layer's order is
+    # its basis order, its columns index the next layer, and the facet (2,)
+    # of (1, 2) is a cell that the column omits, so it lies in the subcomplex
+    incidence = [{(0, 1, 2): {1: -1}}, {(1, 2): {}, (0, 2): {1: -1}}, {(2,): {}, (0,): {}}]
     c = relative_chain_complex(incidence)
-    assert [c.basis(n) for n in range(3)] == [[(0,), (2,)], [(0, 2)], [(0, 1, 2)]]
-    assert list(c.boundary(1).columns) == [{0: -1}]
-    assert list(c.boundary(2).columns) == [{0: -1}]
-    assert relative_chain_complex({}).top_degree == 0
+    assert [c.basis(n) for n in range(3)] == [[(2,), (0,)], [(1, 2), (0, 2)], [(0, 1, 2)]]
+    assert list(c.boundary(1).columns) == [{}, {1: -1}]
+    assert list(c.boundary(2).columns) == [{1: -1}]
+    # the degrees below the last layer are empty, and no layer is one
+    # empty degree
+    c = relative_chain_complex([{(0, 2): {}}])
+    assert (c.top_degree, c.basis(0), c.basis(1)) == (1, [], [(0, 2)])
+    assert (c.boundary(1).rows, c.boundary(1).cols) == (0, 1)
+    assert relative_chain_complex([]).top_degree == 0
 
 
 def test_relative_disk_mod_boundary_is_sphere():
