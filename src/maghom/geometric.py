@@ -290,6 +290,10 @@ def cross_validate(g, l):
             # one degree above l, so that H_l sees its incoming boundary and
             # the chain check sees the magnitude basis up to degree l
             mag = magnitude_chain_complex(g, key, l + 1)
+            # the chain check reads every column, so each boundary is built
+            # whole once and kept, and homology reads the kept matrices
+            for n in range(l + 2):
+                mag.boundary(n)
             direct = homology_all(mag, up_to=l)
             kpair = build_k_pair(g, key)
             rel = relative_chain_complex(kpair.incidence)

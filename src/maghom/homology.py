@@ -6,11 +6,14 @@ are sparse columns, and every route hands its ``IntegerChainComplex`` to
 complex, the elementary reductions of Kaczynski, Mrozek and Slusarek
 (1998), which split off acyclic pieces without changing any invariant
 factor; magnitude complexes are almost entirely acyclic, so little is
-left.  Smith normal form then runs on what is left of each boundary: a
-short pivot loop on least entries.  The invariant factors drive betti
-numbers and torsion; the test suite cross-checks them against gcds of
-minors and fraction-free elimination, which share no code with either
-step.
+left.  The pairing runs top degree down and asks for each boundary only
+when the degree above is paired, so a complex that assembles its
+boundaries on request never builds the columns of the cells that a pair
+already took.  Smith normal form then runs on what is left of each
+boundary: a short pivot loop on least entries.  The invariant factors
+drive betti numbers and torsion; the test suite cross-checks them against
+gcds of minors and fraction-free elimination, which share no code with
+either step.
 """
 
 from __future__ import annotations
@@ -213,25 +216,34 @@ def direct_sum(groups):
 class IntegerChainComplex:
     """A nonnegatively graded chain complex of free Z-modules.
 
-    ``bases[n]`` lists the degree-n basis labels; ``boundaries[n]`` is the
+    ``bases[n]`` lists the degree-n basis labels; ``boundary(n)`` is the
     matrix of d_n : C_n -> C_{n-1} (a 0 x dim_0 matrix at degree 0).  Degrees
-    beyond the stored top are zero.
+    beyond the stored top are zero.  ``boundaries[n]`` holds d_n, or None
+    when d_n is assembled on request by ``assemble(bases[n - 1], bases[n],
+    skip)``, which leaves the columns of the cells in ``skip`` empty.
     """
 
-    __slots__ = ("bases", "boundaries")
+    __slots__ = ("bases", "boundaries", "assemble")
 
-    def __init__(self, bases, boundaries):
+    def __init__(self, bases, boundaries, assemble=None):
         self.bases = [list(b) for b in bases]
         self.boundaries = list(boundaries)
+        self.assemble = assemble
         if len(self.bases) != len(self.boundaries):
             raise ValueError("need one boundary matrix per degree")
         for n, mat in enumerate(self.boundaries):
-            expect_rows = len(self.bases[n - 1]) if n > 0 else 0
-            if mat.rows != expect_rows or mat.cols != len(self.bases[n]):
-                raise ValueError(
-                    f"boundary {n} has shape {mat.rows}x{mat.cols}, "
-                    f"expected {expect_rows}x{len(self.bases[n])}"
-                )
+            if mat is not None:
+                self._check_shape(n, mat)
+            elif assemble is None:
+                raise ValueError(f"boundary {n} is neither given nor assembled")
+
+    def _check_shape(self, n, mat):
+        expect_rows = len(self.bases[n - 1]) if n > 0 else 0
+        if mat.rows != expect_rows or mat.cols != len(self.bases[n]):
+            raise ValueError(
+                f"boundary {n} has shape {mat.rows}x{mat.cols}, "
+                f"expected {expect_rows}x{len(self.bases[n])}"
+            )
 
     @property
     def top_degree(self):
@@ -247,11 +259,24 @@ class IntegerChainComplex:
             return list(self.bases[n])
         return []
 
-    def boundary(self, n):
-        """The matrix of d_n, a correctly shaped zero matrix beyond the top."""
-        if 0 <= n <= self.top_degree:
-            return self.boundaries[n]
-        return IntegerMatrix(self.dim(n - 1), self.dim(n))
+    def boundary(self, n, skip=None):
+        """The matrix of d_n, a correctly shaped zero matrix beyond the top.
+
+        A d_n not yet built is assembled here.  Without ``skip`` every
+        column is built and the matrix is kept for later reads; ``skip``, a
+        set of cells of C_n whose columns the caller will not read, leaves
+        those columns empty, and that matrix is not kept.  A stored matrix
+        is returned whole whatever ``skip`` holds.
+        """
+        if not 0 <= n < len(self.boundaries):
+            return IntegerMatrix(self.dim(n - 1), self.dim(n))
+        mat = self.boundaries[n]
+        if mat is None:
+            mat = self.assemble(self.bases[n - 1], self.bases[n], () if skip is None else skip)
+            self._check_shape(n, mat)
+            if skip is None:
+                self.boundaries[n] = mat
+        return mat
 
     def __repr__(self):
         dims = [self.dim(n) for n in range(self.top_degree + 1)]
@@ -263,14 +288,17 @@ def homology_all(complex_, up_to):
 
     betti_k = dim C_k - rank d_k - rank d_{k+1}; the torsion of H_k is read
     off the invariant factors of d_{k+1} that exceed 1.  The unit incidences
-    of the whole complex are paired off first (see ``_pair_units``): each
-    pair adds a factor 1 to its boundary's diagonal, and
-    ``smith_normal_form`` sees only what is left of each boundary, once per
-    boundary even when nothing is left.  The complex only needs
-    ``top_degree``, ``dim(n)`` and ``boundary(n)``, and is not modified.
+    of the whole complex are paired off first, top degree down (see
+    ``_pair_units``), which asks for each boundary only once the degree
+    above is paired and passes the cells that a pair already took, so an
+    assembled complex never builds their columns.  Each pair adds a factor
+    1 to its boundary's diagonal, and ``smith_normal_form`` sees only what
+    is left of each boundary, once per boundary even when nothing is left.
+    The complex only needs ``top_degree``, ``dim(n)`` and ``boundary(n,
+    skip)``, and is not modified.
     """
     hi = min(up_to + 1, complex_.top_degree)
-    pairs, remainders = _pair_units([complex_.boundary(k) for k in range(1, hi + 1)])
+    pairs, remainders = _pair_units(complex_, hi)
     diagonals = {
         k: (1,) * units + smith_normal_form(remainder)
         for k, units, remainder in zip(range(1, hi + 1), pairs, remainders)
@@ -287,32 +315,35 @@ def homology_all(complex_, up_to):
     return out
 
 
-def _pair_units(boundaries):
+def _pair_units(complex_, hi):
     """Pair off the unit incidences of d_1..d_hi; the pair counts and remainders.
 
-    ``boundaries`` lists d_1..d_hi of a complex.  One pass runs from degree
-    hi down to 0; ``taken[k]`` holds the cells of C_k that a pair took.
-    Each column c of d_k not yet taken and holding a +-1 is paired with the
-    row r of its unit entries that has the fewest entries; column
-    operations clear r from the other columns of d_k, which changes the
-    basis of C_k only in c's coordinate.  Then c leaves d_k and leaves
-    d_{k+1} as a row, and r leaves d_k and leaves d_{k-1} as a column:
-    since d o d = 0, both lines are zero in the new bases, so the complex
-    splits off the acyclic piece c -> r and the invariant factors of the
-    rest do not change.  Once d_k is paired, C_k and C_{k+1} are settled, so
-    what is left of d_{k+1} on the cells no pair took is built then, rows
-    in order with those holding entries first, and its working copy
-    dropped.  A boundary with no entry is neither copied nor indexed.
+    One pass runs from degree hi down to 0; ``taken[k]`` holds the cells of
+    C_k that a pair took.  d_k is asked of the complex only when d_{k+1} is
+    paired, as ``boundary(k, taken[k])``: the columns of the cells already
+    taken are never read, so an assembled complex leaves them empty, and a
+    stored one hands over its whole matrix.  Each column c of d_k not yet
+    taken and holding a +-1 is paired with the row r of its unit entries
+    that has the fewest entries; column operations clear r from the other
+    columns of d_k, which changes the basis of C_k only in c's coordinate.
+    Then c leaves d_k and leaves d_{k+1} as a row, and r leaves d_k and
+    leaves d_{k-1} as a column: since d o d = 0, both lines are zero in the
+    new bases, so the complex splits off the acyclic piece c -> r and the
+    invariant factors of the rest do not change.  Once d_k is paired, C_k
+    and C_{k+1} are settled, so what is left of d_{k+1} on the cells no pair
+    took is built then, rows in order with those holding entries first, and
+    its working copy dropped.  A boundary with no entry is neither copied
+    nor indexed.
     """
-    hi = len(boundaries)
     taken = [set() for _ in range(hi + 1)]
     pairs = [0] * hi
     remainders = [None] * hi
-    above = None  # the working columns of d_{k+1}, None if it has no entry
+    # d_{k+1}, and its working columns, None if it has no entry
+    d_above = above = None
     for k in range(hi, -1, -1):
         columns = None
-        if k and any(boundaries[k - 1].columns):
-            d = boundaries[k - 1]
+        d = complex_.boundary(k, taken[k]) if k else None
+        if d is not None and any(d.columns):
             columns = [None if j in taken[k] else dict(col) for j, col in enumerate(d.columns)]
             holders = [[] for _ in range(d.rows)]  # row -> live columns holding it
             for j, column in enumerate(columns):
@@ -352,11 +383,11 @@ def _pair_units(boundaries):
                 taken[k - 1].add(r)
                 pairs[k - 1] += 1
         if k < hi:
-            d = boundaries[k]
-            rows, cols = d.rows - len(taken[k]), d.cols - len(taken[k + 1])
+            rows, cols = d_above.rows - len(taken[k]), d_above.cols - len(taken[k + 1])
             if above is None:
                 # no entry: d_{k+1} is its own remainder unless a pair took a line
-                remainders[k] = d if (rows, cols) == (d.rows, d.cols) else IntegerMatrix(rows, cols)
+                full = (rows, cols) == (d_above.rows, d_above.cols)
+                remainders[k] = d_above if full else IntegerMatrix(rows, cols)
             else:
                 above = [column for column in above if column is not None]
                 held = sorted({i for column in above for i in column} - taken[k])
@@ -364,5 +395,5 @@ def _pair_units(boundaries):
                 remainders[k] = IntegerMatrix(rows, cols, [
                     {index[i]: x for i, x in column.items() if i in index} for column in above
                 ])
-        above = columns
+        above, d_above = columns, d
     return pairs, remainders

@@ -10,6 +10,7 @@ it splits as a direct sum over the ordered endpoint pairs (a, b).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .homology import IntegerChainComplex, IntegerMatrix, homology_all
@@ -87,14 +88,18 @@ def enumerate_basis(g, key, kmax):
     return per_degree
 
 
-def _boundary_from_bases(g, basis_prev, basis_cur):
+def _boundary_from_bases(g, basis_prev, basis_cur, skip=()):
     # consecutive entries of a tuple differ, so dropping two different
-    # interior vertices never gives the same face
+    # interior vertices never gives the same face; the columns of the cells
+    # in skip are left empty
     dist = g.distances
     index = dict(zip(basis_prev, range(len(basis_prev))))
     columns = []
-    for seq in basis_cur:
+    for j, seq in enumerate(basis_cur):
         column = {}
+        columns.append(column)
+        if j in skip:
+            continue
         sign = -1  # (-1) ** i, from i = 1
         row_before = dist[seq[0]]
         before = row_before[seq[1]]
@@ -105,25 +110,32 @@ def _boundary_from_bases(g, basis_prev, basis_cur):
                 column[index[seq[:i] + seq[i + 1:]]] = sign
             sign = -sign
             row_before, before = row, after
-        columns.append(column)
     return IntegerMatrix(len(basis_prev), len(basis_cur), columns)
 
 
 def magnitude_chain_complex(g, key, kmax):
-    """The complex MC_{*,l}(a, b) through degree kmax, basis labels = tuples."""
+    """The complex MC_{*,l}(a, b) through degree kmax, basis labels = tuples.
+
+    The bases are enumerated here; each boundary d_k is assembled from the
+    bases of degrees k - 1 and k when it is first asked for (see
+    ``IntegerChainComplex.boundary``).  ``homology_all`` asks top degree
+    first, passing the cells that its unit pairs already took, and their
+    columns are never built; a request for the whole matrix builds every
+    column once and keeps it.  A negative kmax gives the complex with no
+    degree.
+    """
     bases = enumerate_basis(g, key, kmax)
-    boundaries = [IntegerMatrix(0, len(bases[0]))]
-    for k in range(1, kmax + 1):
-        boundaries.append(_boundary_from_bases(g, bases[k - 1], bases[k]))
-    return IntegerChainComplex(bases, boundaries)
+    boundaries = ([IntegerMatrix(0, len(bases[0]))] + [None] * kmax) if bases else []
+    return IntegerChainComplex(bases, boundaries, partial(_boundary_from_bases, g))
 
 
 def magnitude_homology_direct(g, key, kmax=None):
     """MH_{k,l}(a, b) for 0 <= k <= kmax, straight from the chain complex.
 
     kmax defaults to l.  Every degree above l has no chains, so the complex
-    is built through min(kmax, l) + 1 only, and the degrees above l read
-    zero.
+    is enumerated through min(kmax, l) + 1 only, and the degrees above l
+    read zero.  Its boundaries are assembled inside ``homology_all``, top
+    degree first, each without the columns that a unit pair already took.
     """
     if kmax is None:
         kmax = key.l

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maghom.geometric
+import maghom.magnitude as magnitude_module
 from maghom import (
     ComponentKey,
     HomologyGroup,
@@ -32,8 +33,8 @@ from maghom.geometric import (
     verify_chain_map,
 )
 from maghom.export import interior_length, pair_complexes
-from maghom.homology import ZERO_GROUP, IntegerMatrix, homology_all
-from maghom.magnitude import magnitude_chain_complex
+from maghom.homology import ZERO_GROUP, IntegerChainComplex, IntegerMatrix, homology_all
+from maghom.magnitude import enumerate_basis, magnitude_chain_complex
 from maghom.simplicial import SimplicialComplex, relative_chain_complex
 from oracles import (
     chain_complex,
@@ -286,7 +287,7 @@ for g, l in ((generate("cycle:7"), 7), check):
     for a in g.vertices:
         for b in g.vertices:
             rel = relative_chain_complex(build_k_pair(g, ComponentKey(a, b, l)).incidence)
-            pairs, _ = _pair_units([rel.boundary(k) for k in range(1, rel.top_degree + 1)])
+            pairs, _ = _pair_units(rel, rel.top_degree)
             print(a, b, l, rel.bases, pairs)
 """
 
@@ -382,9 +383,10 @@ def test_chain_map_detects_corrupted_boundary(sq2):
     for corruption in ("flip", "remove"):
 
         def corrupted(g, key, kmax):
+            # the whole boundaries of the real complex, stored with one changed
             c = real(g, key, kmax)
-            for n in range(1, c.top_degree + 1):
-                mat = c.boundaries[n]
+            boundaries = [c.boundary(n) for n in range(c.top_degree + 1)]
+            for n, mat in enumerate(boundaries):
                 columns = [dict(column) for column in mat.columns]
                 j = next((j for j, column in enumerate(columns) if column), None)
                 if j is not None:
@@ -393,8 +395,8 @@ def test_chain_map_detects_corrupted_boundary(sq2):
                         columns[j][row] = -columns[j][row]
                     else:
                         del columns[j][row]
-                    c.boundaries[n] = IntegerMatrix(mat.rows, mat.cols, columns)
-                    return c
+                    boundaries[n] = IntegerMatrix(mat.rows, mat.cols, columns)
+                    return IntegerChainComplex(c.bases, boundaries)
             return c
 
         mag = corrupted(sq2, key, key.l + 1)
@@ -645,6 +647,29 @@ def test_cross_validate_sq2(sq2):
     assert report.ok
     assert report.pairs_checked == 36
     assert report.chain_checks == 30
+
+
+def test_cross_validate_assembles_each_magnitude_column_once(sq2, monkeypatch):
+    # the chain check reads every column of the magnitude complex, so each
+    # boundary is built whole once and homology reads the kept matrices:
+    # one request per degree 1..l + 1 of every pair, none skipping a cell,
+    # and as many columns as cells in those degrees
+    calls = []
+    real = magnitude_module._boundary_from_bases
+
+    def recording(g, prev, cur, skip=()):
+        calls.append((len(cur), set(skip)))
+        return real(g, prev, cur, skip)
+
+    monkeypatch.setattr(magnitude_module, "_boundary_from_bases", recording)
+    for g, l in ((sq2, 4), (generate("cycle:5"), 5)):
+        calls.clear()
+        assert cross_validate(g, l).ok
+        cells = sum(len(basis) for a in g.vertices for b in g.vertices
+                    for basis in enumerate_basis(g, ComponentKey(a, b, l), l + 1)[1:])
+        assert len(calls) == len(g.vertices) ** 2 * (l + 1)
+        assert not any(skip for _, skip in calls)
+        assert sum(cols for cols, _ in calls) == cells > 0
 
 
 def _edited(kp, drops):

@@ -502,3 +502,55 @@ def test_unit_pairs_keep_every_invariant_factor(seed):
         assert groups[k].torsion == tuple(f for f in invariant_factors_by_minors(d_up) if f > 1), k
         rank_in = rank_over_q(c.boundary(k)) if k else 0
         assert groups[k].betti == c.dim(k) - rank_in - rank_over_q(d_up), k
+
+
+# --- boundaries asked for during the pairing ----------------------------------
+
+
+def _on_request(c):
+    """``c`` with its boundaries built on request from its stored matrices.
+
+    The labels are tagged with their degree, which the assembler reads, and
+    a request with skipped cells gets their columns empty; each request
+    that builds a column is recorded as (degree, skipped cells).
+    """
+    requests = []
+
+    def assemble(basis_prev, basis_cur, skip):
+        if not basis_cur:
+            return IntegerMatrix(len(basis_prev), 0)
+        n = basis_cur[0][0]
+        requests.append((n, set(skip)))
+        d = c.boundary(n)
+        return IntegerMatrix(d.rows, d.cols, [
+            {} if j in skip else column for j, column in enumerate(d.columns)
+        ])
+
+    bases = [[(n, label) for label in basis] for n, basis in enumerate(c.bases)]
+    return IntegerChainComplex(bases, [c.boundary(0)] + [None] * c.top_degree, assemble), requests
+
+
+def _shapes(remainders):
+    return [(d.rows, d.cols, d.columns) for d in remainders]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_skipping_taken_columns_changes_no_pair_or_remainder(seed):
+    # the pairing asks for each boundary once, top degree first, passing
+    # the cells a pair already took; emptying their columns changes no
+    # pair, no remainder and no group, and nothing is kept
+    c = _random_chain_complex(random.Random(seed))
+    top = c.top_degree
+    lazy, requests = _on_request(c)
+    pairs, remainders = homology_module._pair_units(c, top)
+    lazy_pairs, lazy_remainders = homology_module._pair_units(lazy, top)
+    assert lazy_pairs == pairs
+    assert _shapes(lazy_remainders) == _shapes(remainders)
+    degrees = [n for n, _ in requests]
+    assert degrees == sorted(set(degrees), reverse=True)
+    assert lazy.boundaries[1:] == [None] * top
+    requests.clear()
+    assert homology_all(lazy, top) == homology_all(c, top)
+    # the top boundary is asked for before any pair exists
+    assert not any(skip for n, skip in requests if n == top)

@@ -124,6 +124,13 @@ def test_chain_complex_shape_errors():
         IntegerChainComplex([["x"]], [])
     with pytest.raises(ValueError, match="^boundary 1 has shape 0x1, expected 1x1$"):
         IntegerChainComplex([["x"], ["y"]], [IntegerMatrix(0, 1), IntegerMatrix(0, 1)])
+    with pytest.raises(ValueError, match="^boundary 1 is neither given nor assembled$"):
+        IntegerChainComplex([["x"], ["y"]], [IntegerMatrix(0, 1), None])
+    # an assembled boundary is checked when it is built
+    c = IntegerChainComplex([["x"], ["y"]], [IntegerMatrix(0, 1), None],
+                            lambda prev, cur, skip: IntegerMatrix(0, 1))
+    with pytest.raises(ValueError, match="^boundary 1 has shape 0x1, expected 1x1$"):
+        c.boundary(1, {0})
 
 
 # --- relative complexes --------------------------------------------------------
